@@ -275,21 +275,16 @@ void write_engine_report(JsonWriter& w, const soc::EngineReport& e,
   w.key("events_dispatched").value(e.events_dispatched);
   const sim::EngineStats& q = e.queue;
   w.key("queue").begin_object();
-  w.key("scheduled_ring").value(q.scheduled_ring);
-  w.key("scheduled_overflow").value(q.scheduled_overflow);
   w.key("pops").value(q.pops);
   w.key("dispatch_inline").value(q.dispatch_inline);
   w.key("dispatch_boxed").value(q.dispatch_boxed);
   w.key("cancels").begin_object();
-  w.key("ring").value(q.cancels_ring);
-  w.key("overflow").value(q.cancels_overflow);
+  w.key("live").value(q.cancels);
   w.key("dead").value(q.cancels_dead);
   w.end_object();
-  w.key("overflow").begin_object();
-  w.key("migrations").value(q.overflow_migrations);
-  w.key("prunes").value(q.overflow_prunes);
-  w.key("compactions").value(q.overflow_compactions);
-  w.key("peak").value(q.overflow_peak);
+  w.key("heap").begin_object();
+  w.key("prunes").value(q.heap_prunes);
+  w.key("compactions").value(q.heap_compactions);
   w.end_object();
   w.key("memory").begin_object();
   w.key("slab_peak").value(q.slab_peak);
@@ -297,12 +292,8 @@ void write_engine_report(JsonWriter& w, const soc::EngineReport& e,
   w.key("footprint_peak").value(q.footprint_peak);
   w.key("footprint_bytes").value(e.queue_footprint_bytes);
   w.end_object();
-  w.key("scan_distance");
-  write_log2_histogram(w, q.scan_distance);
-  w.key("bucket_occupancy");
-  write_log2_histogram(w, q.bucket_occupancy);
-  w.key("batch_size");
-  write_log2_histogram(w, q.batch_size);
+  w.key("live_size");
+  write_log2_histogram(w, q.live_size);
   w.end_object();
   const rtos::EngineCounters& k = e.kernel;
   w.key("kernel").begin_object();
@@ -324,8 +315,8 @@ void write_engine_report(JsonWriter& w, const soc::EngineReport& e,
   w.end_object();
   w.end_object();
   if (!series.empty()) {
-    // The engine gauge tracks are instantaneous (queue depth, overflow
-    // depth, footprint), so summarize with per-track peaks; the full
+    // The engine gauge tracks are instantaneous (queue depth,
+    // footprint), so summarize with per-track peaks; the full
     // resolution lives in the Chrome export's counter tracks.
     w.key("timeseries").begin_object();
     w.key("period").value(static_cast<std::uint64_t>(series.period()));

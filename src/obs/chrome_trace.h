@@ -37,9 +37,9 @@ struct ProcessTrace {
   /// Windowed samples, exported as "ph":"C" counter tracks (one per
   /// series track). Empty = no counters.
   TimeSeries series;
-  /// Engine introspection gauges (queue depth, overflow depth, queue
-  /// footprint), exported as additional counter tracks. Kept separate
-  /// from `series` because its producer (soc) must not leak these into
+  /// Engine introspection gauges (queue depth, queue footprint),
+  /// exported as additional counter tracks. Kept separate from
+  /// `series` because its producer (soc) must not leak these into
   /// profile reports. Empty = none.
   TimeSeries engine_series;
   /// Wait-for arrows ("ph":"s"/"f" flow pairs).

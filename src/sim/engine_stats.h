@@ -4,9 +4,9 @@
 // item 1 names as the remaining host-throughput headroom, and neither
 // had any instrumentation: the guest-facing observer (src/obs) counts
 // simulated work, not host work. EngineStats is the host-facing
-// counterpart — how often the calendar ring vs the overflow heap was
-// hit, how far the bitmap scan travelled, how large same-cycle batches
-// run, where the slab high-water sits — collected only when explicitly
+// counterpart — how many events sit in the queue when one is
+// scheduled, how cancels and their stale heap entries are reclaimed,
+// where the slab high-water sits — collected only when explicitly
 // enabled (EventQueue::enable_stats) so the default hot path keeps a
 // single predictable `stats_ == nullptr` test per site.
 //
@@ -21,8 +21,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-
-#include "sim/sim_time.h"
 
 namespace delta::sim {
 
@@ -71,65 +69,38 @@ struct Log2Histogram {
 /// when engine stats are enabled. All totals are cumulative since
 /// enable; peaks are high-water marks.
 struct EngineStats {
-  // schedule(): which tier the event landed in.
-  std::uint64_t scheduled_ring = 0;      ///< into the calendar window
-  std::uint64_t scheduled_overflow = 0;  ///< into the (at, seq) heap
-
-  // Pop path.
   std::uint64_t pops = 0;
-  /// Bitmap-scan distance (cycles from the previous pop time to the
-  /// next occupied bucket) for calendar-sourced pops.
-  Log2Histogram scan_distance;
-  /// Chain length of a popped bucket, sampled once per distinct pop
-  /// cycle after any overflow migration into it.
-  Log2Histogram bucket_occupancy;
-  /// Number of consecutive pops sharing one cycle — the same-cycle
-  /// batching opportunity the next throughput PR needs sized.
-  Log2Histogram batch_size;
+  /// Live events right after each schedule() — the heap size every pop
+  /// works against. Its count is the number of schedules.
+  Log2Histogram live_size;
 
   // SmallFn dispatch: inline closures vs heap-boxed oversized captures.
   std::uint64_t dispatch_inline = 0;
   std::uint64_t dispatch_boxed = 0;
 
-  // cancel() by tier. `dead` counts ids rejected as already
-  // fired/cancelled (generation mismatch).
-  std::uint64_t cancels_ring = 0;
-  std::uint64_t cancels_overflow = 0;
+  // cancel(): `dead` counts ids rejected as already fired/cancelled
+  // (generation mismatch).
+  std::uint64_t cancels = 0;
   std::uint64_t cancels_dead = 0;
 
-  // Overflow tier traffic.
-  std::uint64_t overflow_migrations = 0;  ///< heap -> calendar transfers
-  std::uint64_t overflow_prunes = 0;      ///< stale entries dropped lazily
-  std::uint64_t overflow_compactions = 0; ///< full heap rebuilds
-  std::uint64_t overflow_peak = 0;        ///< live-entry high-water
+  // Stale heap entries left behind by cancels.
+  std::uint64_t heap_prunes = 0;       ///< stale entries dropped
+  std::uint64_t heap_compactions = 0;  ///< full heap rebuilds
 
   // Memory high-water marks.
   std::uint64_t slab_peak = 0;       ///< slab nodes ever allocated
   std::uint64_t freelist_peak = 0;   ///< recycled-slot list high-water
   std::uint64_t footprint_peak = 0;  ///< footprint_bytes() high-water
 
-  // Transient batch-tracking state; EventQueue::stats_snapshot() folds
-  // any open batch into batch_size before handing the struct out.
-  Cycles batch_time = kNeverCycles;
-  std::uint64_t batch_open = 0;
-  bool occupancy_pending = false;
-
   void merge(const EngineStats& o) {
-    scheduled_ring += o.scheduled_ring;
-    scheduled_overflow += o.scheduled_overflow;
     pops += o.pops;
-    scan_distance.merge(o.scan_distance);
-    bucket_occupancy.merge(o.bucket_occupancy);
-    batch_size.merge(o.batch_size);
+    live_size.merge(o.live_size);
     dispatch_inline += o.dispatch_inline;
     dispatch_boxed += o.dispatch_boxed;
-    cancels_ring += o.cancels_ring;
-    cancels_overflow += o.cancels_overflow;
+    cancels += o.cancels;
     cancels_dead += o.cancels_dead;
-    overflow_migrations += o.overflow_migrations;
-    overflow_prunes += o.overflow_prunes;
-    overflow_compactions += o.overflow_compactions;
-    overflow_peak = std::max(overflow_peak, o.overflow_peak);
+    heap_prunes += o.heap_prunes;
+    heap_compactions += o.heap_compactions;
     slab_peak = std::max(slab_peak, o.slab_peak);
     freelist_peak = std::max(freelist_peak, o.freelist_peak);
     footprint_peak = std::max(footprint_peak, o.footprint_peak);

@@ -1,20 +1,8 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <functional>
 
 namespace delta::sim {
-
-EventQueue::EventQueue() : buckets_(kBuckets) {}
-
-void EventQueue::schedule_overflow(Cycles at, std::uint32_t slot) {
-  const Node& n = slab_[slot];
-  overflow_.push_back(OverflowEntry{at, n.seq, slot, n.gen});
-  std::push_heap(overflow_.begin(), overflow_.end(),
-                 std::greater<OverflowEntry>{});
-  ++heap_live_;
-  if (at < overflow_min_) overflow_min_ = at;
-}
 
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id >> 32);
@@ -23,122 +11,44 @@ bool EventQueue::cancel(EventId id) {
     if (stats_ != nullptr) ++stats_->cancels_dead;
     return false;
   }
-  Node& n = slab_[slot];
-  if (n.at - base_ < kBuckets) {
-    // Calendar event: unlink in O(1).
-    const std::size_t b = n.at & kMask;
-    Bucket& bucket = buckets_[b];
-    if (n.prev != kNil) slab_[n.prev].next = n.next;
-    else bucket.head = n.next;
-    if (n.next != kNil) slab_[n.next].prev = n.prev;
-    else bucket.tail = n.prev;
-    if (bucket.head == kNil)
-      occupied_[b >> 6] &= ~(1ULL << (b & 63));
-    --ring_live_;
-    if (stats_ != nullptr) ++stats_->cancels_ring;
-  } else {
-    // Overflow event: the heap entry goes stale (gen mismatch) and is
-    // dropped when it reaches the top; the payload dies right now.
-    --heap_live_;
-    if (stats_ != nullptr) ++stats_->cancels_overflow;
-    compact_overflow_if_mostly_stale();
-  }
+  // The payload dies right now; the heap entry goes stale (generation
+  // mismatch) and is dropped when it reaches the top or at compaction.
   free_node(slot);
+  --live_;
   if (stats_ != nullptr) {
-    const auto free_nodes =
-        static_cast<std::uint64_t>(slab_.size() - ring_live_ - heap_live_);
-    if (free_nodes > stats_->freelist_peak) stats_->freelist_peak = free_nodes;
+    ++stats_->cancels;
+    note_freelist();
   }
+  compact_if_mostly_stale();
+  drop_stale_top();
   return true;
 }
 
-void EventQueue::prune_overflow_top() const {
-  while (!overflow_.empty()) {
-    const OverflowEntry& top = overflow_.front();
-    if (slab_[top.slot].gen == top.gen) return;  // live
-    std::pop_heap(overflow_.begin(), overflow_.end(),
-                  std::greater<OverflowEntry>{});
-    overflow_.pop_back();
-    if (stats_ != nullptr) ++stats_->overflow_prunes;
-  }
-}
-
-void EventQueue::compact_overflow_if_mostly_stale() {
-  // Lazy deletion parks one stale entry per cancelled overflow event
-  // until its cycle is reached, which a schedule/cancel storm can turn
-  // into unbounded growth. Rebuilding when stale entries outnumber live
-  // ones is amortized O(1) per cancel, and pop order is untouched: it
-  // is fully determined by the (at, seq) comparator, never by layout.
-  const std::size_t stale = overflow_.size() - heap_live_;
-  if (stale < 64 || stale <= heap_live_) return;
-  std::erase_if(overflow_, [this](const OverflowEntry& e) {
-    return slab_[e.slot].gen != e.gen;
-  });
+void EventQueue::compact_if_mostly_stale() {
+  // Rebuilding when stale entries outnumber live ones is amortized O(1)
+  // per cancel, and pop order is untouched: it is fully determined by
+  // the (at, seq) key, never by layout.
+  const std::size_t stale_entries = heap_.size() - live_;
+  if (stale_entries < 64 || stale_entries <= live_) return;
+  std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
+  if (heap_.size() > 1)
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;)
+      sift_down(i, heap_[i]);
   if (stats_ != nullptr) {
-    ++stats_->overflow_compactions;
-    stats_->overflow_prunes += stale;
+    ++stats_->heap_compactions;
+    stats_->heap_prunes += stale_entries;
   }
-  std::make_heap(overflow_.begin(), overflow_.end(),
-                 std::greater<OverflowEntry>{});
-  overflow_min_ = overflow_.empty() ? kNeverCycles : overflow_.front().at;
-}
-
-void EventQueue::drain_overflow() {
-  // Pop in (at, seq) order so same-cycle events append to their bucket
-  // in schedule order; any event still in overflow at a given cycle was
-  // scheduled before every calendar event later appended to that
-  // bucket, so the global FIFO tie-break is preserved.
-  while (!overflow_.empty()) {
-    const OverflowEntry top = overflow_.front();
-    const bool live = slab_[top.slot].gen == top.gen;
-    if (live && top.at - base_ >= kBuckets) break;  // still far future
-    std::pop_heap(overflow_.begin(), overflow_.end(),
-                  std::greater<OverflowEntry>{});
-    overflow_.pop_back();
-    if (!live) {
-      if (stats_ != nullptr) ++stats_->overflow_prunes;
-      continue;  // cancelled; payload already reclaimed
-    }
-    link_into_bucket(top.slot);
-    ++ring_live_;
-    --heap_live_;
-    if (stats_ != nullptr) ++stats_->overflow_migrations;
-  }
-  // The surviving front (live or stale) still lower-bounds every live
-  // entry's time, since the heap min is the min over both kinds.
-  overflow_min_ = overflow_.empty() ? kNeverCycles : overflow_.front().at;
-}
-
-Cycles EventQueue::next_time() const {
-  if (ring_live_ > 0) return base_ + next_ring_offset();
-  if (heap_live_ > 0) {
-    prune_overflow_top();
-    return overflow_.front().at;
-  }
-  return kNeverCycles;
 }
 
 Fired EventQueue::pop() {
   assert(!empty() && "pop() on empty event queue");
-  Cycles t;
-  const bool from_ring = ring_live_ > 0;
-  if (from_ring) {
-    t = base_ + next_ring_offset();
-  } else {
-    prune_overflow_top();
-    assert(!overflow_.empty() && "pop() on empty event queue");
-    t = overflow_.front().at;
-  }
-  if (stats_ != nullptr) note_pop(t, from_ring);
   Fired f;
-  pop_at(t, f);
+  pop_top(f);
   return f;
 }
 
 std::size_t EventQueue::footprint_bytes() const {
-  return slab_.capacity() * sizeof(Node) +
-         buckets_.capacity() * sizeof(Bucket) +
-         overflow_.capacity() * sizeof(OverflowEntry) + sizeof(occupied_);
+  return slab_.capacity() * sizeof(Node) + heap_.capacity() * sizeof(Entry);
 }
 
 void EventQueue::enable_stats() {
@@ -148,12 +58,6 @@ void EventQueue::enable_stats() {
 EngineStats EventQueue::stats_snapshot() const {
   if (stats_ == nullptr) return {};
   EngineStats s = *stats_;
-  if (s.batch_open != 0) {
-    s.batch_size.add(s.batch_open);
-    s.batch_open = 0;
-    s.batch_time = kNeverCycles;
-  }
-  s.occupancy_pending = false;
   // Capacities never shrink, so "now" is also the high-water mark.
   s.slab_peak = std::max(s.slab_peak, static_cast<std::uint64_t>(slab_.size()));
   s.footprint_peak =
@@ -161,56 +65,25 @@ EngineStats EventQueue::stats_snapshot() const {
   return s;
 }
 
-void EventQueue::note_schedule(bool ring) {
+void EventQueue::note_schedule() {
   EngineStats& s = *stats_;
-  if (ring) {
-    ++s.scheduled_ring;
-  } else {
-    ++s.scheduled_overflow;
-    if (heap_live_ > s.overflow_peak)
-      s.overflow_peak = static_cast<std::uint64_t>(heap_live_);
-  }
+  s.live_size.add(live_);
   if (slab_.size() > s.slab_peak)
     s.slab_peak = static_cast<std::uint64_t>(slab_.size());
   const auto fp = static_cast<std::uint64_t>(footprint_bytes());
   if (fp > s.footprint_peak) s.footprint_peak = fp;
 }
 
-void EventQueue::note_pop(Cycles t, bool from_ring) {
+void EventQueue::note_pop(const Fired& out) {
   EngineStats& s = *stats_;
   ++s.pops;
-  if (from_ring) s.scan_distance.add(t - base_);
-  if (t == s.batch_time) {
-    ++s.batch_open;
-  } else {
-    if (s.batch_open != 0) s.batch_size.add(s.batch_open);
-    s.batch_time = t;
-    s.batch_open = 1;
-    // Occupancy is sampled in pop_at, after any overflow migration has
-    // filled the bucket, so the histogram sees the full chain.
-    s.occupancy_pending = true;
-  }
-}
-
-void EventQueue::note_occupancy(Cycles t) {
-  EngineStats& s = *stats_;
-  if (!s.occupancy_pending) return;
-  s.occupancy_pending = false;
-  // The calendar window is exactly kBuckets cycles wide, so every node
-  // chained in this bucket fires at t — the chain length is the
-  // bucket's occupancy.
-  std::uint64_t occ = 0;
-  for (std::uint32_t i = buckets_[t & kMask].head; i != kNil; i = slab_[i].next)
-    ++occ;
-  s.bucket_occupancy.add(occ);
-}
-
-void EventQueue::note_dispatched(const Fired& out) {
-  EngineStats& s = *stats_;
   ++(out.fn.is_boxed() ? s.dispatch_boxed : s.dispatch_inline);
-  const auto free_nodes =
-      static_cast<std::uint64_t>(slab_.size() - ring_live_ - heap_live_);
-  if (free_nodes > s.freelist_peak) s.freelist_peak = free_nodes;
+  note_freelist();
+}
+
+void EventQueue::note_freelist() {
+  const auto free_nodes = static_cast<std::uint64_t>(slab_.size() - live_);
+  if (free_nodes > stats_->freelist_peak) stats_->freelist_peak = free_nodes;
 }
 
 }  // namespace delta::sim

@@ -1,36 +1,32 @@
 // Deterministic pending-event set for the discrete-event kernel.
 //
-// Events scheduled for the same cycle fire in insertion order (stable
-// FIFO tie-break via a monotonically increasing sequence number), which
-// keeps multi-PE simulations reproducible run to run.
+// Pop order is total and reproducible: earliest time first, and events
+// scheduled for the same cycle fire in schedule order (a monotonically
+// increasing sequence number breaks ties), which keeps multi-PE
+// simulations identical run to run.
 //
-// Layout (the high-throughput redesign):
+// Layout:
 //
-//   - A calendar of kBuckets one-cycle-wide buckets covers the near
-//     window [base, base + kBuckets). Scheduling into the window is
-//     O(1): append to the target bucket's intrusive doubly-linked list
-//     and set its bit in the occupancy bitmap. base is the time of the
-//     most recently popped event, so the window always covers "now".
-//   - Events beyond the window go to a small binary-heap overflow tier
-//     ordered by (time, sequence). Every time base advances (only in
-//     pop()), ripe overflow events migrate into their buckets *before*
-//     any callback runs; the heap ordering makes the migration hit each
-//     bucket in sequence order, so global FIFO-at-equal-time survives
-//     the tier crossing.
 //   - Event payloads live in a slab of fixed-size nodes (a freelist
 //     recycles slots), and callbacks are sim::SmallFn, so schedule()
 //     never heap-allocates on the hot path: the closure is emplaced
 //     directly into the node — the caller's lambda captures materialise
 //     straight into queue-owned storage, no temporary, no relocation.
-//   - cancel() is O(1) and eager: the node is unlinked (ring) or its
-//     generation invalidated (overflow), the closure destroyed on the
-//     spot — cancelled captures never linger until pop — and the slot
-//     returned to the freelist. Ids carry a generation so stale handles
-//     to recycled slots are rejected.
+//   - Order lives in a 4-ary min-heap of small {at, seq, slot, gen}
+//     entries keyed on (at, seq). Simulations keep few events pending
+//     (at most 5 in the paper's RTOS1–7 sweeps, 64 in 64x64 fuzzing),
+//     so the heap is a few cache lines, and a fresh queue owns no memory
+//     at all — construction is free, which matters when a sweep builds
+//     one queue per ~150-event run.
+//   - cancel() is O(1) and eager: the closure is destroyed on the spot —
+//     cancelled captures never linger until pop — and the slot returned
+//     to the freelist. Its generation bump turns the heap entry stale;
+//     stale entries are dropped as soon as they reach the top, and the
+//     heap is rebuilt once they outnumber live ones, so schedule/cancel
+//     storms stay bounded. Ids carry the generation too, so stale
+//     handles to recycled slots are rejected.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -64,42 +60,27 @@ struct Fired {
 /// simulator's "now"). The simulator enforces this at its API edge.
 class EventQueue {
  public:
-  /// Calendar width in cycles (and bucket count; one bucket per cycle).
-  /// Covers the common scheduling horizon — bus transfers, kernel
-  /// service costs, context switches, device jobs, and periodic task
-  /// releases (tens of kcycles) — while longer delays take the overflow
-  /// heap, whose cost matches the old global priority queue. The wide
-  /// window costs 256 KiB of buckets + 4 KiB of bitmap; pops stay cheap
-  /// because the bitmap scan ends at the first occupied bucket, and
-  /// under load events sit only a few hundred cycles apart.
-  static constexpr std::size_t kBuckets = 32768;
-
-  EventQueue();
+  EventQueue() = default;
   EventQueue(EventQueue&&) = delete;
   EventQueue& operator=(EventQueue&&) = delete;
 
   /// Schedule `fn` to fire at absolute time `at`. Returns a
   /// cancellation id. Never heap-allocates unless the closure exceeds
-  /// SmallFn::kInlineBytes or the slab must grow. The closure is
+  /// SmallFn::kInlineBytes or the slab or heap must grow. The closure is
   /// constructed directly inside the slab node (no SmallFn temporary,
   /// no relocation), so a lambda at the call site materialises its
   /// captures straight into queue-owned storage.
   template <typename F>
   EventId schedule(Cycles at, F&& fn) {
     assert(at >= base_ && "scheduling into the past");
-    if (at < base_) at = base_;  // release-mode safety: never lose an event
-    const std::uint32_t slot = alloc_node(at);
+    if (at < base_) at = base_;  // release-mode safety: pops stay monotone
+    const std::uint32_t slot = alloc_node();
     Node& n = slab_[slot];
     n.fn.emplace(std::forward<F>(fn));
     assert(n.fn && "scheduling an empty callback");
-    const bool ring = at - base_ < kBuckets;
-    if (ring) {
-      link_into_bucket(slot);
-      ++ring_live_;
-    } else {
-      schedule_overflow(at, slot);
-    }
-    if (stats_ != nullptr) [[unlikely]] note_schedule(ring);
+    push_entry(Entry{at, next_seq_++, slot, n.gen});
+    ++live_;
+    if (stats_ != nullptr) [[unlikely]] note_schedule();
     return (static_cast<EventId>(slot) << 32) | n.gen;
   }
 
@@ -109,43 +90,32 @@ class EventQueue {
   bool cancel(EventId id);
 
   /// True if no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return ring_live_ + heap_live_ == 0; }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
 
   /// Number of live events.
-  [[nodiscard]] std::size_t size() const { return ring_live_ + heap_live_; }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest live event; kNeverCycles when empty.
-  [[nodiscard]] Cycles next_time() const;
+  [[nodiscard]] Cycles next_time() const {
+    return heap_.empty() ? kNeverCycles : heap_.front().at;
+  }
 
   /// Pop and return the earliest live event. Precondition: !empty().
   Fired pop();
 
   /// Pop the earliest live event only if it fires at or before `limit`.
   /// Returns false (leaving the queue untouched) when the queue is
-  /// empty or the next event is later. Single-scan fast path for the
-  /// simulator's step loop; inline so the step loop folds the scan,
-  /// the bucket unlink and the closure relocation into one frame.
+  /// empty or the next event is later. Inline so the simulator's step
+  /// loop folds the heap pop and the closure relocation into one frame.
   bool pop_if_at_most(Cycles limit, Fired& out) {
-    // One scan finds the next time; pop_at then extracts without
-    // re-deriving it.
-    Cycles t;
-    const bool from_ring = ring_live_ > 0;
-    if (from_ring) {
-      t = base_ + next_ring_offset();
-    } else {
-      if (heap_live_ == 0) return false;
-      prune_overflow_top();
-      t = overflow_.front().at;
-    }
-    if (t > limit) return false;
-    if (stats_ != nullptr) [[unlikely]] note_pop(t, from_ring);
-    pop_at(t, out);
+    if (heap_.empty() || heap_.front().at > limit) return false;
+    pop_top(out);
     return true;
   }
 
-  /// Bytes of heap memory retained by the queue (slab, calendar,
-  /// overflow tier). Exposed so regression tests can bound the memory
-  /// of schedule/cancel storms.
+  /// Bytes of heap memory retained by the queue (slab and order heap).
+  /// Exposed so regression tests can bound the memory of schedule/cancel
+  /// storms and of a freshly constructed queue.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
   /// Start collecting EngineStats (idempotent). Off by default: the
@@ -155,173 +125,141 @@ class EventQueue {
   /// True once enable_stats() has been called.
   [[nodiscard]] bool stats_enabled() const { return stats_ != nullptr; }
 
-  /// Copy of the collected stats with any open same-cycle batch folded
-  /// into the batch_size histogram and the memory peaks refreshed.
+  /// Copy of the collected stats with the memory peaks refreshed.
   /// Zeroed stats when collection was never enabled.
   [[nodiscard]] EngineStats stats_snapshot() const;
 
-  /// Live events currently parked in the overflow heap (gauge for
-  /// engine time-series tracks).
-  [[nodiscard]] std::size_t overflow_live() const { return heap_live_; }
-
  private:
-  static constexpr std::size_t kMask = kBuckets - 1;
-  static constexpr std::size_t kWords = kBuckets / 64;
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kArity = 4;
 
-  /// Slab node: one scheduled event. 128 bytes (two cache lines) with
-  /// SmallFn's 88-byte inline closure buffer.
+  /// Slab node: one scheduled event's payload.
   struct Node {
-    Cycles at = 0;
-    std::uint64_t seq = 0;       ///< global schedule order (FIFO key)
-    std::uint32_t gen = 0;       ///< bumped on free; validates EventIds
-    std::uint32_t next = kNil;   ///< bucket list / freelist link
-    std::uint32_t prev = kNil;   ///< bucket list back link
+    std::uint32_t gen = 0;      ///< bumped on free; validates ids/entries
+    std::uint32_t next = kNil;  ///< freelist link
     EventFn fn;
   };
 
-  /// Calendar bucket: an intrusive FIFO list through the slab.
-  struct Bucket {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-  };
-
-  /// Overflow-tier entry; ordered by (at, seq) through operator>.
-  struct OverflowEntry {
+  /// Heap entry; stale once slab_[slot].gen moves past `gen`.
+  struct Entry {
     Cycles at;
-    std::uint64_t seq;
+    std::uint64_t seq;  ///< global schedule order (FIFO key)
     std::uint32_t slot;
     std::uint32_t gen;
-    bool operator>(const OverflowEntry& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
   };
 
-  [[nodiscard]] std::uint32_t alloc_node(Cycles at) {
-    std::uint32_t slot;
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+    return (a.at < b.at) | ((a.at == b.at) & (a.seq < b.seq));
+  }
+
+  [[nodiscard]] bool stale(const Entry& e) const {
+    return slab_[e.slot].gen != e.gen;
+  }
+
+  [[nodiscard]] std::uint32_t alloc_node() {
     if (free_head_ != kNil) {
-      slot = free_head_;
+      const std::uint32_t slot = free_head_;
       free_head_ = slab_[slot].next;
-    } else {
-      slot = static_cast<std::uint32_t>(slab_.size());
-      slab_.emplace_back();
+      return slot;
     }
-    Node& n = slab_[slot];
-    n.at = at;
-    n.seq = next_seq_++;
-    n.next = kNil;
-    n.prev = kNil;
-    return slot;
+    slab_.emplace_back();
+    return static_cast<std::uint32_t>(slab_.size() - 1);
   }
 
   void free_node(std::uint32_t slot) {
     Node& n = slab_[slot];
     n.fn.reset();  // destroy the closure (and its captures) eagerly
-    ++n.gen;       // invalidate every outstanding EventId for this slot
+    ++n.gen;       // invalidate every outstanding id and heap entry
     n.next = free_head_;
     free_head_ = slot;
   }
 
-  void link_into_bucket(std::uint32_t slot) {
-    Node& n = slab_[slot];
-    const std::size_t b = n.at & kMask;
-    Bucket& bucket = buckets_[b];
-    n.next = kNil;
-    n.prev = bucket.tail;
-    if (bucket.tail == kNil) {
-      bucket.head = slot;
-      occupied_[b >> 6] |= 1ULL << (b & 63);
-    } else {
-      slab_[bucket.tail].next = slot;
+  /// Index of the earliest of the children starting at `first`.
+  [[nodiscard]] std::size_t min_child(std::size_t first) const {
+    const std::size_t n = heap_.size();
+    if (first + kArity <= n) {
+      const Entry* c = &heap_[first];
+      const std::size_t lo = before(c[1], c[0]);
+      const std::size_t hi = 2 + std::size_t{before(c[3], c[2])};
+      return first + (before(c[hi], c[lo]) ? hi : lo);
     }
-    bucket.tail = slot;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < n; ++c)
+      if (before(heap_[c], heap_[best])) best = c;
+    return best;
   }
 
-  /// Out-of-line slow half of schedule(): push into the overflow heap.
-  void schedule_overflow(Cycles at, std::uint32_t slot);
-  /// Migrate every ripe overflow event into the calendar (call after
-  /// every base_ advance), dropping cancelled entries on the way.
-  void drain_overflow();
-  /// Drop cancelled entries off the overflow top so top() is live.
-  void prune_overflow_top() const;
-  /// Rebuild the overflow heap once stale (cancelled) entries outnumber
-  /// live ones, so cancel storms cannot grow it without bound.
-  void compact_overflow_if_mostly_stale();
+  /// Sift `e` down from the hole at `i` into its place.
+  void sift_down(std::size_t i, Entry e) {
+    for (std::size_t first; (first = i * kArity + 1) < heap_.size();) {
+      const std::size_t best = min_child(first);
+      if (!before(heap_[best], e)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = e;
+  }
+
+  void push_entry(const Entry& e) {
+    heap_.push_back(e);
+    std::size_t i = heap_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  /// Remove the top entry.
+  void pop_entry() {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  /// Restore the invariant that the top entry (if any) is live, so the
+  /// const observers and the pop fast path never look past it.
+  void drop_stale_top() {
+    while (!heap_.empty() && stale(heap_.front())) {
+      pop_entry();
+      if (stats_ != nullptr) ++stats_->heap_prunes;
+    }
+  }
+
+  /// Rebuild the heap without stale entries once they outnumber live
+  /// ones, so cancel storms cannot grow it without bound.
+  void compact_if_mostly_stale();
+
+  /// Move the (live) top event into `out` and free its slot.
+  void pop_top(Fired& out) {
+    const Entry top = heap_.front();
+    pop_entry();
+    base_ = top.at;
+    --live_;
+    out.at = top.at;
+    out.fn = std::move(slab_[top.slot].fn);
+    free_node(top.slot);
+    drop_stale_top();
+    if (stats_ != nullptr) [[unlikely]] note_pop(out);
+  }
 
   // EngineStats recorders — out of line, called only behind a
   // `stats_ != nullptr` test so the default path stays branch-per-site.
-  void note_schedule(bool ring);
-  void note_pop(Cycles t, bool from_ring);
-  void note_occupancy(Cycles t);
-  void note_dispatched(const Fired& out);
-
-  /// Ring distance from base_ to the next occupied bucket.
-  /// Precondition: ring_live_ > 0.
-  [[nodiscard]] std::size_t next_ring_offset() const {
-    const std::size_t start = base_ & kMask;
-    std::size_t w = start >> 6;
-    std::uint64_t word = occupied_[w] & (~0ULL << (start & 63));
-    // <= kWords iterations: the start word is revisited once in full to
-    // pick up wrapped-around bits below the start position.
-    for (std::size_t i = 0; i <= kWords; ++i) {
-      if (word != 0) {
-        const std::size_t idx =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        return (idx - start) & kMask;
-      }
-      w = (w + 1) & (kWords - 1);
-      word = occupied_[w];
-    }
-    assert(false && "next_ring_offset: occupancy bitmap empty");
-    return 0;
-  }
-
-  /// Advance base_ to `t` (the pre-computed next live time) and move
-  /// that cycle's FIFO head into `out`.
-  void pop_at(Cycles t, Fired& out) {
-    base_ = t;
-    // overflow_min_ never undershoots base_ (time does not run
-    // backwards), so this test alone decides ripeness; drain re-tightens
-    // the bound.
-    if (overflow_min_ < t + kBuckets) drain_overflow();
-    if (stats_ != nullptr) [[unlikely]] note_occupancy(t);
-    Bucket& bucket = buckets_[t & kMask];
-    const std::uint32_t slot = bucket.head;
-    Node& n = slab_[slot];
-    assert(n.at == t && "bucket head time mismatch");
-    bucket.head = n.next;
-    if (n.next != kNil) slab_[n.next].prev = kNil;
-    else bucket.tail = kNil;
-    if (bucket.head == kNil)
-      occupied_[(t & kMask) >> 6] &= ~(1ULL << (t & 63));
-    --ring_live_;
-    out.at = t;
-    out.fn = std::move(n.fn);
-    free_node(slot);
-    if (stats_ != nullptr) [[unlikely]] note_dispatched(out);
-  }
+  void note_schedule();
+  void note_pop(const Fired& out);
+  void note_freelist();
 
   std::vector<Node> slab_;
   std::uint32_t free_head_ = kNil;
-  std::vector<Bucket> buckets_;
-  std::array<std::uint64_t, kWords> occupied_{};  ///< bucket bitmap
-  /// Overflow min-heap (std::push_heap/pop_heap with greater<>);
-  /// mutable so const observers may drop lazily-cancelled heads — the
-  /// set of live events they expose never changes.
-  mutable std::vector<OverflowEntry> overflow_;
-  Cycles base_ = 0;              ///< calendar window start (= last pop time)
-  /// Lower bound on the earliest overflow entry's time (kNeverCycles
-  /// when the tier is empty). Lets pop skip the drain call entirely
-  /// while no overflow event can be ripe — the common case, since most
-  /// events land in the calendar window.
-  Cycles overflow_min_ = kNeverCycles;
+  /// 4-ary min-heap on (at, seq); holds every live event plus stale
+  /// entries of cancelled ones. Its top is always live.
+  std::vector<Entry> heap_;
+  Cycles base_ = 0;  ///< time of the most recent pop ("now")
   std::uint64_t next_seq_ = 0;
-  std::size_t ring_live_ = 0;    ///< live events in the calendar
-  std::size_t heap_live_ = 0;    ///< live events in the overflow tier
-  /// Engine introspection sink; null (collection off) by default. The
-  /// pointee is mutated from const observers too (prune counts), which
-  /// is fine: like `overflow_`, stats never alter the live-event set.
+  std::size_t live_ = 0;
+  /// Engine introspection sink; null (collection off) by default.
   std::unique_ptr<EngineStats> stats_;
 };
 

@@ -82,12 +82,9 @@ class Simulator {
     return queue_.stats_snapshot();
   }
 
-  /// Gauges for engine time-series tracks: pending events, events
-  /// parked in the overflow tier, and retained queue memory.
+  /// Gauges for engine time-series tracks: pending events and
+  /// retained queue memory.
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  [[nodiscard]] std::size_t queue_overflow_depth() const {
-    return queue_.overflow_live();
-  }
   [[nodiscard]] std::size_t queue_footprint_bytes() const {
     return queue_.footprint_bytes();
   }

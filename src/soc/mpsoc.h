@@ -153,9 +153,8 @@ class BasicMpsoc {
   /// ready-depth and heap-bytes tracks are instantaneous gauges.
   [[nodiscard]] const obs::TimeSeries& time_series() const { return series_; }
 
-  /// Engine gauge samples (queue depth, overflow depth, queue
-  /// footprint) collected by sampled runs when cfg.engine_stats is on.
-  /// Kept separate from time_series() so profile reports — which fold
+  /// Engine gauge samples (queue depth, queue footprint) collected by
+  /// sampled runs when cfg.engine_stats is on. Kept separate from time_series() so profile reports — which fold
   /// every time_series() track — stay byte-identical with stats on.
   [[nodiscard]] const obs::TimeSeries& engine_time_series() const {
     return engine_series_;

@@ -193,8 +193,8 @@ sim::Cycles BasicMpsoc<ObserverPolicy>::run(sim::Cycles limit) {
     series_ = obs::TimeSeries(cfg_.sample_period, std::move(tracks));
     if (cfg_.engine_stats)
       engine_series_ = obs::TimeSeries(
-          cfg_.sample_period, {"engine.queue_depth", "engine.overflow_depth",
-                               "engine.footprint_bytes"});
+          cfg_.sample_period,
+          {"engine.queue_depth", "engine.footprint_bytes"});
 
     WindowedPeBusy busy(*kernel_);
     std::uint64_t prev_bus_busy = 0;
@@ -225,7 +225,6 @@ sim::Cycles BasicMpsoc<ObserverPolicy>::run(sim::Cycles limit) {
       if (cfg_.engine_stats)
         engine_series_.append(
             t, {static_cast<std::uint64_t>(sim_.queue_depth()),
-                static_cast<std::uint64_t>(sim_.queue_overflow_depth()),
                 static_cast<std::uint64_t>(sim_.queue_footprint_bytes())});
     };
 

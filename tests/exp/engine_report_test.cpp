@@ -51,7 +51,7 @@ TEST(EngineReportExp, RunsCarryQueueAndKernelCounters) {
     EXPECT_GT(run.engine.queue_footprint_bytes, 0u);
     EXPECT_GT(run.engine.queue.pops, 0u);
     EXPECT_EQ(run.engine.queue.pops, run.engine.events_dispatched);
-    EXPECT_GT(run.engine.queue.scheduled_ring, 0u);
+    EXPECT_GT(run.engine.queue.live_size.count, 0u);
     EXPECT_GT(run.engine.kernel.service_windows, 0u);
     const rtos::EngineCounters& k = run.engine.kernel;
     EXPECT_EQ(k.resched_calls, k.resched_fastout_in_service +
@@ -111,7 +111,7 @@ TEST(EngineReportExp, RollupMergeIsOrderIndependent) {
   EXPECT_EQ(fwd.events_dispatched, rev.events_dispatched);
   EXPECT_EQ(fwd.queue_footprint_bytes, rev.queue_footprint_bytes);
   EXPECT_EQ(fwd.queue.pops, rev.queue.pops);
-  EXPECT_EQ(fwd.queue.scan_distance.sum, rev.queue.scan_distance.sum);
+  EXPECT_EQ(fwd.queue.live_size.sum, rev.queue.live_size.sum);
   EXPECT_EQ(fwd.queue.footprint_peak, rev.queue.footprint_peak);
   EXPECT_EQ(fwd.kernel.service_windows, rev.kernel.service_windows);
   EXPECT_EQ(fwd.kernel.service_window_cycles.max,
@@ -134,7 +134,7 @@ TEST(EngineReportExp, EngineTimeseriesRequiresSamplePeriod) {
   for (const RunResult& run : sampled.runs) {
     EXPECT_FALSE(run.engine_timeseries.empty());
     EXPECT_EQ(run.engine_timeseries.period(), 10'000u);
-    EXPECT_EQ(run.engine_timeseries.tracks().size(), 3u);
+    EXPECT_EQ(run.engine_timeseries.tracks().size(), 2u);
   }
 }
 

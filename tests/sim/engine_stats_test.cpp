@@ -1,12 +1,12 @@
 // Engine introspection at the event-queue layer: the EngineStats
-// counters must attribute schedules, pops, cancels and overflow-tier
-// traffic to the right tier, and the whole collection path must be
-// inert (and cost-free to correctness) when never enabled.
+// counters must account for schedules, pops, cancels and stale heap
+// entries, and the whole collection path must be inert (and cost-free
+// to correctness) when never enabled.
 //
-// The cancel-storm cases double as the regression suite for the
-// overflow tier's lazy-deletion bookkeeping: prunes + compactions must
-// account for every cancelled heap entry, mirroring the memory bounds
-// in event_queue_memory_test.cpp.
+// The cancel-storm cases double as the regression suite for the heap's
+// lazy-deletion bookkeeping: prunes + compactions must account for
+// every cancelled entry, mirroring the memory bounds in
+// event_queue_memory_test.cpp.
 #include "sim/engine_stats.h"
 
 #include <gtest/gtest.h>
@@ -77,23 +77,24 @@ TEST(Log2Histogram, MergeIsElementwise) {
 
 TEST(EngineStatsMerge, SumsTotalsAndMaxesPeaks) {
   EngineStats a;
-  a.scheduled_ring = 10;
+  a.live_size.add(1);
   a.pops = 10;
   a.cancels_dead = 1;
-  a.overflow_peak = 5;
+  a.slab_peak = 5;
   a.footprint_peak = 1000;
   EngineStats b;
-  b.scheduled_ring = 3;
-  b.scheduled_overflow = 2;
+  b.live_size.add(3);
   b.pops = 5;
-  b.overflow_peak = 9;
+  b.cancels = 2;
+  b.slab_peak = 9;
   b.footprint_peak = 700;
   a.merge(b);
-  EXPECT_EQ(a.scheduled_ring, 13u);
-  EXPECT_EQ(a.scheduled_overflow, 2u);
+  EXPECT_EQ(a.live_size.count, 2u);
+  EXPECT_EQ(a.live_size.max, 3u);
   EXPECT_EQ(a.pops, 15u);
+  EXPECT_EQ(a.cancels, 2u);
   EXPECT_EQ(a.cancels_dead, 1u);
-  EXPECT_EQ(a.overflow_peak, 9u);       // max, not sum
+  EXPECT_EQ(a.slab_peak, 9u);           // max, not sum
   EXPECT_EQ(a.footprint_peak, 1000u);   // max, not sum
 }
 
@@ -101,11 +102,10 @@ TEST(EventQueueStats, OffByDefaultAndZeroedSnapshot) {
   EventQueue q;
   EXPECT_FALSE(q.stats_enabled());
   q.schedule(5, [] {});
-  q.schedule(EventQueue::kBuckets + 5, [] {});
+  q.schedule(100'000, [] {});
   (void)q.pop();
   const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scheduled_ring, 0u);
-  EXPECT_EQ(s.scheduled_overflow, 0u);
+  EXPECT_EQ(s.live_size.count, 0u);
   EXPECT_EQ(s.pops, 0u);
   EXPECT_EQ(s.slab_peak, 0u);
 }
@@ -117,79 +117,22 @@ TEST(EventQueueStats, EnableIsIdempotentAndCountsFromEnable) {
   q.enable_stats();  // must not reset the collection
   EXPECT_TRUE(q.stats_enabled());
   q.schedule(2, [] {});
-  EXPECT_EQ(q.stats_snapshot().scheduled_ring, 1u);
+  EXPECT_EQ(q.stats_snapshot().live_size.count, 1u);
 }
 
-TEST(EventQueueStats, ScheduleClassifiesRingVsOverflow) {
+TEST(EventQueueStats, LiveSizeSampledOnSchedule) {
   EventQueue q;
   q.enable_stats();
-  q.schedule(0, [] {});                             // ring (at == base)
-  q.schedule(EventQueue::kBuckets - 1, [] {});      // last ring bucket
-  q.schedule(EventQueue::kBuckets, [] {});          // first overflow cycle
-  q.schedule(EventQueue::kBuckets * 10, [] {});     // deep overflow
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scheduled_ring, 2u);
-  EXPECT_EQ(s.scheduled_overflow, 2u);
-  EXPECT_EQ(s.overflow_peak, 2u);
-}
-
-TEST(EventQueueStats, RingWindowFollowsBase) {
-  EventQueue q;
-  q.enable_stats();
-  q.schedule(100, [] {});
-  (void)q.pop();  // base advances to 100; window now [100, 100 + kBuckets)
-  q.schedule(100 + EventQueue::kBuckets - 1, [] {});  // ring again
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scheduled_ring, 2u);
-  EXPECT_EQ(s.scheduled_overflow, 0u);
-}
-
-TEST(EventQueueStats, ScanDistanceRecordsRingGap) {
-  EventQueue q;
-  q.enable_stats();
-  q.schedule(0, [] {});
-  q.schedule(700, [] {});
-  (void)q.pop();  // gap 0 from base 0
-  (void)q.pop();  // gap 700 from base 0
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scan_distance.count, 2u);
-  EXPECT_EQ(s.scan_distance.sum, 700u);
-  EXPECT_EQ(s.scan_distance.max, 700u);
-  EXPECT_EQ(s.scan_distance.buckets[0], 1u);
-  EXPECT_EQ(s.scan_distance.buckets[10], 1u);  // 700 in [512, 1024)
-}
-
-TEST(EventQueueStats, BatchSizeCountsSameCyclePops) {
-  EventQueue q;
-  q.enable_stats();
-  for (int i = 0; i < 3; ++i) q.schedule(10, [] {});
-  q.schedule(20, [] {});
-  Fired f;
-  while (q.pop_if_at_most(kNeverCycles, f)) f.fn();
-  // Two batches: {3 pops at 10} and the open {1 pop at 20}, which the
-  // snapshot must fold in.
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.pops, 4u);
-  EXPECT_EQ(s.batch_size.count, 2u);
-  EXPECT_EQ(s.batch_size.sum, 4u);
-  EXPECT_EQ(s.batch_size.max, 3u);
-  // Occupancy is sampled once per distinct pop cycle, with the bucket
-  // still holding its full chain.
-  EXPECT_EQ(s.bucket_occupancy.count, 2u);
-  EXPECT_EQ(s.bucket_occupancy.max, 3u);
-}
-
-TEST(EventQueueStats, SnapshotFoldsOpenBatchWithoutMutating) {
-  EventQueue q;
-  q.enable_stats();
-  q.schedule(5, [] {});
-  q.schedule(5, [] {});
+  q.schedule(10, [] {});       // 1 live
+  q.schedule(10, [] {});       // 2
+  q.schedule(1'000'000, [] {});  // 3: distance does not matter
   (void)q.pop();
-  (void)q.pop();
-  // The 2-pop batch is still open (no later pop has closed it); each
-  // snapshot must fold it in, and repeatedly so.
-  EXPECT_EQ(q.stats_snapshot().batch_size.count, 1u);
-  EXPECT_EQ(q.stats_snapshot().batch_size.max, 2u);
+  q.schedule(20, [] {});       // 3 again after the pop
+  const EngineStats s = q.stats_snapshot();
+  EXPECT_EQ(s.live_size.count, 4u);
+  EXPECT_EQ(s.live_size.sum, 1u + 2u + 3u + 3u);
+  EXPECT_EQ(s.live_size.max, 3u);
+  EXPECT_EQ(s.pops, 1u);
 }
 
 TEST(EventQueueStats, DispatchCountsInlineVsBoxed) {
@@ -206,56 +149,61 @@ TEST(EventQueueStats, DispatchCountsInlineVsBoxed) {
 }
 
 TEST(EventQueueStats, CancelTierAttribution) {
+  // Cancels split into hits on live events and rejected dead ids.
   EventQueue q;
   q.enable_stats();
-  const EventId ring_id = q.schedule(5, [] {});
-  const EventId far_id = q.schedule(EventQueue::kBuckets + 5, [] {});
-  EXPECT_TRUE(q.cancel(ring_id));
+  const EventId near_id = q.schedule(5, [] {});
+  const EventId far_id = q.schedule(100'000, [] {});
+  EXPECT_TRUE(q.cancel(near_id));
   EXPECT_TRUE(q.cancel(far_id));
-  EXPECT_FALSE(q.cancel(ring_id));           // already cancelled
+  EXPECT_FALSE(q.cancel(near_id));             // already cancelled
   EXPECT_FALSE(q.cancel(0xdeadbeef00000000));  // unknown slot
   const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.cancels_ring, 1u);
-  EXPECT_EQ(s.cancels_overflow, 1u);
+  EXPECT_EQ(s.cancels, 2u);
   EXPECT_EQ(s.cancels_dead, 2u);
 }
 
-TEST(EventQueueStats, OverflowMigrationAndPruneUnderPop) {
+TEST(EventQueueStats, StaleTopPrunedAsSoonAsItSurfaces) {
   EventQueue q;
   q.enable_stats();
-  const EventId stale = q.schedule(EventQueue::kBuckets + 10, [] {});
-  q.schedule(EventQueue::kBuckets + 20, [] {});
-  EXPECT_TRUE(q.cancel(stale));
   q.schedule(5, [] {});
-  (void)q.pop();  // base -> 5; drain prunes the stale entry, keeps the live one
-  (void)q.pop();  // overflow-sourced pop migrates the live entry first
+  const EventId stale = q.schedule(10, [] {});
+  q.schedule(20, [] {});
+  EXPECT_TRUE(q.cancel(stale));  // buried: its entry stays parked
+  EXPECT_EQ(q.stats_snapshot().heap_prunes, 0u);
+  EXPECT_EQ(q.pop().at, 5u);  // the stale entry surfaces and is dropped
+  EXPECT_EQ(q.stats_snapshot().heap_prunes, 1u);
+  EXPECT_EQ(q.next_time(), 20u);
+  EXPECT_EQ(q.pop().at, 20u);
   EXPECT_TRUE(q.empty());
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.overflow_prunes, 1u);
-  EXPECT_EQ(s.overflow_migrations, 1u);
-  EXPECT_EQ(s.pops, 2u);
+  EXPECT_EQ(q.stats_snapshot().pops, 2u);
 }
 
-TEST(EventQueueStats, CancelStormCompactsOverflowHeap) {
+TEST(EventQueueStats, CancelStormCompactsStaleEntries) {
   EventQueue q;
   q.enable_stats();
-  // 130 overflow events, then cancel 90: compaction must fire once
-  // stale entries outnumber live ones (at >= 64 stale), and every
-  // cancelled entry must eventually be accounted a prune.
+  // 130 events, then cancel 90 of the latest ones, so their entries sit
+  // below the live top: compaction must fire once stale entries
+  // outnumber live ones (at >= 64 stale), and every cancelled entry
+  // must eventually be accounted a prune.
   std::vector<EventId> ids;
   for (std::uint64_t i = 0; i < 130; ++i)
-    ids.push_back(q.schedule(EventQueue::kBuckets + 100 + i, [] {}));
-  for (std::size_t i = 0; i < 90; ++i) ASSERT_TRUE(q.cancel(ids[i]));
-  const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scheduled_overflow, 130u);
-  EXPECT_EQ(s.overflow_peak, 130u);
-  EXPECT_EQ(s.cancels_overflow, 90u);
-  EXPECT_GE(s.overflow_compactions, 1u);
+    ids.push_back(q.schedule(100 + i, [] {}));
+  for (std::size_t i = 40; i < 130; ++i) ASSERT_TRUE(q.cancel(ids[i]));
+  EngineStats s = q.stats_snapshot();
+  EXPECT_EQ(s.live_size.max, 130u);
+  EXPECT_EQ(s.cancels, 90u);
+  EXPECT_EQ(s.heap_compactions, 1u);
   // Compaction credits every erased stale entry as a prune; entries
-  // cancelled after the last rebuild are still parked.
-  EXPECT_GE(s.overflow_prunes, 64u);
-  EXPECT_LE(s.overflow_prunes, 90u);
+  // cancelled after the rebuild are still parked.
+  EXPECT_GE(s.heap_prunes, 64u);
+  EXPECT_LE(s.heap_prunes, 90u);
   EXPECT_EQ(q.size(), 40u);
+  // The rebuilt heap still pops in (at, seq) order and drops the rest.
+  for (Cycles t = 100; t < 140; ++t) ASSERT_EQ(q.pop().at, t);
+  EXPECT_TRUE(q.empty());
+  s = q.stats_snapshot();
+  EXPECT_EQ(s.heap_prunes, 90u);
 }
 
 TEST(EventQueueStats, RepeatedStormsKeepFootprintAndPeaksBounded) {
@@ -269,17 +217,15 @@ TEST(EventQueueStats, RepeatedStormsKeepFootprintAndPeaksBounded) {
   for (int round = 0; round < 20; ++round) {
     ids.clear();
     for (std::size_t i = 0; i < kBatch; ++i) {
-      const Cycles at = (i % 2 == 0)
-                            ? Cycles(1 + i)
-                            : Cycles(EventQueue::kBuckets + 10 + i);
+      const Cycles at = (i % 2 == 0) ? Cycles(1 + i) : Cycles(1'000'000 + i);
       ids.push_back(q.schedule(at, [] {}));
     }
     for (const EventId id : ids) ASSERT_TRUE(q.cancel(id));
     ASSERT_TRUE(q.empty());
   }
   const EngineStats s = q.stats_snapshot();
-  EXPECT_EQ(s.scheduled_ring + s.scheduled_overflow, 20u * kBatch);
-  EXPECT_EQ(s.cancels_ring + s.cancels_overflow, 20u * kBatch);
+  EXPECT_EQ(s.live_size.count, 20u * kBatch);
+  EXPECT_EQ(s.cancels, 20u * kBatch);
   EXPECT_LE(s.slab_peak, kBatch + 64u) << "slab grew across storm rounds";
   EXPECT_GE(s.freelist_peak, kBatch / 2) << "slots are not recycling";
   EXPECT_EQ(s.footprint_peak,
@@ -293,8 +239,7 @@ TEST(EventQueueStats, PeaksRefreshedBySnapshot) {
   for (int i = 0; i < 8; ++i) q.schedule(i + 1, [] {});
   const EngineStats s = q.stats_snapshot();
   EXPECT_GE(s.slab_peak, 8u);
-  EXPECT_GE(s.footprint_peak,
-            static_cast<std::uint64_t>(EventQueue::kBuckets * 8));
+  EXPECT_GT(s.footprint_peak, 0u);
   EXPECT_EQ(s.footprint_peak,
             static_cast<std::uint64_t>(q.footprint_bytes()));
 }
@@ -310,7 +255,7 @@ TEST(EventQueueStats, StatsDoNotPerturbPopOrder) {
     std::vector<EventId> ids;
     for (std::uint64_t i = 0; i < 50; ++i) {
       ids.push_back(q.schedule(i * 7 % 40, [] {}));
-      ids.push_back(q.schedule(EventQueue::kBuckets + i * 13 % 60, [] {}));
+      ids.push_back(q.schedule(100'000 + i * 13 % 60, [] {}));
     }
     for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
     Fired f;
