@@ -23,8 +23,16 @@ strip_py="$(dirname "$0")/strip_engine_stats.py"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# The protocol zoo: every deadlock strategy (PDDA/DDU, DAA/DAU, none,
+# Banker's, WFG scan-and-recovery) on the workloads that drive its
+# decision paths — G-dl and R-dl avoidance and give-up, detection and
+# recovery, periodic deadlines, random request mixes.
+zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
+     --workloads gdl,rdl,robot,random --seeds 1)
+
 "$bin_dir/delta_sweep" --workloads mixed --seeds 2 --quiet \
     --out "$tmp/sweep_mixed.json" >/dev/null
+"$bin_dir/delta_sweep" "${zoo[@]}" --quiet --out "$tmp/sweep_zoo.json" >/dev/null
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
     --sample-period 10000 --out "$tmp/profile_presets.json" \
     --baseline-out "$tmp/profile_baseline.json" >/dev/null
@@ -33,6 +41,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 "$bin_dir/delta_sweep" --workloads mixed --seeds 2 --quiet --engine-stats \
     --out "$tmp/es_sweep_mixed.json" >/dev/null
+"$bin_dir/delta_sweep" "${zoo[@]}" --quiet --engine-stats \
+    --out "$tmp/es_sweep_zoo.json" >/dev/null
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
     --sample-period 10000 --engine-stats --out "$tmp/es_profile_presets.json" \
     --baseline-out "$tmp/es_profile_baseline.json" >/dev/null
@@ -40,7 +50,7 @@ trap 'rm -rf "$tmp"' EXIT
     --out "$tmp/es_fuzz_campaign.json" >/dev/null
 
 status=0
-for f in sweep_mixed profile_presets profile_baseline fuzz_campaign; do
+for f in sweep_mixed sweep_zoo profile_presets profile_baseline fuzz_campaign; do
   if cmp -s "$golden/$f.json" "$tmp/$f.json"; then
     echo "ok: $f.json byte-identical"
   else
