@@ -20,7 +20,6 @@
 //
 //   bench_throughput --out BENCH_throughput.json
 //   bench_throughput --presets 4,5 --min-seconds 1.0
-//   bench_throughput --no-observer     # FastMpsoc, observer compiled out
 #include <ctime>
 
 #include <chrono>
@@ -28,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,13 +70,11 @@ int usage(const char* argv0) {
       "  --presets LIST    comma list of Table 3 rows (default: all seven)\n"
       "  --workload NAME   'stress' (default) or any exp workload name\n"
       "  --seed N          run seed (default 1)\n"
-      "  --limit CYCLES    per-run simulation horizon (default 10000000)\n"
+      "  --limit CYCLES    per-run simulation horizon (default 10000000;\n"
+      "                    stress needs at least one 20000-cycle period)\n"
       "  --min-seconds S   measure each preset for at least S wall seconds\n"
       "                    (default 0.5)\n"
       "  --min-runs N      and for at least N runs (default 3)\n"
-      "  --no-observer     run the observer-free FastMpsoc build of the\n"
-      "                    stress scenario (kernel observability sites\n"
-      "                    compiled out); only --workload stress\n"
       "  --engine-stats    one extra, untimed instrumented run per preset;\n"
       "                    adds an \"engine\" block (queue/kernel counters\n"
       "                    and the run's host cost) to each preset's JSON\n"
@@ -85,21 +83,21 @@ int usage(const char* argv0) {
   return 2;
 }
 
+constexpr sim::Cycles kStressPeriod = 20'000;
+
 /// Periodic kernel-service storm: one mixed-style task pinned per PE,
 /// each activation walking alloc -> request -> lock -> compute ->
-/// unlock -> release -> free, re-released every 20k cycles until the
-/// run horizon. Every activation exercises the scheduler, the lock and
-/// memory backends, the deadlock strategy and the bus — the same hot
-/// path sweeps pay — and the activation count scales linearly with
-/// `limit`.
-template <class Soc>
-void build_stress(Soc& soc, sim::Rng& rng, sim::Cycles limit) {
+/// unlock -> release -> free, re-released every kStressPeriod cycles
+/// until the run horizon. Every activation exercises the scheduler, the
+/// lock and memory backends, the deadlock strategy and the bus — the
+/// same hot path sweeps pay — and the activation count scales linearly
+/// with `limit`.
+void build_stress(soc::Mpsoc& soc, sim::Rng& rng, sim::Cycles limit) {
   auto& k = soc.kernel();
   const rtos::ResourceId idct = soc.resource("IDCT");
   const rtos::ResourceId dsp = soc.resource("DSP");
   const std::size_t pes = k.config().pe_count;
-  constexpr sim::Cycles kPeriod = 20'000;
-  const auto activations = static_cast<std::uint32_t>(limit / kPeriod);
+  const auto activations = static_cast<std::uint32_t>(limit / kStressPeriod);
   for (std::size_t t = 0; t < pes; ++t) {
     rtos::Program p;
     p.alloc(4096, "work")
@@ -113,12 +111,16 @@ void build_stress(Soc& soc, sim::Rng& rng, sim::Cycles limit) {
     k.create_periodic_task("stress" + std::to_string(t + 1),
                            static_cast<rtos::PeId>(t),
                            static_cast<rtos::Priority>(t + 1), std::move(p),
-                           kPeriod, activations,
+                           kStressPeriod, activations,
                            static_cast<sim::Cycles>(200 * t));
   }
 }
 
 exp::Workload stress_workload(sim::Cycles limit) {
+  if (limit < kStressPeriod)
+    throw std::invalid_argument(
+        "--limit " + std::to_string(limit) + " is shorter than one " +
+        std::to_string(kStressPeriod) + "-cycle stress period");
   exp::Workload w;
   w.name = "stress";
   w.build = [limit](soc::Mpsoc& soc, sim::Rng& rng) {
@@ -158,29 +160,6 @@ std::uint64_t one_run(const exp::Workload& w, const soc::DeltaConfig& cfg,
   return soc.simulator().events_dispatched();
 }
 
-/// The --no-observer variant: same stress scenario on soc::FastMpsoc,
-/// whose kernel is compiled with every observability site discarded
-/// (rtos/observer_policy.h). The simulation itself is byte-identical to
-/// the observing run — only host-side instrumentation work differs, so
-/// the delta between the two JSONs *is* the residual observer cost.
-std::uint64_t one_run_fast(const soc::DeltaConfig& cfg, std::uint64_t seed,
-                           sim::Cycles limit, std::uint64_t* sim_cycles,
-                           soc::EngineReport* engine = nullptr) {
-  soc::MpsocConfig mc = cfg.to_mpsoc_config();
-  apply_bench_flags(mc);
-  // Queue stats are runtime-gated, so they work even here; the kernel
-  // counters are compiled out with the rest of the observer sites and
-  // stay zero.
-  mc.engine_stats = engine != nullptr;
-
-  soc::FastMpsoc soc(mc);
-  sim::Rng rng(seed);
-  build_stress(soc, rng, limit);
-  *sim_cycles += soc.run(limit);
-  if (engine != nullptr) *engine = soc.engine_report();
-  return soc.simulator().events_dispatched();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,7 +169,6 @@ int main(int argc, char** argv) {
   sim::Cycles limit = 10'000'000;
   double min_seconds = 0.5;
   std::uint64_t min_runs = 3;
-  bool no_observer = false;
   bool engine_stats = false;
   std::string out_path = "-";
 
@@ -209,20 +187,13 @@ int main(int argc, char** argv) {
     else if (arg == "--limit") limit = std::strtoull(next(), nullptr, 10);
     else if (arg == "--min-seconds") min_seconds = std::atof(next());
     else if (arg == "--min-runs") min_runs = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--no-observer") no_observer = true;
     else if (arg == "--engine-stats") engine_stats = true;
     else if (arg == "--out") out_path = next();
     else return usage(argv[0]);
   }
 
-  if (no_observer && workload != "stress") {
-    std::fprintf(stderr,
-                 "--no-observer supports only the stress workload (exp "
-                 "workloads bind the observing Mpsoc)\n");
-    return 2;
-  }
-
   std::vector<soc::RtosPreset> rows;
+  exp::Workload w;
   try {
     if (presets.empty()) {
       rows.assign(soc::kAllRtosPresets.begin(), soc::kAllRtosPresets.end());
@@ -237,35 +208,31 @@ int main(int argc, char** argv) {
         start = end + 1;
       }
     }
+    w = workload == "stress" ? stress_workload(limit)
+                             : exp::find_workload(workload);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 
-  const exp::Workload w =
-      workload == "stress" ? stress_workload(limit) : exp::find_workload(workload);
   std::vector<PresetResult> results;
   for (const soc::RtosPreset p : rows) {
     const soc::DeltaConfig cfg = soc::rtos_preset(p);
     PresetResult r;
     r.name = soc::to_string(p);
 
-    const auto measure = [&](std::uint64_t* run_cycles) {
-      return no_observer ? one_run_fast(cfg, seed, limit, run_cycles)
-                         : one_run(w, cfg, seed, limit, run_cycles);
-    };
-
     // Warm-up run (page-faults the slabs, primes branch predictors);
     // not counted.
     {
       std::uint64_t scratch = 0;
-      (void)measure(&scratch);
+      (void)one_run(w, cfg, seed, limit, &scratch);
     }
 
     for (;;) {
       const double t0 = cpu_now();
       std::uint64_t run_cycles = 0;
-      const std::uint64_t run_events = measure(&run_cycles);
+      const std::uint64_t run_events =
+          one_run(w, cfg, seed, limit, &run_cycles);
       const double dt = cpu_now() - t0;
       r.events += run_events;
       r.sim_cycles += run_cycles;
@@ -283,10 +250,7 @@ int main(int argc, char** argv) {
       // attributes where those events actually went.
       const double t0 = cpu_now();
       std::uint64_t scratch = 0;
-      if (no_observer)
-        (void)one_run_fast(cfg, seed, limit, &scratch, &r.engine);
-      else
-        (void)one_run(w, cfg, seed, limit, &scratch, &r.engine);
+      (void)one_run(w, cfg, seed, limit, &scratch, &r.engine);
       r.engine_cpu_seconds = cpu_now() - t0;
     }
     std::fprintf(stderr,
@@ -303,12 +267,11 @@ int main(int argc, char** argv) {
 
   exp::JsonWriter jw;
   jw.begin_object();
-  jw.key("schema").value("delta.bench.throughput.v2");
+  jw.key("schema").value("delta.bench.throughput.v3");
   jw.key("workload").value(workload);
   jw.key("seed").value(seed);
   jw.key("limit").value(static_cast<std::uint64_t>(limit));
   jw.key("clock").value("process_cpu_best_run");
-  jw.key("observer").value(!no_observer);
   jw.key("presets").begin_object();
   for (const PresetResult& r : results) {
     jw.key(r.name).begin_object();

@@ -9,12 +9,11 @@
 // clusters into episodes (ROADMAP item 2's backoff design needs the
 // episode-length distribution, not just corpus seeds).
 //
-// Collection is gated twice: compile-time by ObserverPolicy (FastKernel
-// compiles the sites out entirely) and run-time by
-// BasicKernel::enable_engine_counters(), so default runs pay nothing
-// and observing runs pay one null test per site. Everything here is
-// derived from simulated state — bit-identical across hosts, thread
-// counts and reruns.
+// Collection sits behind one runtime gate: the kernel allocates the
+// counters in Kernel::enable_engine_counters(), and every recording
+// site tests that pointer for null, so default runs pay one predictable
+// branch per site. Everything here is derived from simulated state —
+// bit-identical across hosts, thread counts and reruns.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,7 @@
 
 namespace delta::rtos {
 
-/// Counters populated by BasicKernel when engine introspection is on.
+/// Counters populated by Kernel when engine introspection is on.
 struct EngineCounters {
   // Fused service windows (kernel entry -> completion, one event each).
   std::uint64_t service_windows = 0;

@@ -81,29 +81,15 @@ struct KernelConfig {
   /// that run billions of cycles and never read it (the differential
   /// fuzzer) turn it off.
   bool record_transitions = true;
-  /// Debug mode: replay the pre-fusion service-chain event shape (an
-  /// extra event marks the kernel-entry boundary inside every fused
-  /// service window and re-asserts the in-service state). Reports must
-  /// stay byte-identical with this flag on — the fused/unfused
-  /// differential test pins that invariant.
-  bool unfused_services = false;
 };
 
-/// The kernel, templated on a compile-time observer policy
-/// (rtos/observer_policy.h). `Kernel` (= BasicKernel<ObserveAll>) is
-/// the fully-observing instantiation every report/test uses;
-/// `FastKernel` (= BasicKernel<ObserveNone>) compiles the kernel-side
-/// observability sites out of the instruction stream for benches,
-/// sweeps and fuzz drivers. Both instantiations live in kernel.cpp
-/// (definitions in kernel_impl.h) and produce identical simulated
-/// behaviour — only the metrics/trace side channels differ.
-template <class ObserverPolicy>
-class BasicKernel {
+/// The kernel (definitions in kernel.cpp).
+class Kernel {
  public:
-  BasicKernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
-              std::unique_ptr<DeadlockStrategy> strategy,
-              std::unique_ptr<LockBackend> locks,
-              std::unique_ptr<MemoryBackend> memory);
+  Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
+         std::unique_ptr<DeadlockStrategy> strategy,
+         std::unique_ptr<LockBackend> locks,
+         std::unique_ptr<MemoryBackend> memory);
 
   // ------------------------------------------------------------ tasks --
   TaskId create_task(std::string name, PeId pe, Priority priority,
@@ -211,12 +197,11 @@ class BasicKernel {
   [[nodiscard]] obs::Observer& observer() { return *obs_; }
 
   /// Start collecting host-side engine counters on the service path
-  /// (rtos/engine_counters.h). Idempotent; a no-op for the no-observer
-  /// instantiation, whose recording sites are compiled out.
+  /// (rtos/engine_counters.h). Idempotent.
   void enable_engine_counters();
 
   /// Snapshot of the engine counters with any open give-up episode
-  /// folded in. Zeroed when collection is off (always for FastKernel).
+  /// folded in. Zeroed when collection is off.
   [[nodiscard]] EngineCounters engine_counters_snapshot() const;
 
   [[nodiscard]] TaskId running_on(PeId pe) const { return running_.at(pe); }
@@ -296,7 +281,6 @@ class BasicKernel {
   std::vector<StateTransition> transitions_;
 
   /// Host-side engine counters; null = collection off (the default).
-  /// Only the observing instantiation ever allocates or updates this.
   std::unique_ptr<EngineCounters> engine_;
   /// Open give-up episode (maximal same-victim run); folded into the
   /// histogram on victim change and by engine_counters_snapshot().
@@ -342,7 +326,7 @@ class BasicKernel {
   /// `done` runs at completion (service flag cleared first). Templated
   /// on the continuation so the closure relocates straight into the
   /// event queue's slab — no std::function boxing on the hot path.
-  /// Defined in kernel.cpp; every instantiation lives there.
+  /// Defined in kernel.cpp, where all its callers live.
   template <class F>
   void service(PeId pe, sim::Cycles cycles, F done);
 
@@ -392,13 +376,5 @@ class BasicKernel {
 
   void arm_time_slice(PeId pe);
 };
-
-/// The two supported instantiations (explicitly instantiated in
-/// kernel.cpp; `Kernel` itself is aliased in program.h so op::Call can
-/// name it). FastKernel is the compile-time no-observer core.
-using FastKernel = BasicKernel<obs_policy::ObserveNone>;
-
-extern template class BasicKernel<obs_policy::ObserveAll>;
-extern template class BasicKernel<obs_policy::ObserveNone>;
 
 }  // namespace delta::rtos

@@ -14,17 +14,12 @@
 #include <variant>
 #include <vector>
 
-#include "rtos/observer_policy.h"
 #include "rtos/types.h"
 #include "sim/sim_time.h"
 
 namespace delta::rtos {
 
-template <class ObserverPolicy>
-class BasicKernel;
-/// The fully-observing kernel (the historical `Kernel` type). op::Call
-/// programs bind against this instantiation; see kernel.h.
-using Kernel = BasicKernel<obs_policy::ObserveAll>;
+class Kernel;
 struct Task;
 
 namespace op {

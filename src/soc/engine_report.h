@@ -16,9 +16,10 @@
 
 namespace delta::soc {
 
-/// Engine introspection for one BasicMpsoc run. `enabled` is false when
-/// the config never asked for collection (MpsocConfig::engine_stats),
-/// distinguishing "off" from a genuinely all-zero run.
+/// Engine introspection for one Mpsoc run. `enabled` is false when the
+/// config never asked for collection (MpsocConfig::engine_stats), which
+/// is the single runtime gate for both the queue stats and the kernel
+/// counters; it distinguishes "off" from a genuinely all-zero run.
 struct EngineReport {
   bool enabled = false;
   std::uint64_t events_dispatched = 0;

@@ -98,10 +98,6 @@ struct MpsocConfig {
   bool spin_short_locks = false;  ///< short-CS spin protocol (§2.3.1)
   sim::Cycles time_slice = 0;
   bool trace = true;
-  /// Forwarded to KernelConfig::unfused_services: replay the pre-fusion
-  /// service event shape (debug/differential-test mode; reports must
-  /// stay byte-identical either way).
-  bool unfused_services = false;
   /// Forwarded to KernelConfig::record_transitions (the unbounded phase
   /// log behind utilization_report()/profiling). Leave on unless the
   /// run is long and nothing reads it.
@@ -122,22 +118,15 @@ struct MpsocConfig {
   bool engine_stats = false;
 };
 
-/// The live system, templated over the kernel's observer policy (see
-/// rtos/observer_policy.h). `Mpsoc` — the historical, fully-observing
-/// system — is an alias below; `FastMpsoc` assembles the no-observer
-/// kernel for benches and sweeps that never read metrics. The two
-/// simulate byte-identically; only host-side instrumentation differs.
-template <class ObserverPolicy>
-class BasicMpsoc {
+/// The live system.
+class Mpsoc {
  public:
-  using KernelType = rtos::BasicKernel<ObserverPolicy>;
-
-  explicit BasicMpsoc(MpsocConfig cfg);
+  explicit Mpsoc(MpsocConfig cfg);
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] bus::SharedBus& bus() { return *bus_; }
   [[nodiscard]] mem::L2Memory& l2() { return *l2_; }
-  [[nodiscard]] KernelType& kernel() { return *kernel_; }
+  [[nodiscard]] rtos::Kernel& kernel() { return *kernel_; }
   [[nodiscard]] const bus::AddressMap& address_map() const { return map_; }
   [[nodiscard]] const MpsocConfig& config() const { return cfg_; }
   [[nodiscard]] mem::L1Cache& l1(std::size_t pe) { return l1_.at(pe); }
@@ -183,7 +172,7 @@ class BasicMpsoc {
   std::unique_ptr<mem::L2Memory> l2_;
   bus::AddressMap map_;
   std::vector<mem::L1Cache> l1_;
-  std::unique_ptr<KernelType> kernel_;
+  std::unique_ptr<rtos::Kernel> kernel_;
   obs::TimeSeries series_;  ///< filled by run() when sample_period > 0
   /// Engine gauges; filled only when sample_period > 0 && engine_stats.
   obs::TimeSeries engine_series_;
@@ -191,14 +180,5 @@ class BasicMpsoc {
   /// Mirror the trace ring's drop count into the "trace.dropped" counter.
   void stamp_trace_dropped();
 };
-
-/// The fully-observing system (the historical `Mpsoc` type).
-using Mpsoc = BasicMpsoc<rtos::obs_policy::ObserveAll>;
-/// Observer-free system: kernel-side trace/metric sites compiled out.
-/// Sampled runs (sample_period > 0) require the observing system.
-using FastMpsoc = BasicMpsoc<rtos::obs_policy::ObserveNone>;
-
-extern template class BasicMpsoc<rtos::obs_policy::ObserveAll>;
-extern template class BasicMpsoc<rtos::obs_policy::ObserveNone>;
 
 }  // namespace delta::soc
