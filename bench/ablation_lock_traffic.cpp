@@ -40,7 +40,8 @@ Result run(bool soclc) {
     locks = std::make_unique<SoftwarePiLockBackend>(16, cfg.costs,
                                                     /*short=*/8);
   }
-  Kernel kernel(sim, bus, cfg, make_none_strategy(4, 8, cfg.costs),
+  Kernel kernel(sim, bus, cfg,
+                make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
                 std::move(locks),
                 std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20,
                                                       cfg.costs));

@@ -5,8 +5,8 @@
 # 2. A tiny sweep at 1 and 2 threads; the JSON reports AND the Chrome
 #    trace exports must be byte-identical (deterministic seeding is
 #    schedule-independent, and so is the observability layer).
-# 3. The same tiny sweep under a ThreadSanitizer build (-DDELTA_TSAN=ON)
-#    to catch data races in the thread pool.
+# 3. The same tiny sweep under a ThreadSanitizer build (-fsanitize=thread
+#    through CMAKE_CXX_FLAGS) to catch data races in the thread pool.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,7 +48,9 @@ python3 scripts/strip_engine_stats.py build-smoke/sweep_es_t1.json \
 echo "engine blocks identical across threads and strictly report-neutral"
 
 echo "== TSan build + 2-thread sweep =="
-cmake -B build-tsan "${GEN[@]}" -DDELTA_TSAN=ON >/dev/null
+cmake -B build-tsan "${GEN[@]}" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target delta_sweep exp_runner_test
 build-tsan/examples/delta_sweep --presets RTOS4 --seeds 2 --limit 2000000 \
   --threads 2 --out - --quiet >/dev/null

@@ -61,7 +61,7 @@ struct SystemUnderTest {
   /// Banker's avoidance with claims derived from the scenario's scripts;
   /// "wfg" swaps in the periodic wait-for-graph scan with lowest-cost
   /// recovery. Anything else throws.
-  std::string protocol;
+  std::string protocol{};
 };
 
 /// A named set of configurations compared against each other.

@@ -1002,8 +1002,9 @@ void Kernel::recover_from_deadlock() {
     for (const auto& [to, what] : ev.grants) grant_resource(to, what);
   }
 
-  // Surrender every lock the victim holds (hand-off as in op_unlock) and
-  // abandon any lock wait, so lock state cannot leak across the restart.
+  // Surrender every lock the victim holds (hand_off_lock, as in
+  // op_unlock) and abandon any lock wait, so lock state cannot leak
+  // across the restart.
   if (waiting_lock_[victim] != kNoLock) {
     locks_->cancel_wait(waiting_lock_[victim], victim);
     waiting_lock_[victim] = kNoLock;
@@ -1119,37 +1120,39 @@ void Kernel::op_unlock(Task& t, const op::Unlock& u) {
     trace("LOCK", [&] {
       return tk.name + " released lock " + std::to_string(lk);
     });
-    if (res.next != kNoTask) {
-      Task& nx = task(res.next);
-      held_locks_[res.next].insert(lk);
-      waiting_lock_[res.next] = kNoLock;
-      if (res.ceiling) {
-        ceiling_stack_[res.next].push_back({lk, nx.priority});
-        nx.priority = std::min(nx.priority, *res.ceiling);
-      }
-      const sim::Cycles asked_at = lock_requested_at_[res.next];
-      if (asked_at != sim::kNeverCycles) {
-        lock_delay_->add(static_cast<double>(sim_.now() - asked_at));
-        obs_->trace.record(obs::EventKind::kLockAcquire,
-                           static_cast<std::uint16_t>(nx.pe), asked_at,
-                           sim_.now() - asked_at, lk, 1);
-      }
-      trace("LOCK", [&] {
-        return "lock " + std::to_string(lk) + " handed to " + nx.name;
-      });
-      if (nx.state == TaskState::kBlocked &&
-          nx.wait_kind == WaitKind::kLock) {
-        ++nx.pc;  // past the Lock op it blocked on
-        wake_task(res.next);
-      } else {
-        // Its acquire service is still in flight; let the completion
-        // handler consume the grant.
-        pending_lock_grant_[res.next] = lk;
-      }
-    }
+    hand_off_lock(lk, res);
     ++tk.pc;
     step_task(id);
   });
+}
+
+void Kernel::hand_off_lock(LockId lk, const LockRelease& res) {
+  if (res.next == kNoTask) return;
+  Task& nx = task(res.next);
+  held_locks_[res.next].insert(lk);
+  waiting_lock_[res.next] = kNoLock;
+  if (res.ceiling) {
+    ceiling_stack_[res.next].push_back({lk, nx.priority});
+    nx.priority = std::min(nx.priority, *res.ceiling);
+  }
+  const sim::Cycles asked_at = lock_requested_at_[res.next];
+  if (asked_at != sim::kNeverCycles) {
+    lock_delay_->add(static_cast<double>(sim_.now() - asked_at));
+    obs_->trace.record(obs::EventKind::kLockAcquire,
+                       static_cast<std::uint16_t>(nx.pe), asked_at,
+                       sim_.now() - asked_at, lk, 1);
+  }
+  trace("LOCK", [&] {
+    return "lock " + std::to_string(lk) + " handed to " + nx.name;
+  });
+  if (nx.state == TaskState::kBlocked && nx.wait_kind == WaitKind::kLock) {
+    ++nx.pc;  // past the Lock op it blocked on
+    wake_task(res.next);
+  } else {
+    // Its acquire service is still in flight; let the completion
+    // handler consume the grant.
+    pending_lock_grant_[res.next] = lk;
+  }
 }
 
 void Kernel::spin_on_lock(TaskId id, LockId lk) {
@@ -1163,7 +1166,7 @@ void Kernel::spin_on_lock(TaskId id, LockId lk) {
     pending_lock_grant_[id] = kNoLock;
     in_service_[pe] = false;
     Task& tk = task(id);
-    // The delay sample was taken at hand-off time in op_unlock.
+    // The delay sample was taken in hand_off_lock.
     trace("LOCK", [&] {
       return tk.name + " acquired lock " + std::to_string(lk) + " (spin)";
     });
@@ -1211,31 +1214,7 @@ void Kernel::force_unlock(TaskId id, LockId lk) {
   obs_->trace.record(obs::EventKind::kLockRelease,
                      static_cast<std::uint16_t>(task(id).pe), sim_.now(),
                      0, lk);
-  if (res.next != kNoTask) {
-    Task& nx = task(res.next);
-    held_locks_[res.next].insert(lk);
-    waiting_lock_[res.next] = kNoLock;
-    if (res.ceiling) {
-      ceiling_stack_[res.next].push_back({lk, nx.priority});
-      nx.priority = std::min(nx.priority, *res.ceiling);
-    }
-    const sim::Cycles asked_at = lock_requested_at_[res.next];
-    if (asked_at != sim::kNeverCycles) {
-      lock_delay_->add(static_cast<double>(sim_.now() - asked_at));
-      obs_->trace.record(obs::EventKind::kLockAcquire,
-                         static_cast<std::uint16_t>(nx.pe), asked_at,
-                         sim_.now() - asked_at, lk, 1);
-    }
-    trace("LOCK", [&] {
-      return "lock " + std::to_string(lk) + " handed to " + nx.name;
-    });
-    if (nx.state == TaskState::kBlocked && nx.wait_kind == WaitKind::kLock) {
-      ++nx.pc;
-      wake_task(res.next);
-    } else {
-      pending_lock_grant_[res.next] = lk;
-    }
-  }
+  hand_off_lock(lk, res);
 }
 
 void Kernel::recompute_inherited_priority(TaskId id) {

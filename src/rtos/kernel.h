@@ -369,6 +369,9 @@ class Kernel {
 
   /// Release a lock on behalf of an aborted task (recovery path).
   void force_unlock(TaskId id, LockId lk);
+  /// Give a released lock to the waiter the backend picked (if any):
+  /// ownership, ceiling, delay sample, and wake-up or pending grant.
+  void hand_off_lock(LockId lk, const LockRelease& res);
 
   /// Priority inheritance (software lock backend).
   void boost_owner_chain(TaskId owner, Priority prio);

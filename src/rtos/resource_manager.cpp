@@ -1,7 +1,7 @@
 #include "rtos/resource_manager.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "deadlock/bankers.h"
 #include "deadlock/baselines.h"
@@ -146,19 +146,43 @@ class PddaSoftwareStrategy final : public GrantingManagerBase {
   }
 };
 
+// The two DDU shapes behind one adapter. A detection run reports its
+// verdict, the unit's cycles and any software residue for the invoking
+// PE; the monolithic unit never has a residue.
+hw::ShardedDduResult run_unit(const hw::Ddu& ddu, ResourceId) {
+  const hw::DduResult r = ddu.run();
+  hw::ShardedDduResult out;
+  out.deadlock = r.deadlock;
+  out.unit_cycles = r.cycles;
+  return out;
+}
+hw::ShardedDduResult run_unit(hw::ShardedDdu& ddu, ResourceId res) {
+  return ddu.run_event(res);
+}
+std::string unit_name(const hw::Ddu&) { return "ddu (RTOS2)"; }
+std::string unit_name(const hw::ShardedDdu& ddu) {
+  return "ddu-sharded (C=" + std::to_string(ddu.cluster_map().clusters()) +
+         ")";
+}
+
 // RTOS2: DDU in hardware; cell updates are bus writes, the unit computes
-// concurrently and interrupts on deadlock.
+// concurrently and interrupts on deadlock. The sharded unit's resolver
+// table is memory-mapped like its cluster units, so cell writes cost the
+// same; local detection runs in the event cluster's unit, and escalated
+// residues execute as software on the invoking PE (charged to
+// pe_cycles, not unit_cycles).
+template <class Unit>
 class DduStrategy final : public GrantingManagerBase {
  public:
+  template <class... Shape>
   DduStrategy(std::size_t resources, std::size_t tasks,
               const ServiceCosts& costs, bus::SharedBus* bus,
-              std::vector<std::size_t> master_of_task)
+              Shape... shape)
       : GrantingManagerBase(resources, tasks, costs),
-        ddu_(resources, tasks),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
+        ddu_(resources, tasks, shape...),
+        bus_(bus) {}
 
-  std::string name() const override { return "ddu (RTOS2)"; }
+  std::string name() const override { return unit_name(ddu_); }
 
   void attach_observer(obs::Observer* o) override {
     if (o != nullptr) ddu_.attach_metrics(o->metrics);
@@ -171,14 +195,13 @@ class DduStrategy final : public GrantingManagerBase {
   }
 
  private:
-  hw::Ddu ddu_;
+  Unit ddu_;
+  bus::SharedBus* bus_;
   bool silent_ = false;  ///< fault injection: swallow detection results
 
   void on_cancelled(TaskId who, ResourceId res) override {
     ddu_.set_edge(res, who, Edge::kNone);
   }
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;  // reserved for multi-master use
 
   void run_detection(ResourceEvent& ev, sim::Cycles now) override {
     // Mirror the event's cell updates into the unit's matrix cells: one
@@ -193,67 +216,9 @@ class DduStrategy final : public GrantingManagerBase {
     } else {
       ev.pe_cycles += 3 * changed_.size();
     }
-    const hw::DduResult r = ddu_.run();
-    algo_times_.add(static_cast<double>(r.cycles));
-    ev.unit_cycles = r.cycles;
-    ev.deadlock_detected = silent_ ? false : r.deadlock;
-  }
-};
-
-// Sharded DDU: per-cluster units + inter-cluster resolver. Cell writes
-// cross the bus exactly as for the monolithic DDU (the resolver's remote
-// table is memory-mapped like the cluster units); local detection runs in
-// the event cluster's unit, and escalated residues execute as software on
-// the invoking PE (charged to pe_cycles, not unit_cycles).
-class ShardedDduStrategy final : public GrantingManagerBase {
- public:
-  ShardedDduStrategy(std::size_t resources, std::size_t tasks,
-                     std::size_t clusters, const ServiceCosts& costs,
-                     bus::SharedBus* bus,
-                     std::vector<std::size_t> master_of_task)
-      : GrantingManagerBase(resources, tasks, costs),
-        ddu_(resources, tasks, clusters),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
-
-  std::string name() const override {
-    return "ddu-sharded (C=" +
-           std::to_string(ddu_.cluster_map().clusters()) + ")";
-  }
-
-  void attach_observer(obs::Observer* o) override {
-    if (o != nullptr) ddu_.attach_metrics(o->metrics);
-  }
-
-  bool enable_fault(const std::string& name) override {
-    if (name != "ddu-silent") return false;
-    silent_ = true;
-    return true;
-  }
-
- private:
-  hw::ShardedDdu ddu_;
-  bool silent_ = false;
-
-  void on_cancelled(TaskId who, ResourceId res) override {
-    ddu_.set_edge(res, who, Edge::kNone);
-  }
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;
-
-  void run_detection(ResourceEvent& ev, sim::Cycles now) override {
-    for (const CellChange& c : changed_)
-      ddu_.set_edge(c.res, c.who, c.value);
-    if (bus_ != nullptr) {
-      sim::Cycles done = now;
-      for (std::size_t i = 0; i < changed_.size(); ++i)
-        done = bus_->transfer(0, done, 1).complete;
-      ev.pe_cycles += done > now ? done - now : 0;
-    } else {
-      ev.pe_cycles += 3 * changed_.size();
-    }
-    if (changed_.empty()) return;  // malformed event: nothing to evaluate
-    const hw::ShardedDduResult r = ddu_.run_event(changed_.front().res);
+    // Every event that reaches here wrote at least one cell, all in the
+    // event's row.
+    const hw::ShardedDduResult r = run_unit(ddu_, changed_.front().res);
     algo_times_.add(static_cast<double>(r.unit_cycles));
     ev.unit_cycles = r.unit_cycles;
     ev.pe_cycles += r.residue_pe_cycles;  // software residue on the PE
@@ -518,19 +483,37 @@ class BankersStrategy final : public DeadlockStrategy {
   }
 };
 
+// The two DAU shapes behind one adapter: software residue cycles the
+// commanding PE ran for the last command, and the strategy name. The
+// monolithic unit never escalates.
+sim::Cycles residue_cycles(const hw::Dau&) { return 0; }
+sim::Cycles residue_cycles(const hw::ShardedDau& dau) {
+  return dau.last_escalation_cycles();
+}
+std::string unit_name(const hw::Dau&) { return "dau (RTOS4)"; }
+std::string unit_name(const hw::ShardedDau& dau) {
+  return "dau-sharded (C=" + std::to_string(dau.cluster_map().clusters()) +
+         ")";
+}
+
 // RTOS4: the DAU; commands and status cross the bus, Algorithm 3 runs in
-// the unit.
+// the unit. The sharded DAU makes the same decisions (shared DaaEngine +
+// hierarchical detector with monolithic-equivalent verdicts), but probes
+// pay the event cluster's small unit, and escalated residues run as
+// software on the commanding PE before it can read the final status.
+template <class Unit>
 class DauStrategy final : public DeadlockStrategy {
  public:
+  template <class... Shape>
   DauStrategy(std::size_t resources, std::size_t tasks,
               const ServiceCosts& costs, bus::SharedBus* bus,
-              std::vector<std::size_t> master_of_task)
+              std::size_t pe_count, Shape... shape)
       : costs_(costs),
-        dau_(resources, tasks),
+        dau_(resources, tasks, shape...),
         bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
+        pe_count_(pe_count) {}
 
-  std::string name() const override { return "dau (RTOS4)"; }
+  std::string name() const override { return unit_name(dau_); }
 
   void attach_observer(obs::Observer* o) override {
     if (o != nullptr) dau_.attach_metrics(o->metrics);
@@ -576,26 +559,26 @@ class DauStrategy final : public DeadlockStrategy {
   }
 
   ResourceEvent release(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.release(who, res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc) {
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    }
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.give_up && st.which_process != rag::kNoProc && st.livelock) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, who, now);
-    return ev;
+    return hand_over(dau_.release(who, res), res, who, now);
   }
 
   ResourceEvent retry(ResourceId res, sim::Cycles now) override {
     // Give-up-complete command: the FSM re-runs grant arbitration.
-    const hw::DauStatus st = dau_.retry_grant(res);
+    return hand_over(dau_.retry_grant(res), res, 0, now);
+  }
+
+ private:
+  ServiceCosts costs_;
+  Unit dau_;
+  bus::SharedBus* bus_;
+  std::size_t pe_count_;
+  sim::Cycles unit_busy_until_ = 0;
+
+  /// Status of a release or retry command: the resource goes to
+  /// `which_process`, unless a livelock makes the unit ask that process
+  /// to give up instead.
+  ResourceEvent hand_over(const hw::DauStatus& st, ResourceId res,
+                          TaskId who, sim::Cycles now) {
     ResourceEvent ev;
     if (st.successful && st.which_process != rag::kNoProc)
       ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
@@ -607,155 +590,20 @@ class DauStrategy final : public DeadlockStrategy {
                             dau_.asked_resources().end());
       ev.grants.clear();
     }
-    charge(ev, 0, now);
-    return ev;
-  }
-
-  hw::Dau& unit() { return dau_; }
-
- private:
-  ServiceCosts costs_;
-  hw::Dau dau_;
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;
-  sim::Cycles unit_busy_until_ = 0;
-
-  void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
-    // Command write (1 word) + unit busy + status read (1 word). The PE
-    // waits for the status because the outcome gates its next action.
-    const std::size_t master =
-        who < master_of_task_.size() ? master_of_task_[who] : 0;
-    const sim::Cycles unit = dau_.last_cycles();
-    algo_times_.add(static_cast<double>(unit));
-    ev.unit_cycles = unit;
-    sim::Cycles done = now;
-    if (bus_ != nullptr) {
-      done = bus_->transfer(master, done, 1).complete;  // command write
-      done = std::max(done + unit, unit_busy_until_);
-      unit_busy_until_ = done;
-      done = bus_->transfer(master, done, 1).complete;  // status read
-    } else {
-      done = now + 3 + unit + 3;
-    }
-    ev.pe_cycles = costs_.resource_service + (done - now);
-  }
-};
-
-// Sharded DAU: the same Algorithm-3 decisions as the monolithic DAU
-// (shared DaaEngine + hierarchical detector with monolithic-equivalent
-// verdicts), but probes pay the event cluster's small unit and escalated
-// residues run as software on the commanding PE before it can read the
-// final status word.
-class ShardedDauStrategy final : public DeadlockStrategy {
- public:
-  ShardedDauStrategy(std::size_t resources, std::size_t tasks,
-                     std::size_t clusters, const ServiceCosts& costs,
-                     bus::SharedBus* bus,
-                     std::vector<std::size_t> master_of_task)
-      : costs_(costs),
-        dau_(resources, tasks, clusters),
-        bus_(bus),
-        master_of_task_(std::move(master_of_task)) {}
-
-  std::string name() const override {
-    return "dau-sharded (C=" +
-           std::to_string(dau_.cluster_map().clusters()) + ")";
-  }
-
-  void attach_observer(obs::Observer* o) override {
-    if (o != nullptr) dau_.attach_metrics(o->metrics);
-  }
-
-  bool enable_fault(const std::string& name) override {
-    if (name != "dau-grant") return false;
-    dau_.inject_grant_fault(true);
-    return true;
-  }
-
-  void set_priority(TaskId who, Priority prio) override {
-    dau_.set_priority(who, prio);
-  }
-
-  TaskId owner(ResourceId res) const override {
-    const rag::ProcId p = dau_.owner(res);
-    return p == rag::kNoProc ? kNoTask : static_cast<TaskId>(p);
-  }
-
-  const rag::StateMatrix* state() const override { return &dau_.state(); }
-
-  void cancel_request(TaskId who, ResourceId res) override {
-    dau_.cancel_request(who, res);
-  }
-
-  ResourceEvent request(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.request(who, res);
-    ResourceEvent ev;
-    ev.granted = st.successful;
-    ev.r_dl = st.r_dl;
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.granted_to != rag::kNoProc && !ev.granted)
-      ev.grants.emplace_back(static_cast<TaskId>(st.granted_to), res);
-    if (st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-    }
     charge(ev, who, now);
     return ev;
   }
 
-  ResourceEvent release(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.release(who, res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc) {
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    }
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.give_up && st.which_process != rag::kNoProc && st.livelock) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, who, now);
-    return ev;
-  }
-
-  ResourceEvent retry(ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.retry_grant(res);
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc)
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.livelock && st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, 0, now);
-    return ev;
-  }
-
- private:
-  ServiceCosts costs_;
-  hw::ShardedDau dau_;
-  bus::SharedBus* bus_;
-  std::vector<std::size_t> master_of_task_;
-  sim::Cycles unit_busy_until_ = 0;
-
   void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
-    // Command write + unit busy + (escalated residue in software) +
-    // status read. An escalation interposes before the final status is
-    // valid: the resolver raises "escalate", the PE runs the residue
-    // PDDA and writes the verdict back, then the FSM completes.
-    const std::size_t master =
-        who < master_of_task_.size() ? master_of_task_[who] : 0;
+    // Command write (1 word) + unit busy + (escalated residue in
+    // software) + status read (1 word). The PE waits for the status
+    // because the outcome gates its next action. An escalation
+    // interposes before the final status is valid: the resolver raises
+    // "escalate", the PE runs the residue PDDA and writes the verdict
+    // back, then the FSM completes.
+    const std::size_t master = who % pe_count_;
     const sim::Cycles unit = dau_.last_cycles();
-    const sim::Cycles residue = dau_.last_escalation_cycles();
+    const sim::Cycles residue = residue_cycles(dau_);
     algo_times_.add(static_cast<double>(unit + residue));
     ev.unit_cycles = unit;
     sim::Cycles done = now;
@@ -774,61 +622,35 @@ class ShardedDauStrategy final : public DeadlockStrategy {
 
 }  // namespace
 
-std::unique_ptr<DeadlockStrategy> make_none_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs) {
-  return std::make_unique<NoneStrategy>(resources, tasks, costs);
-}
-
-std::unique_ptr<DeadlockStrategy> make_pdda_software_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs) {
-  return std::make_unique<PddaSoftwareStrategy>(resources, tasks, costs);
-}
-
-std::unique_ptr<DeadlockStrategy> make_ddu_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task) {
-  return std::make_unique<DduStrategy>(resources, tasks, costs, bus,
-                                       std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_daa_software_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs) {
-  return std::make_unique<DaaSoftwareStrategy>(resources, tasks, costs);
-}
-
-std::unique_ptr<DeadlockStrategy> make_dau_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task) {
-  return std::make_unique<DauStrategy>(resources, tasks, costs, bus,
-                                       std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_sharded_ddu_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task) {
-  return std::make_unique<ShardedDduStrategy>(resources, tasks, clusters,
-                                              costs, bus,
-                                              std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_sharded_dau_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task) {
-  return std::make_unique<ShardedDauStrategy>(resources, tasks, clusters,
-                                              costs, bus,
-                                              std::move(master_of_task));
-}
-
-std::unique_ptr<DeadlockStrategy> make_bankers_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs) {
-  return std::make_unique<BankersStrategy>(resources, tasks, costs);
-}
-
-std::unique_ptr<DeadlockStrategy> make_wfg_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs) {
-  return std::make_unique<WfgStrategy>(resources, tasks, costs);
+std::unique_ptr<DeadlockStrategy> make_strategy(
+    DeadlockComponent kind, std::size_t resources, std::size_t tasks,
+    const ServiceCosts& costs, bus::SharedBus* bus, std::size_t pe_count,
+    std::size_t clusters) {
+  const std::size_t m = resources, n = tasks;
+  switch (kind) {
+    case DeadlockComponent::kNone:
+      return std::make_unique<NoneStrategy>(m, n, costs);
+    case DeadlockComponent::kPddaSoftware:
+      return std::make_unique<PddaSoftwareStrategy>(m, n, costs);
+    case DeadlockComponent::kDdu:
+      if (clusters > 1)
+        return std::make_unique<DduStrategy<hw::ShardedDdu>>(m, n, costs, bus,
+                                                             clusters);
+      return std::make_unique<DduStrategy<hw::Ddu>>(m, n, costs, bus);
+    case DeadlockComponent::kDaaSoftware:
+      return std::make_unique<DaaSoftwareStrategy>(m, n, costs);
+    case DeadlockComponent::kDau:
+      if (clusters > 1)
+        return std::make_unique<DauStrategy<hw::ShardedDau>>(
+            m, n, costs, bus, pe_count, clusters);
+      return std::make_unique<DauStrategy<hw::Dau>>(m, n, costs, bus,
+                                                    pe_count);
+    case DeadlockComponent::kBankers:
+      return std::make_unique<BankersStrategy>(m, n, costs);
+    case DeadlockComponent::kWfgRecovery:
+      return std::make_unique<WfgStrategy>(m, n, costs);
+  }
+  throw std::logic_error("unknown deadlock component");
 }
 
 std::unique_ptr<DeadlockStrategy> make_baseline_detection_strategy(

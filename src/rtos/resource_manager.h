@@ -12,11 +12,16 @@
 //   RTOS4 — DAU: Algorithm 3 in hardware (commands via bus).
 //   none  — plain priority-granting manager (baseline, can deadlock
 //           silently).
+// Beyond the paper: the DDU and DAU can be sharded into per-cluster
+// units (same decisions, software residue on the PE), Banker's
+// max-claims avoidance and periodic wait-for-graph detection run in
+// software, and prior-work detectors stand in for PDDA as an ablation.
 //
 // Strategies mutate their tracked state synchronously and return the
 // cycle costs; the kernel schedules the corresponding wake-ups/blocks.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +37,17 @@
 #include "sim/stats.h"
 
 namespace delta::rtos {
+
+/// Which deadlock mechanism a system uses (Table 3 rows).
+enum class DeadlockComponent : std::uint8_t {
+  kNone,          ///< plain RTOS (RTOS5 baseline)
+  kPddaSoftware,  ///< RTOS1
+  kDdu,           ///< RTOS2
+  kDaaSoftware,   ///< RTOS3
+  kDau,           ///< RTOS4
+  kBankers,       ///< Banker's max-claims avoidance in software
+  kWfgRecovery,   ///< periodic wait-for-graph detection (+ recovery)
+};
 
 /// Outcome of a strategy-mediated event.
 struct ResourceEvent {
@@ -125,54 +141,23 @@ class DeadlockStrategy {
   sim::SampleSet algo_times_;
 };
 
-/// Factory helpers. `bus` may be null for strategies that do not touch
-/// the bus (pure software); `pe_of` maps TaskId -> bus master index.
-std::unique_ptr<DeadlockStrategy> make_none_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
-
-std::unique_ptr<DeadlockStrategy> make_pdda_software_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
-
-std::unique_ptr<DeadlockStrategy> make_ddu_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task);
-
-std::unique_ptr<DeadlockStrategy> make_daa_software_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
-
-std::unique_ptr<DeadlockStrategy> make_dau_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs,
-    bus::SharedBus* bus, std::vector<std::size_t> master_of_task);
-
-/// Sharded hierarchical units (hw/sharded_ddu.h, hw/sharded_dau.h):
-/// `clusters` per-cluster units + an inter-cluster resolver that
-/// escalates cross-cluster residues to software on the invoking PE.
-/// Detection/avoidance decisions are identical to the monolithic units;
-/// only the cost split differs. `clusters <= 1` is the monolithic shape
-/// (callers normally pick make_ddu_strategy/make_dau_strategy instead).
-std::unique_ptr<DeadlockStrategy> make_sharded_ddu_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task);
-
-std::unique_ptr<DeadlockStrategy> make_sharded_dau_strategy(
-    std::size_t resources, std::size_t tasks, std::size_t clusters,
-    const ServiceCosts& costs, bus::SharedBus* bus,
-    std::vector<std::size_t> master_of_task);
-
-/// Runtime Banker's avoidance (deadlock/bankers.h): max-claims
-/// declarations via set_claims(); an unsafe request is refused and the
-/// requester blocks until a release's grant arbitration hands it the
-/// resource. Pure software on the invoking PE.
-std::unique_ptr<DeadlockStrategy> make_bankers_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
-
-/// Wait-for-graph periodic detection (deadlock/wfg.h): grants are
-/// unconditional (same policy as PDDA/none); scan() collapses the RAG
-/// into a process wait-for graph and reports cycles. Pair with a
-/// KernelConfig::detection_period and a recovery policy.
-std::unique_ptr<DeadlockStrategy> make_wfg_strategy(
-    std::size_t resources, std::size_t tasks, const ServiceCosts& costs);
+/// The strategy for a deadlock component on an m x n (resources x
+/// tasks) matrix. Banker's avoidance takes max-claims declarations via
+/// set_claims(), and wait-for-graph detection reports cycles from
+/// scan() instead of per event (pair it with a
+/// KernelConfig::detection_period and a recovery policy). `bus` may be
+/// null: the DDU/DAU then charge 3 cycles per bus word instead of
+/// arbitrating, and the software strategies never touch it. Task `who`
+/// commands the DAU as bus master `who % pe_count`; DDU cell writes all
+/// go through master 0. `clusters > 1` shards the DDU/DAU into that
+/// many per-cluster units plus an inter-cluster resolver
+/// (hw/sharded_ddu.h, hw/sharded_dau.h): decisions stay identical to
+/// the monolithic unit, and escalated cross-cluster residues run as
+/// software on the invoking PE.
+std::unique_ptr<DeadlockStrategy> make_strategy(
+    DeadlockComponent kind, std::size_t resources, std::size_t tasks,
+    const ServiceCosts& costs, bus::SharedBus* bus = nullptr,
+    std::size_t pe_count = 1, std::size_t clusters = 1);
 
 /// Prior-work software detector dropped into the RTOS in place of PDDA
 /// (ablation: §3.3.2's complexity claims measured in-system).

@@ -11,43 +11,6 @@ namespace delta::soc {
 
 namespace {
 
-std::unique_ptr<rtos::DeadlockStrategy> make_strategy(
-    const MpsocConfig& cfg, bus::SharedBus* bus) {
-  const std::size_t m =
-      std::max(cfg.resources.size(), cfg.deadlock_unit_resources);
-  const std::size_t n = cfg.max_tasks;
-  std::vector<std::size_t> master_of_task;
-  for (std::size_t t = 0; t < n; ++t)
-    master_of_task.push_back(t % cfg.pe_count);
-  switch (cfg.deadlock) {
-    case DeadlockComponent::kNone:
-      return rtos::make_none_strategy(m, n, cfg.costs);
-    case DeadlockComponent::kPddaSoftware:
-      return rtos::make_pdda_software_strategy(m, n, cfg.costs);
-    case DeadlockComponent::kDdu:
-      if (cfg.deadlock_clusters > 1)
-        return rtos::make_sharded_ddu_strategy(m, n, cfg.deadlock_clusters,
-                                               cfg.costs, bus,
-                                               std::move(master_of_task));
-      return rtos::make_ddu_strategy(m, n, cfg.costs, bus,
-                                     std::move(master_of_task));
-    case DeadlockComponent::kDaaSoftware:
-      return rtos::make_daa_software_strategy(m, n, cfg.costs);
-    case DeadlockComponent::kDau:
-      if (cfg.deadlock_clusters > 1)
-        return rtos::make_sharded_dau_strategy(m, n, cfg.deadlock_clusters,
-                                               cfg.costs, bus,
-                                               std::move(master_of_task));
-      return rtos::make_dau_strategy(m, n, cfg.costs, bus,
-                                     std::move(master_of_task));
-    case DeadlockComponent::kBankers:
-      return rtos::make_bankers_strategy(m, n, cfg.costs);
-    case DeadlockComponent::kWfgRecovery:
-      return rtos::make_wfg_strategy(m, n, cfg.costs);
-  }
-  throw std::logic_error("unknown deadlock component");
-}
-
 std::unique_ptr<rtos::LockBackend> make_locks(const MpsocConfig& cfg) {
   switch (cfg.lock) {
     case LockComponent::kSoftwarePi:
@@ -117,7 +80,12 @@ Mpsoc::Mpsoc(MpsocConfig cfg) : cfg_(std::move(cfg)) {
     kc.resource_names.push_back(r.name);
 
   kernel_ = std::make_unique<rtos::Kernel>(
-      sim_, *bus_, std::move(kc), make_strategy(cfg_, bus_.get()),
+      sim_, *bus_, std::move(kc),
+      rtos::make_strategy(
+          cfg_.deadlock,
+          std::max(cfg_.resources.size(), cfg_.deadlock_unit_resources),
+          cfg_.max_tasks, cfg_.costs, bus_.get(), cfg_.pe_count,
+          cfg_.deadlock_clusters),
       make_locks(cfg_), make_memory(cfg_, bus_.get()));
 
   if (cfg_.trace_capacity > 0) obs_.trace.enable(cfg_.trace_capacity);

@@ -24,16 +24,7 @@
 
 namespace delta::soc {
 
-/// Which deadlock mechanism the configuration uses (Table 3 rows).
-enum class DeadlockComponent : std::uint8_t {
-  kNone,          ///< plain RTOS (RTOS5 baseline)
-  kPddaSoftware,  ///< RTOS1
-  kDdu,           ///< RTOS2
-  kDaaSoftware,   ///< RTOS3
-  kDau,           ///< RTOS4
-  kBankers,       ///< Banker's max-claims avoidance in software
-  kWfgRecovery,   ///< periodic wait-for-graph detection (+ recovery)
-};
+using rtos::DeadlockComponent;
 
 /// Which lock mechanism.
 enum class LockComponent : std::uint8_t {

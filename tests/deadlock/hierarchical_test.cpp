@@ -97,7 +97,9 @@ TEST(Hierarchical, DetectAllFindsPlantedCycles) {
     const HierOutcome o = det.detect_all(s);
     EXPECT_TRUE(o.deadlock) << "cycle length " << k;
     // A cycle spanning several clusters can only be seen escalated.
-    if (k > 8 + 1) EXPECT_TRUE(o.escalated) << "cycle length " << k;
+    if (k > 8 + 1) {
+      EXPECT_TRUE(o.escalated) << "cycle length " << k;
+    }
   }
 }
 

@@ -227,8 +227,9 @@ TEST(ScenarioJson, InstallRunsOnAKernel) {
   cfg.resource_count = s.resource_count;
   cfg.max_tasks = s.tasks.size();
   rtos::Kernel k(sim, bus, cfg,
-                 rtos::make_daa_software_strategy(s.resource_count,
-                                                  s.tasks.size(), cfg.costs),
+                 rtos::make_strategy(rtos::DeadlockComponent::kDaaSoftware,
+                                     s.resource_count, s.tasks.size(),
+                                     cfg.costs),
                  std::make_unique<rtos::SoftwarePiLockBackend>(4, cfg.costs),
                  std::make_unique<rtos::SoftwareHeapBackend>(0x1000, 1 << 20,
                                                              cfg.costs));

@@ -20,7 +20,7 @@ struct World : tests::World {
  private:
   static tests::WorldConfig make_config(std::uint64_t heap_bytes) {
     tests::WorldConfig wc;
-    wc.strategy = tests::StrategyKind::kDaa;
+    wc.deadlock = DeadlockComponent::kDaaSoftware;
     wc.resource_count = 4;
     wc.max_tasks = 8;
     wc.heap_bytes = heap_bytes;

@@ -14,7 +14,6 @@ constexpr std::size_t kPes = 4;
 constexpr std::size_t kRes = 5;
 constexpr std::size_t kTasks = 5;
 
-using tests::StrategyKind;
 using tests::World;
 
 // Random acquire-use-release rounds; request order is randomized, which
@@ -62,7 +61,8 @@ void check_consistency(Kernel& k) {
 class FuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzTest, AvoidanceAlwaysCompletes) {
-  for (StrategyKind kind : {StrategyKind::kDaa, StrategyKind::kDau}) {
+  for (DeadlockComponent kind :
+       {DeadlockComponent::kDaaSoftware, DeadlockComponent::kDau}) {
     sim::Rng rng(GetParam());
     World w(kind, RecoveryPolicy::kNone);
     build_random_workload(*w.kernel, rng);
@@ -77,7 +77,8 @@ TEST_P(FuzzTest, AvoidanceAlwaysCompletes) {
 }
 
 TEST_P(FuzzTest, DetectionEitherFinishesOrCatchesDeadlock) {
-  for (StrategyKind kind : {StrategyKind::kPdda, StrategyKind::kDdu}) {
+  for (DeadlockComponent kind :
+       {DeadlockComponent::kPddaSoftware, DeadlockComponent::kDdu}) {
     sim::Rng rng(GetParam());
     World w(kind, RecoveryPolicy::kNone);
     build_random_workload(*w.kernel, rng);
@@ -97,7 +98,8 @@ TEST_P(FuzzTest, DetectionEitherFinishesOrCatchesDeadlock) {
 }
 
 TEST_P(FuzzTest, DetectionWithRecoveryAlwaysCompletes) {
-  for (StrategyKind kind : {StrategyKind::kPdda, StrategyKind::kDdu}) {
+  for (DeadlockComponent kind :
+       {DeadlockComponent::kPddaSoftware, DeadlockComponent::kDdu}) {
     sim::Rng rng(GetParam());
     World w(kind, RecoveryPolicy::kAbortLowestPriority);
     build_random_workload(*w.kernel, rng);
@@ -111,7 +113,7 @@ TEST_P(FuzzTest, DetectionWithRecoveryAlwaysCompletes) {
 
 TEST_P(FuzzTest, NoneStrategyStallsOnlyWithRealCycle) {
   sim::Rng rng(GetParam());
-  World w(StrategyKind::kNone, RecoveryPolicy::kNone);
+  World w(DeadlockComponent::kNone, RecoveryPolicy::kNone);
   build_random_workload(*w.kernel, rng);
   w.kernel->start();
   w.sim.run(50'000'000);

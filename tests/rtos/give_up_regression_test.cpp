@@ -21,13 +21,12 @@
 namespace delta::rtos {
 namespace {
 
-using tests::StrategyKind;
 using tests::World;
 using tests::WorldConfig;
 
 WorldConfig daa_config() {
   WorldConfig wc;
-  wc.strategy = StrategyKind::kDaa;
+  wc.deadlock = DeadlockComponent::kDaaSoftware;
   wc.pe_count = 2;
   wc.resource_count = 2;
   wc.max_tasks = 2;

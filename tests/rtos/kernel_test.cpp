@@ -17,8 +17,8 @@ struct World {
   explicit World(KernelConfig cfg = {}, bool soclc = false,
                  std::vector<Priority> ceilings = {}) {
     const ServiceCosts costs = cfg.costs;
-    auto strategy = make_daa_software_strategy(cfg.resource_count,
-                                               cfg.max_tasks, costs);
+    auto strategy = make_strategy(DeadlockComponent::kDaaSoftware,
+                                  cfg.resource_count, cfg.max_tasks, costs);
     std::unique_ptr<LockBackend> locks;
     if (soclc) {
       hw::SoclcConfig sc;
@@ -46,7 +46,7 @@ TEST(Kernel, RejectsBadConstruction) {
   KernelConfig cfg;
   cfg.pe_count = 0;
   EXPECT_THROW(Kernel(sim, bus, cfg,
-                      make_none_strategy(4, 4, {}),
+                      make_strategy(DeadlockComponent::kNone, 4, 4, {}),
                       std::make_unique<SoftwarePiLockBackend>(4, ServiceCosts{}),
                       std::make_unique<SoftwareHeapBackend>(0, 4096,
                                                             ServiceCosts{})),

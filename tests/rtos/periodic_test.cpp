@@ -14,7 +14,7 @@ struct World {
   World() {
     KernelConfig cfg;
     kernel = std::make_unique<Kernel>(
-        sim, bus, cfg, make_none_strategy(4, 8, cfg.costs),
+        sim, bus, cfg, make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
         std::make_unique<SoftwarePiLockBackend>(8, cfg.costs),
         std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20, cfg.costs));
   }

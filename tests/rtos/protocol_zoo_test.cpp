@@ -14,7 +14,6 @@
 namespace delta::rtos {
 namespace {
 
-using tests::StrategyKind;
 using tests::World;
 using tests::WorldConfig;
 
@@ -25,9 +24,9 @@ Program crossed(ResourceId first, ResourceId second) {
   return p;
 }
 
-WorldConfig zoo_config(StrategyKind kind) {
+WorldConfig zoo_config(DeadlockComponent kind) {
   WorldConfig wc;
-  wc.strategy = kind;
+  wc.deadlock = kind;
   wc.pe_count = 2;
   wc.resource_count = 2;
   wc.max_tasks = 2;
@@ -35,7 +34,7 @@ WorldConfig zoo_config(StrategyKind kind) {
 }
 
 TEST(ProtocolZoo, BankersRefusesTheCrossedGrantAndFinishes) {
-  WorldConfig wc = zoo_config(StrategyKind::kBankers);
+  WorldConfig wc = zoo_config(DeadlockComponent::kBankers);
   wc.claims = {{0, 1}, {1, 0}};  // both tasks may end up holding both
   World w(wc);
   w.k().create_task("a", 0, 1, crossed(0, 1), 0);
@@ -51,7 +50,7 @@ TEST(ProtocolZoo, BankersRefusesTheCrossedGrantAndFinishes) {
 TEST(ProtocolZoo, SameShapeDeadlocksWithoutAvoidance) {
   // Control: the unconditional grant policy walks into the cycle the
   // Banker's run above refused.
-  World w(zoo_config(StrategyKind::kPdda));
+  World w(zoo_config(DeadlockComponent::kPddaSoftware));
   w.k().create_task("a", 0, 1, crossed(0, 1), 0);
   w.k().create_task("b", 1, 2, crossed(1, 0), 0);
   w.run();
@@ -63,7 +62,7 @@ TEST(ProtocolZoo, BankersClaimAllSerializesButStaysLive) {
   // No claims table: every task implicitly claims everything, so the
   // first holder must be assumed able to ask for the other resource.
   // The crossed grant is refused and the system still drains.
-  World w(zoo_config(StrategyKind::kBankers));
+  World w(zoo_config(DeadlockComponent::kBankers));
   w.k().create_task("a", 0, 1, crossed(0, 1), 0);
   w.k().create_task("b", 1, 2, crossed(1, 0), 0);
   w.run();
@@ -72,7 +71,7 @@ TEST(ProtocolZoo, BankersClaimAllSerializesButStaysLive) {
 }
 
 TEST(ProtocolZoo, WfgScanFindsAndRecoversTheCycle) {
-  WorldConfig wc = zoo_config(StrategyKind::kWfg);
+  WorldConfig wc = zoo_config(DeadlockComponent::kWfgRecovery);
   wc.detection_period = 5000;
   wc.recovery = RecoveryPolicy::kAbortLowestCost;
   wc.stop_on_deadlock = false;
@@ -89,7 +88,7 @@ TEST(ProtocolZoo, WfgScanFindsAndRecoversTheCycle) {
 }
 
 TEST(ProtocolZoo, WfgWithoutRecoveryHaltsOnDetection) {
-  WorldConfig wc = zoo_config(StrategyKind::kWfg);
+  WorldConfig wc = zoo_config(DeadlockComponent::kWfgRecovery);
   wc.detection_period = 5000;
   World w(wc);  // stop_on_deadlock stays true, recovery kNone
   w.k().create_task("a", 0, 1, crossed(0, 1), 0);
@@ -105,7 +104,7 @@ TEST(ProtocolZoo, WfgWithoutRecoveryHaltsOnDetection) {
 TEST(ProtocolZoo, WfgDetectionWaitsForThePeriod) {
   // Unlike the per-event detectors, nothing is detected before the
   // first scan fires: the detection timestamp is a scan tick.
-  WorldConfig wc = zoo_config(StrategyKind::kWfg);
+  WorldConfig wc = zoo_config(DeadlockComponent::kWfgRecovery);
   wc.detection_period = 40000;
   World w(wc);
   w.k().create_task("a", 0, 1, crossed(0, 1), 0);
@@ -118,7 +117,7 @@ TEST(ProtocolZoo, WfgDetectionWaitsForThePeriod) {
 TEST(ProtocolZoo, LowestCostPolicyAbortsTheCheaperTask) {
   // Task b has completed more ops when the scan fires (extra computes
   // before its first request), so lowest-cost must abort a, not b.
-  WorldConfig wc = zoo_config(StrategyKind::kWfg);
+  WorldConfig wc = zoo_config(DeadlockComponent::kWfgRecovery);
   wc.detection_period = 5000;
   wc.recovery = RecoveryPolicy::kAbortLowestCost;
   wc.stop_on_deadlock = false;
@@ -142,7 +141,7 @@ TEST(ProtocolZoo, RecoveryRotatesVictimsInsteadOfStarving) {
   // whose release would break the knot is never chosen; with rollback
   // count dominating the cost the victims rotate and the system drains.
   WorldConfig wc;
-  wc.strategy = StrategyKind::kWfg;
+  wc.deadlock = DeadlockComponent::kWfgRecovery;
   wc.pe_count = 2;
   wc.resource_count = 2;
   wc.max_tasks = 4;
@@ -173,7 +172,7 @@ TEST(ProtocolZoo, BankersUnsafeGrantFaultWalksIntoDeadlock) {
   // The fault used by the differential campaign: with safety probes
   // forced to pass, the Banker-managed kernel deadlocks exactly like
   // the unmanaged one — but reports nothing (avoidance never detects).
-  WorldConfig wc = zoo_config(StrategyKind::kBankers);
+  WorldConfig wc = zoo_config(DeadlockComponent::kBankers);
   wc.claims = {{0, 1}, {1, 0}};
   World w(wc);
   ASSERT_TRUE(w.k().strategy().enable_fault("bankers-unsafe-grant"));
@@ -186,7 +185,7 @@ TEST(ProtocolZoo, BankersUnsafeGrantFaultWalksIntoDeadlock) {
 }
 
 TEST(ProtocolZoo, WfgMissCycleFaultNeverDetects) {
-  WorldConfig wc = zoo_config(StrategyKind::kWfg);
+  WorldConfig wc = zoo_config(DeadlockComponent::kWfgRecovery);
   wc.detection_period = 5000;
   wc.recovery = RecoveryPolicy::kAbortLowestCost;
   wc.stop_on_deadlock = false;

@@ -101,6 +101,37 @@ TEST(Recovery, RestartReexecutesProgramFromTop) {
   EXPECT_GE(runs_of_b_prefix, 2);  // prefix re-ran after the abort
 }
 
+TEST(Recovery, VictimsLockIsHandedToItsWaiter) {
+  // The victim holds a lock a third task is blocked on. Recovery must
+  // hand that lock to the waiter, which then finishes before the
+  // restarted victim can take the lock back.
+  soc::MpsocConfig mc = soc::rtos_preset(soc::RtosPreset::kRtos2).to_mpsoc_config();
+  mc.recovery = RecoveryPolicy::kAbortLowestPriority;
+  soc::Mpsoc soc(mc);
+  Kernel& k = soc.kernel();
+  Program a;
+  a.request({0}).compute(2000).request({1}).compute(200).release({0, 1});
+  Program b;
+  b.lock(0)
+      .request({1})
+      .compute(300)
+      .request({0})
+      .compute(200)
+      .release({0, 1})
+      .unlock(0);
+  Program c;
+  c.compute(100).lock(0).compute(100).unlock(0);
+  k.create_task("a", 0, 1, std::move(a));
+  const TaskId bid = k.create_task("b", 1, 3, std::move(b), 10);
+  const TaskId cid = k.create_task("c", 2, 2, std::move(c));
+  soc.run(5'000'000);
+  EXPECT_GE(k.restarts(bid), 1u);  // b is the cycle's lowest priority
+  EXPECT_EQ(k.restarts(cid), 0u);
+  EXPECT_TRUE(k.all_finished());
+  EXPECT_LT(k.task(cid).finished_at, k.task(bid).finished_at);
+  EXPECT_GE(k.lock_delay().count(), 1u);  // c's wait ended in a hand-off
+}
+
 TEST(Recovery, NoRecoveryWithoutDeadlock) {
   soc::Mpsoc soc = make_soc(RecoveryPolicy::kAbortLowestPriority);
   Program p;

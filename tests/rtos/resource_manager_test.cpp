@@ -10,44 +10,45 @@ namespace {
 
 constexpr std::size_t kRes = 5, kTasks = 5;
 
-std::unique_ptr<DeadlockStrategy> make(const std::string& kind,
+// Tasks 0-3 command the DAU as bus masters 0-3, task 4 as master 0.
+std::unique_ptr<DeadlockStrategy> make(DeadlockComponent kind,
                                        bus::SharedBus* bus = nullptr) {
-  const ServiceCosts costs;
-  std::vector<std::size_t> masters = {0, 1, 2, 3, 0};
-  if (kind == "none") return make_none_strategy(kRes, kTasks, costs);
-  if (kind == "pdda") return make_pdda_software_strategy(kRes, kTasks, costs);
-  if (kind == "ddu") return make_ddu_strategy(kRes, kTasks, costs, bus, masters);
-  if (kind == "daa") return make_daa_software_strategy(kRes, kTasks, costs);
-  return make_dau_strategy(kRes, kTasks, costs, bus, masters);
+  return make_strategy(kind, kRes, kTasks, ServiceCosts{}, bus, 4);
 }
 
+constexpr DeadlockComponent kGranting[] = {DeadlockComponent::kNone,
+                                           DeadlockComponent::kPddaSoftware,
+                                           DeadlockComponent::kDdu};
+constexpr DeadlockComponent kAvoiding[] = {DeadlockComponent::kDaaSoftware,
+                                           DeadlockComponent::kDau};
+
 TEST(GrantingStrategies, ImmediateGrantAndOwnership) {
-  for (const char* kind : {"none", "pdda", "ddu"}) {
+  for (DeadlockComponent kind : kGranting) {
     auto s = make(kind);
     const ResourceEvent ev = s->request(0, 0, 0);
-    EXPECT_TRUE(ev.granted) << kind;
-    EXPECT_EQ(s->owner(0), 0u) << kind;
-    EXPECT_FALSE(ev.deadlock_detected) << kind;
+    EXPECT_TRUE(ev.granted) << s->name();
+    EXPECT_EQ(s->owner(0), 0u) << s->name();
+    EXPECT_FALSE(ev.deadlock_detected) << s->name();
   }
 }
 
 TEST(GrantingStrategies, ReleaseHandsToHighestPriorityWaiter) {
-  for (const char* kind : {"none", "pdda", "ddu"}) {
+  for (DeadlockComponent kind : kGranting) {
     auto s = make(kind);
     s->request(3, 0, 0);
     s->request(2, 0, 0);
     s->request(4, 0, 0);
     const ResourceEvent ev = s->release(3, 0, 0);
-    ASSERT_EQ(ev.grants.size(), 1u) << kind;
-    EXPECT_EQ(ev.grants[0].first, 2u) << kind;
-    EXPECT_EQ(s->owner(0), 2u) << kind;
+    ASSERT_EQ(ev.grants.size(), 1u) << s->name();
+    EXPECT_EQ(ev.grants[0].first, 2u) << s->name();
+    EXPECT_EQ(s->owner(0), 2u) << s->name();
   }
 }
 
 TEST(DetectionStrategies, FlagTable4Deadlock) {
   // The Table 4 grant at t5 creates the p2/p3 cycle; both detection
   // strategies must flag it on that event (the "none" baseline must not).
-  for (const char* kind : {"pdda", "ddu", "none"}) {
+  for (DeadlockComponent kind : kGranting) {
     auto s = make(kind);
     s->request(0, 1, 0);   // p1 takes IDCT
     s->request(0, 0, 0);   // p1 takes VI
@@ -55,19 +56,19 @@ TEST(DetectionStrategies, FlagTable4Deadlock) {
     s->request(2, 3, 0);   // p3 takes WI
     s->request(1, 1, 0);   // p2 waits IDCT
     ResourceEvent ev = s->request(1, 3, 0);  // p2 waits WI
-    EXPECT_FALSE(ev.deadlock_detected) << kind;
+    EXPECT_FALSE(ev.deadlock_detected) << s->name();
     ev = s->release(0, 1, 0);  // IDCT -> p2: deadlock!
-    if (std::string(kind) == "none") {
+    if (kind == DeadlockComponent::kNone) {
       EXPECT_FALSE(ev.deadlock_detected);
     } else {
-      EXPECT_TRUE(ev.deadlock_detected) << kind;
+      EXPECT_TRUE(ev.deadlock_detected) << s->name();
     }
   }
 }
 
 TEST(DetectionStrategies, AlgorithmTimesSampled) {
-  auto sw = make("pdda");
-  auto hwu = make("ddu");
+  auto sw = make(DeadlockComponent::kPddaSoftware);
+  auto hwu = make(DeadlockComponent::kDdu);
   sw->request(0, 0, 0);
   hwu->request(0, 0, 0);
   EXPECT_EQ(sw->invocations(), 1u);
@@ -79,23 +80,23 @@ TEST(DetectionStrategies, AlgorithmTimesSampled) {
 
 TEST(DduStrategy, UsesBusForCellUpdates) {
   bus::SharedBus bus(5);
-  auto s = make("ddu", &bus);
+  auto s = make(DeadlockComponent::kDdu, &bus);
   s->request(0, 0, 0);
   EXPECT_GT(bus.total_transactions(), 0u);
 }
 
 TEST(AvoidanceStrategies, GrantAndPending) {
-  for (const char* kind : {"daa", "dau"}) {
+  for (DeadlockComponent kind : kAvoiding) {
     auto s = make(kind);
-    EXPECT_TRUE(s->request(0, 0, 0).granted) << kind;
+    EXPECT_TRUE(s->request(0, 0, 0).granted) << s->name();
     const ResourceEvent ev = s->request(1, 0, 0);
-    EXPECT_FALSE(ev.granted) << kind;
-    EXPECT_EQ(s->owner(0), 0u) << kind;
+    EXPECT_FALSE(ev.granted) << s->name();
+    EXPECT_EQ(s->owner(0), 0u) << s->name();
   }
 }
 
 TEST(AvoidanceStrategies, GdlAvoidedByLowerPriorityGrant) {
-  for (const char* kind : {"daa", "dau"}) {
+  for (DeadlockComponent kind : kAvoiding) {
     auto s = make(kind);
     s->request(0, 0, 0);
     s->request(0, 1, 0);
@@ -105,16 +106,16 @@ TEST(AvoidanceStrategies, GdlAvoidedByLowerPriorityGrant) {
     s->request(1, 3, 0);
     s->release(0, 0, 0);
     const ResourceEvent ev = s->release(0, 1, 0);
-    ASSERT_EQ(ev.grants.size(), 1u) << kind;
-    EXPECT_EQ(ev.grants[0].first, 2u) << kind;  // p3, not p2
-    EXPECT_TRUE(ev.g_dl) << kind;
+    ASSERT_EQ(ev.grants.size(), 1u) << s->name();
+    EXPECT_EQ(ev.grants[0].first, 2u) << s->name();  // p3, not p2
+    EXPECT_TRUE(ev.g_dl) << s->name();
     ASSERT_NE(s->state(), nullptr);
-    EXPECT_FALSE(rag::oracle_has_cycle(*s->state())) << kind;
+    EXPECT_FALSE(rag::oracle_has_cycle(*s->state())) << s->name();
   }
 }
 
 TEST(AvoidanceStrategies, RdlAsksOwnerToGiveUp) {
-  for (const char* kind : {"daa", "dau"}) {
+  for (DeadlockComponent kind : kAvoiding) {
     auto s = make(kind);
     s->request(0, 0, 0);
     s->request(1, 1, 0);
@@ -122,15 +123,15 @@ TEST(AvoidanceStrategies, RdlAsksOwnerToGiveUp) {
     s->request(1, 2, 0);
     s->request(2, 0, 0);
     const ResourceEvent ev = s->request(0, 1, 0);
-    EXPECT_TRUE(ev.r_dl) << kind;
-    EXPECT_EQ(ev.asked, 1u) << kind;
-    ASSERT_EQ(ev.ask_give_up.size(), 1u) << kind;
-    EXPECT_EQ(ev.ask_give_up[0], 1u) << kind;
+    EXPECT_TRUE(ev.r_dl) << s->name();
+    EXPECT_EQ(ev.asked, 1u) << s->name();
+    ASSERT_EQ(ev.ask_give_up.size(), 1u) << s->name();
+    EXPECT_EQ(ev.ask_give_up[0], 1u) << s->name();
   }
 }
 
 TEST(AvoidanceStrategies, SafetyUnderRandomWorkload) {
-  for (const char* kind : {"daa", "dau"}) {
+  for (DeadlockComponent kind : kAvoiding) {
     sim::Rng rng(404);
     auto s = make(kind);
     for (int step = 0; step < 300; ++step) {
@@ -151,14 +152,14 @@ TEST(AvoidanceStrategies, SafetyUnderRandomWorkload) {
         }
       }
       ASSERT_FALSE(rag::oracle_has_cycle(*s->state()))
-          << kind << " step " << step;
+          << s->name() << " step " << step;
     }
   }
 }
 
 TEST(DauStrategy, TimingMuchCheaperThanSoftware) {
-  auto sw = make("daa");
-  auto hwu = make("dau");
+  auto sw = make(DeadlockComponent::kDaaSoftware);
+  auto hwu = make(DeadlockComponent::kDau);
   // Same event sequence with a pending request (forces detection).
   for (auto* s : {sw.get(), hwu.get()}) {
     s->request(0, 0, 0);
@@ -169,21 +170,34 @@ TEST(DauStrategy, TimingMuchCheaperThanSoftware) {
 }
 
 TEST(Strategies, MalformedEventsAreSafe) {
-  for (const char* kind : {"none", "pdda", "ddu", "daa", "dau"}) {
+  for (DeadlockComponent kind :
+       {DeadlockComponent::kNone, DeadlockComponent::kPddaSoftware,
+        DeadlockComponent::kDdu, DeadlockComponent::kDaaSoftware,
+        DeadlockComponent::kDau}) {
     auto s = make(kind);
-    EXPECT_FALSE(s->release(0, 0, 0).grants.size() > 0) << kind;
+    EXPECT_FALSE(s->release(0, 0, 0).grants.size() > 0) << s->name();
     s->request(0, 0, 0);
     const ResourceEvent dup = s->request(0, 0, 0);  // duplicate
-    EXPECT_FALSE(dup.granted) << kind;
-    EXPECT_EQ(s->owner(0), 0u) << kind;
+    EXPECT_FALSE(dup.granted) << s->name();
+    EXPECT_EQ(s->owner(0), 0u) << s->name();
   }
 }
 
 TEST(Strategies, NamesIdentifyConfiguration) {
-  EXPECT_NE(make("pdda")->name().find("RTOS1"), std::string::npos);
-  EXPECT_NE(make("ddu")->name().find("RTOS2"), std::string::npos);
-  EXPECT_NE(make("daa")->name().find("RTOS3"), std::string::npos);
-  EXPECT_NE(make("dau")->name().find("RTOS4"), std::string::npos);
+  const auto name = [](DeadlockComponent kind, std::size_t clusters = 1) {
+    return make_strategy(kind, kRes, kTasks, ServiceCosts{}, nullptr, 1,
+                         clusters)
+        ->name();
+  };
+  EXPECT_NE(name(DeadlockComponent::kPddaSoftware).find("RTOS1"),
+            std::string::npos);
+  EXPECT_NE(name(DeadlockComponent::kDdu).find("RTOS2"), std::string::npos);
+  EXPECT_NE(name(DeadlockComponent::kDaaSoftware).find("RTOS3"),
+            std::string::npos);
+  EXPECT_NE(name(DeadlockComponent::kDau).find("RTOS4"), std::string::npos);
+  // More than one cluster selects the sharded unit.
+  EXPECT_EQ(name(DeadlockComponent::kDdu, 2), "ddu-sharded (C=2)");
+  EXPECT_EQ(name(DeadlockComponent::kDau, 2), "dau-sharded (C=2)");
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ struct World {
                                                   cfg.costs);
     }
     kernel = std::make_unique<Kernel>(
-        sim, bus, cfg, make_none_strategy(4, 8, cfg.costs),
+        sim, bus, cfg, make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
         std::make_unique<SoftwarePiLockBackend>(8, cfg.costs),
         std::move(mem));
   }

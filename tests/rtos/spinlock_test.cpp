@@ -27,7 +27,7 @@ struct World {
                                                       /*short=*/4);
     }
     kernel = std::make_unique<Kernel>(
-        sim, bus, cfg, make_none_strategy(4, 8, cfg.costs),
+        sim, bus, cfg, make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
         std::move(locks),
         std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20, cfg.costs));
   }
@@ -112,7 +112,8 @@ TEST(SpinLocks, DisabledFlagFallsBackToBlocking) {
   sim::Simulator sim;
   bus::SharedBus bus(5);
   KernelConfig cfg;  // spin_short_locks defaults to false
-  Kernel k(sim, bus, cfg, make_none_strategy(4, 8, cfg.costs),
+  Kernel k(sim, bus, cfg,
+           make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
            std::make_unique<SoftwarePiLockBackend>(8, cfg.costs, 4),
            std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20,
                                                  cfg.costs));

@@ -13,7 +13,8 @@ struct World {
   World() {
     KernelConfig cfg;
     kernel = std::make_unique<Kernel>(
-        sim, bus, cfg, make_daa_software_strategy(4, 8, cfg.costs),
+        sim, bus, cfg,
+        make_strategy(DeadlockComponent::kDaaSoftware, 4, 8, cfg.costs),
         std::make_unique<SoftwarePiLockBackend>(8, cfg.costs),
         std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20, cfg.costs));
   }

@@ -95,7 +95,9 @@ TEST(Profile, ContentionAndWaitSpansComeFromRealTraffic) {
   for (const obs::WaitSpan& w : r.wait_spans) {
     EXPECT_LT(w.waiter, r.tasks.size());
     EXPECT_GE(w.end, w.begin);
-    if (w.has_holder) EXPECT_LT(w.holder, r.tasks.size());
+    if (w.has_holder) {
+      EXPECT_LT(w.holder, r.tasks.size());
+    }
   }
 }
 

@@ -20,24 +20,8 @@
 
 namespace delta::tests {
 
-/// Which deadlock strategy the World's kernel runs.
-enum class StrategyKind { kNone, kPdda, kDdu, kDaa, kDau, kBankers, kWfg };
-
-inline const char* strategy_kind_name(StrategyKind k) {
-  switch (k) {
-    case StrategyKind::kNone: return "none";
-    case StrategyKind::kPdda: return "pdda";
-    case StrategyKind::kDdu: return "ddu";
-    case StrategyKind::kDaa: return "daa";
-    case StrategyKind::kDau: return "dau";
-    case StrategyKind::kBankers: return "bankers";
-    case StrategyKind::kWfg: return "wfg";
-  }
-  return "?";
-}
-
 struct WorldConfig {
-  StrategyKind strategy = StrategyKind::kDaa;
+  rtos::DeadlockComponent deadlock = rtos::DeadlockComponent::kDaaSoftware;
   std::size_t pe_count = 4;
   std::size_t resource_count = 5;
   std::size_t max_tasks = 5;
@@ -45,7 +29,7 @@ struct WorldConfig {
   std::size_t lock_count = 8;
   std::uint64_t heap_base = 0x1000;
   std::uint64_t heap_bytes = 1 << 20;
-  /// Periodic scan period for kWfg (KernelConfig::detection_period).
+  /// Periodic scan period for kWfgRecovery (KernelConfig::detection_period).
   sim::Cycles detection_period = 0;
   /// Banker's max-claims table for kBankers (KernelConfig::claims).
   std::vector<std::vector<rtos::ResourceId>> claims;
@@ -68,38 +52,11 @@ struct World {
     cfg.detection_period = wc.detection_period;
     cfg.claims = wc.claims;
     cfg.stop_on_deadlock = wc.stop_on_deadlock;
-    const std::size_t m = wc.resource_count;
-    const std::size_t n = wc.max_tasks;
-    // Hardware units answer requests from the PE that asked; map every
-    // PE to its own bus master and fold the spare master onto PE 0.
-    std::vector<std::size_t> masters(n);
-    for (std::size_t i = 0; i < n; ++i) masters[i] = i % wc.pe_count;
-    std::unique_ptr<rtos::DeadlockStrategy> strategy;
-    switch (wc.strategy) {
-      case StrategyKind::kNone:
-        strategy = rtos::make_none_strategy(m, n, cfg.costs);
-        break;
-      case StrategyKind::kPdda:
-        strategy = rtos::make_pdda_software_strategy(m, n, cfg.costs);
-        break;
-      case StrategyKind::kDdu:
-        strategy = rtos::make_ddu_strategy(m, n, cfg.costs, &bus, masters);
-        break;
-      case StrategyKind::kDaa:
-        strategy = rtos::make_daa_software_strategy(m, n, cfg.costs);
-        break;
-      case StrategyKind::kDau:
-        strategy = rtos::make_dau_strategy(m, n, cfg.costs, &bus, masters);
-        break;
-      case StrategyKind::kBankers:
-        strategy = rtos::make_bankers_strategy(m, n, cfg.costs);
-        break;
-      case StrategyKind::kWfg:
-        strategy = rtos::make_wfg_strategy(m, n, cfg.costs);
-        break;
-    }
+    // Hardware units answer each task on its own PE's bus master.
     kernel = std::make_unique<rtos::Kernel>(
-        sim, bus, cfg, std::move(strategy),
+        sim, bus, cfg,
+        rtos::make_strategy(wc.deadlock, wc.resource_count, wc.max_tasks,
+                            cfg.costs, &bus, wc.pe_count),
         std::make_unique<rtos::SoftwarePiLockBackend>(wc.lock_count,
                                                       cfg.costs),
         std::make_unique<rtos::SoftwareHeapBackend>(wc.heap_base,
@@ -107,7 +64,7 @@ struct World {
   }
 
   /// Convenience constructor matching the historical fuzz-test shape.
-  World(StrategyKind kind, rtos::RecoveryPolicy recovery)
+  World(rtos::DeadlockComponent kind, rtos::RecoveryPolicy recovery)
       : World(make_config(kind, recovery)) {}
 
   [[nodiscard]] rtos::Kernel& k() { return *kernel; }
@@ -119,10 +76,10 @@ struct World {
   }
 
  private:
-  static WorldConfig make_config(StrategyKind kind,
+  static WorldConfig make_config(rtos::DeadlockComponent kind,
                                  rtos::RecoveryPolicy recovery) {
     WorldConfig wc;
-    wc.strategy = kind;
+    wc.deadlock = kind;
     wc.recovery = recovery;
     return wc;
   }
