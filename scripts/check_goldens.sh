@@ -13,6 +13,10 @@
 # tentpole's strict report neutrality — turning collection on may add
 # "engine" members but must not perturb a single other byte.
 #
+# The engine counters themselves are derived from simulated state only,
+# so one --engine-stats report (the fuzz campaign's roll-up) is pinned
+# whole, counters included, in fuzz_campaign_engine.json.
+#
 # usage: check_goldens.sh <examples-bin-dir> <golden-dir>
 set -euo pipefail
 
@@ -68,4 +72,12 @@ for f in sweep_mixed sweep_zoo profile_presets profile_baseline fuzz_campaign; d
     status=1
   fi
 done
+if cmp -s "$golden/fuzz_campaign_engine.json" "$tmp/es_fuzz_campaign.json"; then
+  echo "ok: fuzz_campaign_engine.json byte-identical"
+else
+  echo "GOLDEN MISMATCH: engine counters differ from" \
+       "$golden/fuzz_campaign_engine.json" >&2
+  cmp "$golden/fuzz_campaign_engine.json" "$tmp/es_fuzz_campaign.json" >&2 || true
+  status=1
+fi
 exit $status
