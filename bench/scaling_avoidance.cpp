@@ -2,8 +2,10 @@
 // DAA driven by the DDU (as in the DAU) vs driven by software PDDA, vs
 // Banker's algorithm (needs a-priori claims) and Belik's path-matrix
 // method — on a common random request/release workload.
-#include <benchmark/benchmark.h>
-
+//
+// Gate: the DAU's total cycles must stay below the software DAA's at
+// every system size.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -11,11 +13,11 @@
 #include "deadlock/daa.h"
 #include "deadlock/pdda.h"
 #include "hw/dau.h"
-#include "rag/reduction.h"
 #include "sim/random.h"
 
 namespace {
 
+using delta::rag::Edge;
 using delta::rag::ProcId;
 using delta::rag::ResId;
 
@@ -36,101 +38,87 @@ std::vector<WorkloadEvent> make_workload(std::size_t k, std::size_t events) {
   return out;
 }
 
-void BM_DauHardware(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto events = make_workload(k, 200);
-  double cycles = 0;
-  for (auto _ : state) {
-    delta::hw::Dau dau(k, k);
-    cycles = 0;
-    for (const auto& e : events) {
-      if (e.release) {
-        if (dau.state().at(e.q, e.p) == delta::rag::Edge::kGrant)
-          dau.release(e.p, e.q);
-        else
-          continue;
-      } else {
-        if (dau.state().at(e.q, e.p) != delta::rag::Edge::kNone) continue;
-        dau.request(e.p, e.q);
-      }
-      cycles += static_cast<double>(dau.last_cycles());
+// Feed the workload to `engine`: a release only of a granted edge, a
+// request only on an empty cell; on_applied(engine) runs after each.
+template <typename Engine, typename OnApplied>
+void drive(Engine& engine, const std::vector<WorkloadEvent>& events,
+           OnApplied on_applied) {
+  for (const WorkloadEvent& e : events) {
+    const Edge edge = engine.state().at(e.q, e.p);
+    if (e.release) {
+      if (edge != Edge::kGrant) continue;
+      engine.release(e.p, e.q);
+    } else {
+      if (edge != Edge::kNone) continue;
+      engine.request(e.p, e.q);
     }
+    on_applied(engine);
   }
-  state.counters["unit_cycles_total"] = cycles;
 }
-BENCHMARK(BM_DauHardware)->Arg(5)->Arg(10)->Arg(20);
 
-void BM_DaaSoftware(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto events = make_workload(k, 200);
-  double cycles = 0;
-  for (auto _ : state) {
-    delta::deadlock::SoftwarePdda pdda;
-    double local = 0;
-    delta::deadlock::DaaEngine engine(
-        k, k, [&](const delta::rag::StateMatrix& s) {
-          const bool dl = pdda.detect(s);
-          local += static_cast<double>(pdda.last_cycles());
-          return dl;
-        });
-    for (const auto& e : events) {
-      if (e.release) {
-        if (engine.state().at(e.q, e.p) == delta::rag::Edge::kGrant)
-          engine.release(e.p, e.q);
-      } else {
-        if (engine.state().at(e.q, e.p) != delta::rag::Edge::kNone) continue;
-        engine.request(e.p, e.q);
-      }
-    }
-    cycles = local;
-  }
-  state.counters["sw_cycles_total"] = cycles;
+std::uint64_t dau_cycles(std::size_t k,
+                         const std::vector<WorkloadEvent>& events) {
+  delta::hw::Dau dau(k, k);
+  std::uint64_t cycles = 0;
+  drive(dau, events,
+        [&](const delta::hw::Dau& d) { cycles += d.last_cycles(); });
+  return cycles;
 }
-BENCHMARK(BM_DaaSoftware)->Arg(5)->Arg(10)->Arg(20);
 
-void BM_Bankers(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto events = make_workload(k, 200);
-  double ops = 0;
-  for (auto _ : state) {
-    delta::deadlock::Banker banker(k, k);
-    for (ProcId p = 0; p < k; ++p)
-      for (ResId q = 0; q < k; ++q) banker.declare_claim(p, q);
-    banker.reset_meter();
-    for (const auto& e : events) {
-      if (e.release) {
-        if (banker.state().at(e.q, e.p) == delta::rag::Edge::kGrant)
-          banker.release(e.p, e.q);
-      } else if (banker.state().at(e.q, e.p) == delta::rag::Edge::kNone) {
-        banker.request(e.p, e.q);
-      }
-    }
-    ops = static_cast<double>(banker.meter().total());
-  }
-  state.counters["ops_total"] = ops;
+std::uint64_t daa_software_cycles(std::size_t k,
+                                  const std::vector<WorkloadEvent>& events) {
+  delta::deadlock::SoftwarePdda pdda;
+  std::uint64_t cycles = 0;
+  delta::deadlock::DaaEngine engine(
+      k, k, [&](const delta::rag::StateMatrix& s) {
+        const bool dl = pdda.detect(s);
+        cycles += pdda.last_cycles();
+        return dl;
+      });
+  drive(engine, events, [](const auto&) {});
+  return cycles;
 }
-BENCHMARK(BM_Bankers)->Arg(5)->Arg(10)->Arg(20);
 
-void BM_Belik(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto events = make_workload(k, 200);
-  double ops = 0;
-  for (auto _ : state) {
-    delta::deadlock::BelikAvoider belik(k, k);
-    for (const auto& e : events) {
-      if (e.release) {
-        if (belik.state().at(e.q, e.p) == delta::rag::Edge::kGrant)
-          belik.release(e.p, e.q);
-      } else if (belik.state().at(e.q, e.p) == delta::rag::Edge::kNone) {
-        belik.request(e.p, e.q);
-      }
-    }
-    ops = static_cast<double>(belik.meter().total());
-  }
-  state.counters["ops_total"] = ops;
+std::uint64_t bankers_ops(std::size_t k,
+                          const std::vector<WorkloadEvent>& events) {
+  delta::deadlock::Banker banker(k, k);
+  for (ProcId p = 0; p < k; ++p)
+    for (ResId q = 0; q < k; ++q) banker.declare_claim(p, q);
+  banker.reset_meter();
+  drive(banker, events, [](const auto&) {});
+  return banker.meter().total();
 }
-BENCHMARK(BM_Belik)->Arg(5)->Arg(10)->Arg(20);
+
+std::uint64_t belik_ops(std::size_t k,
+                        const std::vector<WorkloadEvent>& events) {
+  delta::deadlock::BelikAvoider belik(k, k);
+  drive(belik, events, [](const auto&) {});
+  return belik.meter().total();
+}
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  std::printf("Scaling ablation — avoidance algorithms (paper §3.3.3/§4.3),\n"
+              "200-event random request/release workload per k:\n");
+  std::printf("\n%-6s %10s %14s %14s %12s\n", "k", "DAU(cyc)", "DAA sw(cyc)",
+              "Banker's(ops)", "Belik(ops)");
+  bool ok = true;
+  for (std::size_t k : {5, 10, 20}) {
+    const auto events = make_workload(k, 200);
+    const std::uint64_t dau = dau_cycles(k, events);
+    const std::uint64_t daa = daa_software_cycles(k, events);
+    std::printf("%-6zu %10llu %14llu %14llu %12llu\n", k,
+                static_cast<unsigned long long>(dau),
+                static_cast<unsigned long long>(daa),
+                static_cast<unsigned long long>(bankers_ops(k, events)),
+                static_cast<unsigned long long>(belik_ops(k, events)));
+    if (dau >= daa) {
+      std::printf("FAIL: k=%zu DAU %llu cycles not below software DAA %llu\n",
+                  k, static_cast<unsigned long long>(dau),
+                  static_cast<unsigned long long>(daa));
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
+}

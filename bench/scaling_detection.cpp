@@ -2,106 +2,29 @@
 // paper discusses (§3.3.2, §4.2) — metered software cycles for PDDA,
 // Holt O(mn), Shoshani O(mn^2), Leibfried O(N^3), and the DDU's hardware
 // cycle count O(min(m,n)) — swept over square system sizes.
-#include <benchmark/benchmark.h>
-
+//
+// Gate: every DDU run must finish within Ddu::iteration_bound(), the
+// §4.2.1 claim of at most 2*min(m,n)-3 reduction steps.
 #include <cstdio>
 
 #include "deadlock/baselines.h"
 #include "deadlock/pdda.h"
 #include "hw/ddu.h"
 #include "rag/generators.h"
-#include "sim/random.h"
 
-namespace {
-
-using delta::rag::StateMatrix;
-
-StateMatrix make_state(std::size_t k) {
-  // Worst-case chain+cycle state: maximal reduction depth.
-  return delta::rag::worst_case_state(k, k);
-}
-
-void BM_PddaSoftware(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const StateMatrix s = make_state(k);
-  delta::deadlock::SoftwarePdda pdda;
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pdda.detect(s));
-    cycles = pdda.last_cycles();
-  }
-  state.counters["model_cycles"] = static_cast<double>(cycles);
-}
-BENCHMARK(BM_PddaSoftware)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_Holt(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const StateMatrix s = make_state(k);
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    auto run = delta::deadlock::detect_holt(s);
-    benchmark::DoNotOptimize(run.deadlock);
-    ops = run.meter.total();
-  }
-  state.counters["model_ops"] = static_cast<double>(ops);
-}
-BENCHMARK(BM_Holt)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_Shoshani(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const StateMatrix s = make_state(k);
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    auto run = delta::deadlock::detect_shoshani(s);
-    benchmark::DoNotOptimize(run.deadlock);
-    ops = run.meter.total();
-  }
-  state.counters["model_ops"] = static_cast<double>(ops);
-}
-BENCHMARK(BM_Shoshani)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_Leibfried(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const StateMatrix s = make_state(k);
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    auto run = delta::deadlock::detect_leibfried(s);
-    benchmark::DoNotOptimize(run.deadlock);
-    ops = run.meter.total();
-  }
-  state.counters["model_ops"] = static_cast<double>(ops);
-}
-BENCHMARK(BM_Leibfried)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_DduHardware(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const StateMatrix s = make_state(k);
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    const auto r = delta::hw::Ddu::evaluate(s);
-    benchmark::DoNotOptimize(r.deadlock);
-    cycles = r.cycles;
-  }
-  state.counters["unit_cycles"] = static_cast<double>(cycles);
-}
-BENCHMARK(BM_DduHardware)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   std::printf("Scaling ablation — detection algorithms (paper §3.3.2/§4.2):\n"
-              "model_cycles/model_ops grow O(mn)..O(N^3) for software, while\n"
-              "the DDU's unit_cycles grow O(min(m,n)).\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  // Print the modeled-cost table explicitly (the paper's point, without
-  // host-time noise).
+              "software cycles/ops grow O(mn)..O(N^3), while the DDU's\n"
+              "cycles grow O(min(m,n)).\n");
   std::printf("\n%-6s %14s %12s %14s %14s %12s\n", "k", "PDDA(cyc)",
               "Holt(ops)", "Shoshani(ops)", "Leibfried(ops)", "DDU(cyc)");
+  bool ok = true;
   for (std::size_t k : {5, 10, 20, 40, 80}) {
-    const StateMatrix s = make_state(k);
+    // Worst-case chain+cycle state: maximal reduction depth.
+    const delta::rag::StateMatrix s = delta::rag::worst_case_state(k, k);
     delta::deadlock::SoftwarePdda pdda;
     pdda.detect(s);
+    const auto ddu_cycles = delta::hw::Ddu::evaluate(s).cycles;
     std::printf("%-6zu %14llu %12llu %14llu %14llu %12llu\n", k,
                 static_cast<unsigned long long>(pdda.last_cycles()),
                 static_cast<unsigned long long>(
@@ -110,8 +33,13 @@ int main(int argc, char** argv) {
                     delta::deadlock::detect_shoshani(s).meter.total()),
                 static_cast<unsigned long long>(
                     delta::deadlock::detect_leibfried(s).meter.total()),
-                static_cast<unsigned long long>(
-                    delta::hw::Ddu::evaluate(s).cycles));
+                static_cast<unsigned long long>(ddu_cycles));
+    const std::size_t bound = delta::hw::Ddu(k, k).iteration_bound();
+    if (ddu_cycles > bound) {
+      std::printf("FAIL: k=%zu DDU took %llu cycles, bound %zu\n", k,
+                  static_cast<unsigned long long>(ddu_cycles), bound);
+      ok = false;
+    }
   }
-  return 0;
+  return ok ? 0 : 1;
 }

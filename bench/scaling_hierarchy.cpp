@@ -15,10 +15,10 @@
 //
 // plus the structural gate areas (hw/synth.h) and the avoidance-side
 // worst-case command cycles (DAU vs ShardedDau). Every number is
-// simulated/structural — no wall-clock — so the JSON is byte-stable and
-// scripts/bench_baseline.sh --scaling compares it with exact cmp. The
-// committed baseline is bench/BENCH_scaling.json; the headline is that
-// the sharded unit's gate area and per-event unit latency beat the
+// simulated/structural — no wall-clock — so the JSON is byte-stable: the
+// bench.scaling_identity ctest compares it with the committed
+// bench/BENCH_scaling.json by exact cmp. The headline is that the
+// sharded unit's gate area and per-event unit latency beat the
 // monolithic unit from 64x64 up (matrix cells drop from m*n to ~m*n/C,
 // the unit bound from 2m-3 to 2*ceil(m/C)-3).
 //

@@ -4,11 +4,12 @@
 // default); parsing, "--help", unknown-flag diagnostics, and the usage
 // layout are then uniform across delta_sweep, delta_profile, delta_fuzz
 // and delta_gen. Values stay strings internally; the typed getters
-// (u64/size/integer/list) convert at the call site, mirroring what the
-// hand-rolled loops used to do with strtoull/atoi.
+// (u64/size/integer/list) convert at the call site and reject a value
+// that is not one whole in-range number, naming the flag.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -129,13 +130,13 @@ class Args {
     return values_.at(name);
   }
   [[nodiscard]] std::uint64_t u64(const std::string& name) const {
-    return std::strtoull(str(name).c_str(), nullptr, 10);
+    return number<std::uint64_t>(name, "a non-negative integer");
   }
   [[nodiscard]] std::size_t size(const std::string& name) const {
-    return static_cast<std::size_t>(u64(name));
+    return number<std::size_t>(name, "a non-negative integer");
   }
   [[nodiscard]] int integer(const std::string& name) const {
-    return std::atoi(str(name).c_str());
+    return number<int>(name, "an integer");
   }
   /// Comma-split value ("1,4,5" -> {"1","4","5"}).
   [[nodiscard]] std::vector<std::string> list(const std::string& name) const {
@@ -177,6 +178,18 @@ class Args {
     for (const Spec& s : specs_)
       if (s.name == name) return &s;
     return nullptr;
+  }
+
+  /// Parse the whole value of --name as a T; anything else (empty,
+  /// trailing junk, a sign on an unsigned flag, out of range) fails.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& name, const char* what) const {
+    const std::string& v = str(name);
+    T out{};
+    const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || ptr != v.data() + v.size())
+      fail("--" + name + " expects " + what + ", got '" + v + "'");
+    return out;
   }
 
   [[nodiscard]] static std::string stem(const Spec& s) {

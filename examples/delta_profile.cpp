@@ -7,8 +7,7 @@
 //     (run/spin/blocked/overhead summing exactly to total), the longest
 //     blocking chain, and the per-object contention ranking;
 //   * optionally a Chrome trace-event document (counter tracks, named
-//     PE threads, wait-for flow arrows) for ui.perfetto.dev;
-//   * optionally a flat baseline JSON for scripts/bench_baseline.sh.
+//     PE threads, wait-for flow arrows) for ui.perfetto.dev.
 //
 //   delta_profile                               # RTOS4 x mixed, seed 1
 //   delta_profile --preset 1,4 --chrome t.json
@@ -104,8 +103,6 @@ int main(int argc, char** argv) {
       .opt("out", "FILE", "profile JSON (default profile.json, '-' for\nstdout)",
            "profile.json")
       .opt("chrome", "FILE", "Chrome trace-event JSON (Perfetto)")
-      .opt("baseline-out", "FILE",
-           "flat per-run cycle baseline for\nscripts/bench_baseline.sh")
       .flag("engine-stats",
             "append an \"engine\" introspection block to each\nrun "
             "(event-queue + kernel-service counters);\ndeterministic, other "
@@ -121,7 +118,6 @@ int main(int argc, char** argv) {
   const std::size_t trace_capacity = args.size("trace-capacity");
   const std::string out_path = args.str("out");
   const std::string chrome_path = args.str("chrome");
-  const std::string baseline_path = args.str("baseline-out");
   exp::SweepSpec spec;
   const bool limit_set = args.on("limit");
   if (limit_set) spec.run_limit = args.u64("limit");
@@ -220,27 +216,6 @@ int main(int argc, char** argv) {
   if (!chrome_path.empty()) {
     const std::string trace = exp::report_trace_to_chrome_json(report);
     if (!write_doc(chrome_path, trace, "chrome trace")) return 1;
-  }
-
-  if (!baseline_path.empty()) {
-    // Flat per-run cycle counts for scripts/bench_baseline.sh: stable
-    // keys, integers only, one line per run when filtered with grep.
-    exp::JsonWriter bw;
-    bw.begin_object();
-    for (const exp::RunResult& r : report.runs) {
-      if (!r.ok) continue;
-      bw.key(r.config + "/" + r.workload + "/s" + std::to_string(r.seed))
-          .begin_object();
-      bw.key("app_run_time").value(static_cast<std::uint64_t>(r.app_run_time));
-      bw.key("sim_cycles").value(static_cast<std::uint64_t>(r.sim_cycles));
-      bw.key("critical_path_cycles")
-          .value(static_cast<std::uint64_t>(r.profile.critical_path_cycles));
-      bw.end_object();
-    }
-    bw.end_object();
-    std::string bdoc = bw.str();
-    bdoc += '\n';
-    if (!write_doc(baseline_path, bdoc, "baseline")) return 1;
   }
 
   return report.failed() == 0 ? 0 : 1;

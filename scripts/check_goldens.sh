@@ -38,8 +38,7 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
     --out "$tmp/sweep_mixed.json" >/dev/null
 "$bin_dir/delta_sweep" "${zoo[@]}" --quiet --out "$tmp/sweep_zoo.json" >/dev/null
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
-    --sample-period 10000 --out "$tmp/profile_presets.json" \
-    --baseline-out "$tmp/profile_baseline.json" >/dev/null
+    --sample-period 10000 --out "$tmp/profile_presets.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 \
     --out "$tmp/fuzz_campaign.json" >/dev/null
 
@@ -48,13 +47,13 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
 "$bin_dir/delta_sweep" "${zoo[@]}" --quiet --engine-stats \
     --out "$tmp/es_sweep_zoo.json" >/dev/null
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
-    --sample-period 10000 --engine-stats --out "$tmp/es_profile_presets.json" \
-    --baseline-out "$tmp/es_profile_baseline.json" >/dev/null
+    --sample-period 10000 --engine-stats \
+    --out "$tmp/es_profile_presets.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 --engine-stats \
     --out "$tmp/es_fuzz_campaign.json" >/dev/null
 
 status=0
-for f in sweep_mixed sweep_zoo profile_presets profile_baseline fuzz_campaign; do
+for f in sweep_mixed sweep_zoo profile_presets fuzz_campaign; do
   if cmp -s "$golden/$f.json" "$tmp/$f.json"; then
     echo "ok: $f.json byte-identical"
   else
