@@ -4,7 +4,8 @@
 // cycle count O(min(m,n)) — swept over square system sizes.
 //
 // Gate: every DDU run must finish within Ddu::iteration_bound(), the
-// §4.2.1 claim of at most 2*min(m,n)-3 reduction steps.
+// §4.2.1 claim of at most 2*min(m,n)-3 reduction steps plus the final
+// check.
 #include <cstdio>
 
 #include "deadlock/baselines.h"
