@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -22,6 +27,17 @@ TEST(JsonWriter, EscapesControlCharacters) {
   EXPECT_EQ(one_value_string("a\tb"), "\"a\\tb\"");
   EXPECT_EQ(one_value_string(std::string("a\x01") + "b"), "\"a\\u0001b\"");
   EXPECT_EQ(one_value_string("a\x1f"), "\"a\\u001f\"");
+  // Escapes at the edges of a string and next to each other.
+  EXPECT_EQ(one_value_string("\nab"), "\"\\nab\"");
+  EXPECT_EQ(one_value_string("ab\r"), "\"ab\\r\"");
+  EXPECT_EQ(one_value_string("a\n\tb"), "\"a\\n\\tb\"");
+  EXPECT_EQ(one_value_string(std::string("\x00\x1f", 2)),
+            "\"\\u0000\\u001f\"");
+  // A long plain run on either side of an escape.
+  const std::string run(1000, 'x');
+  EXPECT_EQ(one_value_string(run + "\t" + run),
+            "\"" + run + "\\t" + run + "\"");
+  EXPECT_EQ(one_value_string(run), "\"" + run + "\"");
 }
 
 TEST(JsonWriter, EscapesNonAsciiBytesAsLatin1) {
@@ -36,6 +52,9 @@ TEST(JsonWriter, EscapesNonAsciiBytesAsLatin1) {
 
 TEST(JsonWriter, EscapesQuotesAndBackslashes) {
   EXPECT_EQ(one_value_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(one_value_string("\"a"), "\"\\\"a\"");
+  EXPECT_EQ(one_value_string("a\\"), "\"a\\\\\"");
+  EXPECT_EQ(one_value_string("\"\\"), "\"\\\"\\\\\"");
 }
 
 TEST(JsonWriter, NonFiniteDoublesSerializeAsNull) {
@@ -51,9 +70,76 @@ TEST(JsonWriter, NonFiniteDoublesSerializeAsNull) {
   EXPECT_EQ(w.str(), "[\n  null,\n  null,\n  null,\n  1.5\n]");
 }
 
-TEST(JsonWriter, FiniteDoubleFormattingIsStable) {
-  EXPECT_EQ(format_double(0.1), "0.1");
-  EXPECT_EQ(format_double(1e300), "1e+300");
+/// The reference for the report's number contract: printf "%.12g".
+std::string printf_g12(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
+
+/// Checks format_double and JsonWriter::value(double) against printf for
+/// every finite input. Reports the first few mismatches; returns the count.
+std::size_t printf_mismatches(const std::vector<double>& inputs) {
+  std::size_t bad = 0;
+  for (const double v : inputs) {
+    if (!std::isfinite(v)) continue;
+    const std::string want = printf_g12(v);
+    const std::string formatted = format_double(v);
+    JsonWriter w;
+    w.value(v);
+    if (formatted == want && w.str() == want) continue;
+    if (++bad <= 5)
+      ADD_FAILURE() << std::hexfloat << v << ": printf " << want
+                    << ", format_double " << formatted << ", value "
+                    << w.str();
+  }
+  return bad;
+}
+
+TEST(JsonWriter, FiniteDoublesFormatLikePrintf) {
+  std::mt19937_64 rng(0x5eed);
+  std::vector<double> in = {
+      0.1, 1e300, 0.0, -0.0, 1.0, -1.0, 0.5, 1e12 - 1, -(1e12 - 1), 1e12,
+      -1e12, 1e12 + 1, 999999999999.5, -999999999999.5, 123456789012.25,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), DBL_MAX, -DBL_MAX,
+      9007199254740992.0, -9007199254740992.0};
+  // Random bit patterns: every exponent, subnormals included.
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    in.push_back(v);
+  }
+  // Integers across +-2^53, at every width, plus powers of ten and their
+  // neighbours (the 12-digit boundary of the integral path).
+  for (int width = 1; width <= 53; ++width) {
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t n = (rng() >> (64 - width)) | (1ULL << (width - 1));
+      in.push_back(static_cast<double>(n));
+      in.push_back(-static_cast<double>(n));
+    }
+  }
+  double p10 = 1;
+  for (int k = 0; k <= 16; ++k, p10 *= 10)
+    for (const double d : {-1.0, 0.0, 1.0})
+      for (const double sign : {1.0, -1.0}) in.push_back(sign * (p10 + d));
+  // Dyadic fractions (exact in binary, up to 60 fraction bits) and other
+  // fractions (inexact), across magnitudes a report can hold.
+  for (int shift = 1; shift <= 60; ++shift) {
+    for (int i = 0; i < 2000; ++i) {
+      const double n = static_cast<double>(rng() >> 11);
+      in.push_back(std::ldexp(n, -shift));
+      in.push_back(-std::ldexp(n, -shift - 1));
+    }
+  }
+  for (int i = 0; i < 200'000; ++i) {
+    const double p = static_cast<double>(rng() % 1'000'000'007);
+    const double q = static_cast<double>(rng() % 9999 + 3);
+    const int exp10 = static_cast<int>(rng() % 41) - 20;
+    in.push_back(p / q * std::pow(10.0, exp10));
+  }
+  EXPECT_EQ(printf_mismatches(in), 0U) << "of " << in.size() << " inputs";
 }
 
 TEST(ReportToJson, IncludesMetricsRegistrySection) {
