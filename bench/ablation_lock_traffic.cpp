@@ -44,8 +44,8 @@ Result run(bool soclc) {
                 make_strategy(DeadlockComponent::kNone, 4, 8, cfg.costs),
                 std::move(locks),
                 std::make_unique<SoftwareHeapBackend>(0x1000, 1 << 20,
-                                                      cfg.costs));
-  kernel.set_observer(&obs);
+                                                      cfg.costs),
+                &obs);
 
   // Three PEs contend on one short lock in tight loops: at any moment at
   // least one PE is spinning, which pounds the bus in the software

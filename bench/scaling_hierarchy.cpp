@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
   }
   jw.end_object();
   jw.end_object();
-  const std::string json = jw.str() + "\n";
+  const std::string json = jw.finish();
 
   if (out_path == "-") {
     std::fwrite(json.data(), 1, json.size(), stdout);

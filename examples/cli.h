@@ -5,7 +5,8 @@
 // layout are then uniform across delta_sweep, delta_profile, delta_fuzz
 // and delta_gen. Values stay strings internally; the typed getters
 // (u64/size/integer/list) convert at the call site and reject a value
-// that is not one whole in-range number, naming the flag.
+// that is not one whole in-range number, naming the flag. Every output
+// file goes through write_output, so a failed write is an error exit.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace delta::cli {
@@ -34,6 +36,22 @@ inline std::vector<std::string> split(const std::string& s, char sep) {
     start = end + 1;
   }
   return out;
+}
+
+/// Write `bytes` to `path` ("-" = stdout) and check that all of them
+/// arrived. The file is closed (stdout flushed) before the check, so a
+/// full disk fails here rather than silently at exit. Prints "cannot
+/// write <path>" to stderr and returns false on failure.
+inline bool write_output(const std::string& path, std::string_view bytes) {
+  const bool to_stdout = path == "-";
+  std::FILE* f = to_stdout ? stdout : std::fopen(path.c_str(), "wb");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    ok = (to_stdout ? std::fflush(f) : std::fclose(f)) == 0 && ok;
+  }
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
 }
 
 /// Flag registry + parser. Registration order is usage order.

@@ -29,20 +29,6 @@ using namespace delta;
 
 namespace {
 
-bool write_file(const std::string& path, const std::string& bytes) {
-  if (path == "-") {
-    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return true;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "delta_fuzz: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << bytes;
-  return static_cast<bool>(out);
-}
-
 int replay(const std::string& path, const std::vector<std::string>& pairs,
            const std::string& fault) {
   std::ifstream in(path, std::ios::binary);
@@ -152,7 +138,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(
                       report.engine.queue_footprint_bytes));
     if (!out_path.empty() &&
-        !write_file(out_path, fuzz::campaign_report_json(report)))
+        !cli::write_output(out_path, fuzz::campaign_report_json(report)))
       return 2;
     if (report.clean()) {
       std::printf("delta_fuzz: no divergence found\n");
@@ -171,7 +157,8 @@ int main(int argc, char** argv) {
     }
     if (!repro_path.empty()) {
       const fuzz::Scenario& first = report.failures.front().shrunk;
-      if (!write_file(repro_path, fuzz::scenario_to_json(first))) return 2;
+      if (!cli::write_output(repro_path, fuzz::scenario_to_json(first)))
+        return 2;
       std::printf("delta_fuzz: repro written to %s\n", repro_path.c_str());
     }
     return 1;

@@ -124,12 +124,7 @@ int observe(const soc::DeltaConfig& cfg, bool metrics,
       pt.events = soc.observer().trace.events();
       pt.dropped = soc.observer().trace.dropped();
       const std::string json = obs::chrome_trace_json({pt});
-      std::ofstream out(trace_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-        return 1;
-      }
-      out << json;
+      if (!cli::write_output(trace_path, json)) return 1;
       std::printf("  wrote %s (%zu bytes; open in ui.perfetto.dev)\n",
                   trace_path.c_str(), json.size());
     }

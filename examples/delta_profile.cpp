@@ -56,23 +56,6 @@ exp::Workload scenario_workload(const fuzz::Scenario& s) {
   return w;
 }
 
-bool write_doc(const std::string& path, const std::string& doc,
-               const char* what) {
-  if (path == "-") {
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-    return true;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << doc;
-  std::printf("%s written to %s (%zu bytes)\n", what, path.c_str(),
-              doc.size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,13 +192,18 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  if (!write_doc(out_path, doc, "profile")) return 1;
+  const std::string doc = w.finish();
+  if (!cli::write_output(out_path, doc)) return 1;
+  if (out_path != "-")
+    std::printf("profile written to %s (%zu bytes)\n", out_path.c_str(),
+                doc.size());
 
   if (!chrome_path.empty()) {
     const std::string trace = exp::report_trace_to_chrome_json(report);
-    if (!write_doc(chrome_path, trace, "chrome trace")) return 1;
+    if (!cli::write_output(chrome_path, trace)) return 1;
+    if (chrome_path != "-")
+      std::printf("chrome trace written to %s (%zu bytes)\n",
+                  chrome_path.c_str(), trace.size());
   }
 
   return report.failed() == 0 ? 0 : 1;

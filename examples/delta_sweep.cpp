@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -148,27 +147,14 @@ int main(int argc, char** argv) {
               report.wall_seconds);
 
   const std::string json = exp::report_to_json(spec, report);
-  if (out_path == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-  } else {
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
+  if (!cli::write_output(out_path, json)) return 1;
+  if (out_path != "-")
     std::printf("report written to %s (%zu bytes)\n", out_path.c_str(),
                 json.size());
-  }
 
   if (!trace_path.empty()) {
     const std::string trace = exp::report_trace_to_chrome_json(report);
-    std::ofstream tout(trace_path, std::ios::binary);
-    if (!tout) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    tout << trace;
+    if (!cli::write_output(trace_path, trace)) return 1;
     std::printf("trace written to %s (%zu bytes; open in "
                 "ui.perfetto.dev)\n",
                 trace_path.c_str(), trace.size());

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Malformed-number check for the delta_* CLIs.
+# Bad-argument and failed-write checks for the delta_* CLIs.
 #
 # A numeric flag whose value is not one whole in-range number (junk,
 # trailing junk, a sign on an unsigned flag, overflow) must exit 2 with
 # an error naming the flag, before any simulation runs.
+#
+# A report that cannot be written in full must be an error exit, not a
+# "written" line and exit 0. /dev/full accepts the open and fails every
+# write with ENOSPC, so only a checked close or flush can catch it.
 #
 # usage: check_cli_args.sh <examples-bin-dir>
 set -uo pipefail
@@ -28,6 +32,22 @@ expect_rejected() {
   fi
 }
 
+# expect_write_failure <exit-code> <cli> <args...>
+# Runs with stdout on /dev/full too, which is where "--out -" goes.
+expect_write_failure() {
+  local want=$1 cli=$2 err rc
+  shift 2
+  err=$("$bin_dir/$cli" "$@" 2>&1 >/dev/full)
+  rc=$?
+  if [[ $rc -eq $want && $err == *"cannot write "* ]]; then
+    echo "ok: $cli $* -> exit $rc: $(head -1 <<<"$err")"
+  else
+    echo "WRITE FAILURE MISSED: $cli $* exited $rc (want $want):" \
+         "$(head -1 <<<"$err")" >&2
+    status=1
+  fi
+}
+
 # Each call is cheap even when a value slips through, so a regression
 # fails fast instead of running a full default sweep.
 sweep=(delta_sweep --presets 4 --seeds 1 --quiet --out "$tmp/sweep.json")
@@ -43,4 +63,16 @@ expect_rejected --base-seed "${sweep[@]}" --base-seed 99999999999999999999999
 expect_rejected --seeds "${sweep[@]}" --seeds 3x
 expect_rejected --sample-period "${profile[@]}" --sample-period -5
 expect_rejected --seed "${profile[@]}" --seed ''
+
+expect_write_failure 1 delta_sweep --presets 1 --workloads mixed --seeds 1 \
+    --quiet --out /dev/full
+expect_write_failure 1 delta_sweep --presets 1 --workloads mixed --seeds 1 \
+    --quiet --out -
+expect_write_failure 1 delta_sweep --presets 1 --workloads mixed --seeds 1 \
+    --quiet --out "$tmp/sweep.json" --trace /dev/full
+expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
+    --out /dev/full
+expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
+    --out "$tmp/profile.json" --chrome /dev/full
+expect_write_failure 2 delta_fuzz --runs 2 --seed 1 --out /dev/full
 exit $status

@@ -1,13 +1,45 @@
 #include "exp/json.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
+#include <utility>
 
 namespace delta::exp {
 
 // ------------------------------------------------------------ writer --
+
+namespace {
+
+/// Room for any 64-bit integer and any "%.12g" rendering (the longest,
+/// "-1.23456789012e-308", is 19 bytes).
+constexpr std::size_t kNumberBytes = 32;
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[kNumberBytes];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Write the bytes of printf "%.12g" for `v` into `buf` and return their
+/// end. `to_chars` with chars_format::general and a precision is
+/// specified as exactly that printf conversion in the C locale. Integral
+/// values below 1e12 have at most 12 digits, which "%.12g" prints in
+/// full, so they take the cheaper integer conversion; -0.0 stays on the
+/// floating path, which keeps its sign.
+char* write_double(char (&buf)[kNumberBytes], double v) {
+  if (v > -1e12 && v < 1e12) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v)))
+      return std::to_chars(buf, buf + sizeof buf, i).ptr;
+  }
+  return std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                       12)
+      .ptr;
+}
+
+}  // namespace
 
 void JsonWriter::comma_and_indent() {
   if (pending_key_) {  // value directly after "key":
@@ -22,32 +54,32 @@ void JsonWriter::comma_and_indent() {
   }
 }
 
-void JsonWriter::append_escaped(const std::string& s) {
+void JsonWriter::append_escaped(std::string_view s) {
   out_ += '"';
-  for (const char c : s) {
-    switch (c) {
+  std::size_t plain = 0;  // start of the run of bytes that pass through
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    // Unsigned, so bytes >= 0x80 never sign-extend into the escape.
+    const auto u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u < 0x7f && u != '"' && u != '\\') continue;
+    out_.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (u) {
       case '"': out_ += "\\\""; break;
       case '\\': out_ += "\\\\"; break;
       case '\n': out_ += "\\n"; break;
       case '\t': out_ += "\\t"; break;
       case '\r': out_ += "\\r"; break;
       default: {
-        // Escape through unsigned char: a signed `c` would sign-extend in
-        // snprintf and emit garbage like "￿ff8e" for bytes >= 0x80.
         // Bytes outside printable ASCII are \u-escaped (treated as
         // Latin-1), so the output is always pure-ASCII valid JSON even
         // for arbitrary byte strings.
-        const unsigned int u = static_cast<unsigned char>(c);
-        if (u < 0x20 || u >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", u);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+        out_.append(esc, sizeof esc);
       }
     }
   }
+  out_.append(s.data() + plain, s.size() - plain);
   out_ += '"';
 }
 
@@ -87,7 +119,7 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   comma_and_indent();
   append_escaped(k);
   out_ += ": ";
@@ -95,14 +127,10 @@ JsonWriter& JsonWriter::key(const std::string& k) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   comma_and_indent();
   append_escaped(v);
   return *this;
-}
-
-JsonWriter& JsonWriter::value(const char* v) {
-  return value(std::string(v));
 }
 
 JsonWriter& JsonWriter::value(double v) {
@@ -110,7 +138,8 @@ JsonWriter& JsonWriter::value(double v) {
   // JSON has no NaN/Infinity literals; "%.12g" would happily print them
   // and corrupt the document for strict parsers and report diffing.
   if (std::isfinite(v)) {
-    out_ += format_double(v);
+    char buf[kNumberBytes];
+    out_.append(buf, write_double(buf, v));
   } else {
     out_ += "null";
   }
@@ -125,20 +154,24 @@ JsonWriter& JsonWriter::value(bool v) {
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   comma_and_indent();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma_and_indent();
-  out_ += std::to_string(v);
+  append_integer(out_, v);
   return *this;
 }
 
+std::string JsonWriter::finish() {
+  out_ += '\n';
+  return std::exchange(out_, std::string());
+}
+
 std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+  char buf[kNumberBytes];
+  return std::string(buf, write_double(buf, v));
 }
 
 // ------------------------------------------------------------ report --
@@ -415,9 +448,7 @@ std::string profile_to_json(const obs::ProfileReport& profile,
                             const obs::TimeSeries& series) {
   JsonWriter w;
   write_profile(w, profile, series);
-  std::string out = w.str();
-  out += '\n';
-  return out;
+  return w.finish();
 }
 
 std::string report_to_json(const SweepSpec& spec,
@@ -549,9 +580,7 @@ std::string report_to_json(const SweepSpec& spec,
   }
 
   w.end_object();
-  std::string out = w.str();
-  out += '\n';
-  return out;
+  return w.finish();
 }
 
 }  // namespace delta::exp

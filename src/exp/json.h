@@ -2,12 +2,14 @@
 //
 // A deliberately small streaming writer (the repo has no JSON
 // dependency) plus the report serializer. Number formatting is fixed
-// ("%.12g" doubles, decimal integers) so that the same results always
-// produce the same bytes — the property the determinism tests pin.
+// (doubles exactly as printf "%.12g" in the C locale, decimal integers)
+// so that the same results always produce the same bytes — the property
+// the determinism tests pin.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.h"
@@ -22,26 +24,30 @@ class JsonWriter {
   JsonWriter& begin_array();
   JsonWriter& end_array();
   /// Key inside an object; follow with a value or begin_*.
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v);
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
+  /// Without this, a string literal would convert to bool, not to a view.
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(std::int64_t v);
 
   [[nodiscard]] const std::string& str() const { return out_; }
+  /// The finished document plus a trailing newline, moved out (the
+  /// writer is left empty).
+  [[nodiscard]] std::string finish();
 
  private:
   void comma_and_indent();
-  void append_escaped(const std::string& s);
+  void append_escaped(std::string_view s);
 
   std::string out_;
   std::vector<bool> has_items_;  ///< per open scope
   bool pending_key_ = false;
 };
 
-/// Stable text rendering of a double ("%.12g").
+/// Stable text rendering of a double: the bytes of printf "%.12g".
 [[nodiscard]] std::string format_double(double v);
 
 /// Serialize a finished sweep: the spec echo, every run, and per

@@ -178,7 +178,7 @@ std::string campaign_report_json(const CampaignReport& r) {
     w.end_object();
   }
   w.end_object();
-  return w.str() + "\n";
+  return w.finish();
 }
 
 }  // namespace delta::fuzz

@@ -69,7 +69,7 @@ void write_scenario_value(exp::JsonWriter& w, const Scenario& s) {
 std::string scenario_to_json(const Scenario& s) {
   exp::JsonWriter w;
   write_scenario_value(w, s);
-  return w.str() + "\n";
+  return w.finish();
 }
 
 namespace {

@@ -2,10 +2,10 @@
 // service windows and the op handlers (declarations in rtos/kernel.h).
 //
 // Metric counters and histogram samples are always recorded: the
-// fallback observer guarantees every cached pointer a home. Structured
-// trace records (wait-for edges included) return after one branch while
-// the recorder is disabled, and the host-side engine counters sit
-// behind a single runtime gate, `engine_ != nullptr`.
+// kernel's one observer (given or private) gives every cached pointer a
+// home. Structured trace records (wait-for edges included) return after
+// one branch while the recorder is disabled, and the host-side engine
+// counters sit behind a single runtime gate, `engine_ != nullptr`.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -30,7 +30,8 @@ const char* task_state_name(TaskState s) {
 Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
                std::unique_ptr<DeadlockStrategy> strategy,
                std::unique_ptr<LockBackend> locks,
-               std::unique_ptr<MemoryBackend> memory)
+               std::unique_ptr<MemoryBackend> memory,
+               obs::Observer* observer)
     : sim_(sim),
       bus_(bus),
       cfg_(std::move(cfg)),
@@ -51,13 +52,11 @@ Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
          i < cfg_.resource_count; ++i)
       cfg_.resource_names.push_back("q" + std::to_string(i + 1));
   }
-  own_obs_ = std::make_unique<obs::Observer>();
-  set_observer(own_obs_.get());
-  if (!cfg_.claims.empty()) strategy_->set_claims(cfg_.claims);
-}
-
-void Kernel::set_observer(obs::Observer* o) {
-  obs_ = o != nullptr ? o : own_obs_.get();
+  if (observer == nullptr) {
+    own_obs_ = std::make_unique<obs::Observer>();
+    observer = own_obs_.get();
+  }
+  obs_ = observer;
   obs::MetricsRegistry& m = obs_->metrics;
   lock_latency_ = &m.histogram("lock.latency");
   lock_delay_ = &m.histogram("lock.delay");
@@ -76,6 +75,7 @@ void Kernel::set_observer(obs::Observer* o) {
   strategy_->attach_observer(obs_);
   locks_->attach_observer(obs_);
   memory_->attach_observer(obs_);
+  if (!cfg_.claims.empty()) strategy_->set_claims(cfg_.claims);
 }
 
 void Kernel::set_state(TaskId id, TaskState to) {

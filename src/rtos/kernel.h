@@ -86,10 +86,15 @@ struct KernelConfig {
 /// The kernel (definitions in kernel.cpp).
 class Kernel {
  public:
+  /// `observer` (typically the Mpsoc's) homes every counter and
+  /// histogram of the kernel and of the strategy and lock/memory
+  /// backends; it must outlive the kernel. Null gives the kernel a
+  /// private observer, so metrics always have a home.
   Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
          std::unique_ptr<DeadlockStrategy> strategy,
          std::unique_ptr<LockBackend> locks,
-         std::unique_ptr<MemoryBackend> memory);
+         std::unique_ptr<MemoryBackend> memory,
+         obs::Observer* observer = nullptr);
 
   // ------------------------------------------------------------ tasks --
   TaskId create_task(std::string name, PeId pe, Priority priority,
@@ -188,12 +193,7 @@ class Kernel {
     return *alloc_latency_;
   }
 
-  /// Attach an external observer (typically the Mpsoc's). The kernel
-  /// constructs a private fallback observer so metrics always have a
-  /// home; attaching re-homes every cached counter/histogram and
-  /// forwards the observer to the strategy and lock/memory backends.
-  /// The observer must outlive the kernel.
-  void set_observer(obs::Observer* o);
+  /// The observer given at construction, or the private one.
   [[nodiscard]] obs::Observer& observer() { return *obs_; }
 
   /// Start collecting host-side engine counters on the service path
@@ -254,8 +254,8 @@ class Kernel {
   std::vector<FlatSet<LockId>> held_locks_;
   std::vector<std::uint64_t> queue_send_payload_;
 
-  // Observability. All pointers below index into obs_->metrics and are
-  // re-cached by set_observer(); own_obs_ is the always-present fallback.
+  // Observability. All pointers below index into obs_->metrics, cached
+  // once at construction; own_obs_ is set only when no observer is given.
   std::unique_ptr<obs::Observer> own_obs_;
   obs::Observer* obs_ = nullptr;
   sim::SampleSet* lock_latency_ = nullptr;

@@ -61,7 +61,6 @@ Mpsoc::Mpsoc(MpsocConfig cfg) : cfg_(std::move(cfg)) {
                                           cfg_.bus_timing);
   l2_ = std::make_unique<mem::L2Memory>();
   map_ = bus::AddressMap::base_mpsoc();
-  for (std::size_t pe = 0; pe < cfg_.pe_count; ++pe) l1_.emplace_back();
 
   rtos::KernelConfig kc;
   kc.pe_count = cfg_.pe_count;
@@ -86,11 +85,10 @@ Mpsoc::Mpsoc(MpsocConfig cfg) : cfg_(std::move(cfg)) {
           std::max(cfg_.resources.size(), cfg_.deadlock_unit_resources),
           cfg_.max_tasks, cfg_.costs, bus_.get(), cfg_.pe_count,
           cfg_.deadlock_clusters),
-      make_locks(cfg_), make_memory(cfg_, bus_.get()));
+      make_locks(cfg_), make_memory(cfg_, bus_.get()), &obs_);
 
   if (cfg_.trace_capacity > 0) obs_.trace.enable(cfg_.trace_capacity);
   bus_->set_observer(&obs_);
-  kernel_->set_observer(&obs_);
   if (cfg_.engine_stats) {
     sim_.enable_engine_stats();
     kernel_->enable_engine_counters();

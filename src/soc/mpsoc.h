@@ -2,10 +2,12 @@
 //
 // One object owning the whole modeled system of paper §5.1: the
 // simulator, the shared bus (100 MHz, 3-cycle first word), the 16 MB L2,
-// the address map, per-PE L1 caches, the four resources (VI, IDCT/MPEG,
-// DSP, WI), and the RTOS kernel wired to the configured deadlock
-// strategy, lock backend and memory backend. Construct it through
-// delta_framework.h (the paper's GUI flow) or directly for tests.
+// the address map, the four resources (VI, IDCT/MPEG, DSP, WI), and the
+// RTOS kernel wired to the configured deadlock strategy, lock backend
+// and memory backend. Construct it through delta_framework.h (the
+// paper's GUI flow) or directly for tests. The PEs' L1 caches are not
+// modeled here: no simulated path reads them (bench/ablation_l1_cache
+// drives mem::L1Cache on its own).
 #pragma once
 
 #include <memory>
@@ -14,7 +16,6 @@
 
 #include "bus/address_map.h"
 #include "bus/bus.h"
-#include "mem/l1_cache.h"
 #include "mem/l2_memory.h"
 #include "obs/observer.h"
 #include "obs/timeseries.h"
@@ -120,7 +121,6 @@ class Mpsoc {
   [[nodiscard]] rtos::Kernel& kernel() { return *kernel_; }
   [[nodiscard]] const bus::AddressMap& address_map() const { return map_; }
   [[nodiscard]] const MpsocConfig& config() const { return cfg_; }
-  [[nodiscard]] mem::L1Cache& l1(std::size_t pe) { return l1_.at(pe); }
 
   /// The system-wide observability bundle: every subsystem's counters,
   /// histograms and (when trace_capacity > 0) the structured trace.
@@ -162,7 +162,6 @@ class Mpsoc {
   std::unique_ptr<bus::SharedBus> bus_;
   std::unique_ptr<mem::L2Memory> l2_;
   bus::AddressMap map_;
-  std::vector<mem::L1Cache> l1_;
   std::unique_ptr<rtos::Kernel> kernel_;
   obs::TimeSeries series_;  ///< filled by run() when sample_period > 0
   /// Engine gauges; filled only when sample_period > 0 && engine_stats.

@@ -85,12 +85,5 @@ TEST(Mpsoc, LockAndMemoryComponentsSelectable) {
   EXPECT_EQ(soc.kernel().memory().name(), "SoCDMMU");
 }
 
-TEST(Mpsoc, L1CachesPerPe) {
-  Mpsoc soc{MpsocConfig{}};
-  for (std::size_t pe = 0; pe < 4; ++pe) {
-    EXPECT_EQ(soc.l1(pe).lines(), 1024u);  // 32 KB / 32 B
-  }
-}
-
 }  // namespace
 }  // namespace delta::soc

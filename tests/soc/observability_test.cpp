@@ -1,10 +1,13 @@
 // End-to-end checks of the observability layer on a full Mpsoc: the
-// metrics registry fills from every instrumented subsystem, the trace
-// ring captures typed events, and both are deterministic across
-// identical runs.
+// metrics registry fills from every instrumented subsystem, each kernel
+// counts into exactly one observer, the trace ring captures typed
+// events, and both are deterministic across identical runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "obs/chrome_trace.h"
 #include "soc/mpsoc.h"
@@ -55,6 +58,8 @@ bool has_kind(const std::vector<obs::Event>& ev, obs::EventKind k) {
 
 TEST(Observability, RegistryFillsFromAllSubsystems) {
   Mpsoc soc{traced_config()};
+  // The kernel counts into the system's observer, not a private one.
+  ASSERT_EQ(&soc.kernel().observer(), &soc.observer());
   build_workload(soc);
   soc.run(5'000'000);
   ASSERT_TRUE(soc.kernel().all_finished());
@@ -82,6 +87,68 @@ TEST(Observability, RegistryFillsFromAllSubsystems) {
       EXPECT_EQ(h.count, lat_count);
     }
   EXPECT_TRUE(found);
+}
+
+/// A one-PE kernel on software backends, counting into `o` (null: into
+/// a private observer of its own).
+std::unique_ptr<rtos::Kernel> bare_kernel(sim::Simulator& sim,
+                                          bus::SharedBus& bus,
+                                          obs::Observer* o) {
+  rtos::KernelConfig cfg;
+  cfg.pe_count = 1;
+  auto k = std::make_unique<rtos::Kernel>(
+      sim, bus, cfg,
+      rtos::make_strategy(DeadlockComponent::kNone, 1, cfg.max_tasks,
+                          cfg.costs),
+      std::make_unique<rtos::SoftwarePiLockBackend>(2, cfg.costs),
+      std::make_unique<rtos::SoftwareHeapBackend>(0x1000, 1 << 16,
+                                                  cfg.costs),
+      o);
+  rtos::Program p;
+  p.lock(0).compute(10).unlock(0);
+  k->create_task("t", 0, 1, std::move(p));
+  return k;
+}
+
+TEST(Observability, KernelRegistersOnlyInTheObserverItIsGiven) {
+  sim::Simulator sim;
+  bus::SharedBus bus(2);
+  obs::Observer given;
+  const auto k = bare_kernel(sim, bus, &given);
+  ASSERT_EQ(&k->observer(), &given);
+  // Registered at construction: the kernel's 14 metrics and the software
+  // lock backend's two, each once, in the given registry.
+  std::vector<std::string> names;
+  const obs::MetricsSnapshot at_start = given.metrics.snapshot();
+  for (const auto& [n, v] : at_start.counters) names.push_back(n);
+  for (const auto& [n, h] : at_start.histograms) names.push_back(n);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "deadlock.releases", "deadlock.requests",
+                       "kernel.context_switches", "kernel.preemptions",
+                       "lock.acquires", "lock.contended", "lock.releases",
+                       "lock.spins", "lock.sw.acquires", "lock.sw.enqueues",
+                       "mem.alloc_failures", "mem.allocs", "mem.frees",
+                       "lock.delay", "lock.latency", "mem.alloc_latency"}));
+  EXPECT_EQ(&k->lock_latency(), &given.metrics.histogram("lock.latency"));
+  k->start();
+  sim.run();
+  ASSERT_TRUE(k->all_finished());
+  EXPECT_EQ(given.metrics.counter("lock.acquires").value(), 1u);
+  EXPECT_EQ(given.metrics.counter("lock.sw.acquires").value(), 1u);
+  EXPECT_GT(given.metrics.counter("kernel.context_switches").value(), 0u);
+}
+
+TEST(Observability, BareKernelCountsIntoItsPrivateObserver) {
+  sim::Simulator sim;
+  bus::SharedBus bus(2);
+  const auto k = bare_kernel(sim, bus, nullptr);
+  k->start();
+  sim.run();
+  ASSERT_TRUE(k->all_finished());
+  obs::MetricsRegistry& m = k->observer().metrics;
+  EXPECT_EQ(m.counter("lock.acquires").value(), 1u);
+  EXPECT_EQ(m.counter("lock.sw.acquires").value(), 1u);
+  EXPECT_EQ(k->lock_latency().count(), 1u);
 }
 
 TEST(Observability, TraceCapturesTypedEvents) {

@@ -7,8 +7,8 @@
 // failure_injection_test.cpp and is the fixture every kernel-level suite
 // (including the differential fuzz suites) should reuse instead of
 // re-rolling its own. For whole-MPSoC fixtures use soc::Mpsoc /
-// soc::generate() instead — this one deliberately skips caches, devices
-// and hardware lock/memory units to keep per-test setup cost near zero.
+// soc::generate() instead — this one deliberately skips devices and
+// hardware lock/memory units to keep per-test setup cost near zero.
 #pragma once
 
 #include <memory>
