@@ -14,8 +14,10 @@
 # "engine" members but must not perturb a single other byte.
 #
 # The engine counters themselves are derived from simulated state only,
-# so one --engine-stats report (the fuzz campaign's roll-up) is pinned
-# whole, counters included, in fuzz_campaign_engine.json.
+# so two --engine-stats campaign roll-ups are pinned whole, counters
+# included: the default pairs in fuzz_campaign_engine.json, and the
+# large-geometry pairs (sharded DDU/DAU, Banker's, WFG recovery at up to
+# 64x64) in fuzz_large_engine.json.
 #
 # usage: check_goldens.sh <examples-bin-dir> <golden-dir>
 set -euo pipefail
@@ -51,6 +53,9 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
     --out "$tmp/es_profile_presets.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 --engine-stats \
     --out "$tmp/es_fuzz_campaign.json" >/dev/null
+"$bin_dir/delta_fuzz" --runs 64 --seed 1 --generator large \
+    --pairs ddu-sharded,dau-sharded,bankers-vs-daa,wfg-recovery \
+    --engine-stats --out "$tmp/fuzz_large_engine.json" >/dev/null
 
 status=0
 for f in sweep_mixed sweep_zoo profile_presets fuzz_campaign; do
@@ -71,12 +76,15 @@ for f in sweep_mixed sweep_zoo profile_presets fuzz_campaign; do
     status=1
   fi
 done
-if cmp -s "$golden/fuzz_campaign_engine.json" "$tmp/es_fuzz_campaign.json"; then
-  echo "ok: fuzz_campaign_engine.json byte-identical"
-else
-  echo "GOLDEN MISMATCH: engine counters differ from" \
-       "$golden/fuzz_campaign_engine.json" >&2
-  cmp "$golden/fuzz_campaign_engine.json" "$tmp/es_fuzz_campaign.json" >&2 || true
-  status=1
-fi
+for pin in fuzz_campaign_engine:es_fuzz_campaign \
+           fuzz_large_engine:fuzz_large_engine; do
+  f=${pin%%:*} out="$tmp/${pin#*:}.json"
+  if cmp -s "$golden/$f.json" "$out"; then
+    echo "ok: $f.json byte-identical"
+  else
+    echo "GOLDEN MISMATCH: engine counters differ from $golden/$f.json" >&2
+    cmp "$golden/$f.json" "$out" >&2 || true
+    status=1
+  fi
+done
 exit $status

@@ -7,6 +7,7 @@
 // contains a cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "deadlock/bankers.h"
@@ -157,6 +158,72 @@ TEST(Bankers, MeterChargesSafetyProbes) {
   const OpMeter& m = e.last_meter();
   EXPECT_GT(m.loads, 0u);
   EXPECT_GT(m.branches, 0u);
+}
+
+// The meter is part of the simulated cost (Banker's runs in software on
+// the invoking PE), so its counts are pinned exactly. Fixed-seed traffic
+// mixes declared and claim-everything processes, requests inside and
+// outside the declaration (an undeclared request widens the claim),
+// duplicate requests, cancels and releases whose drains probe parked
+// waiters. The 96x40 case needs a second word per resource bitset.
+struct MeterPin {
+  std::size_t m, n;
+  std::uint64_t seed;
+  int steps;
+  OpMeter meter;  // last_meter() summed over every request/release
+  std::uint64_t grants;  // requester grants plus drained grants
+  std::uint64_t unsafe_refusals;
+};
+
+MeterPin drive_bankers(std::size_t m, std::size_t n, std::uint64_t seed,
+                       int steps) {
+  sim::Rng rng(seed);
+  BankersEngine e(m, n);
+  std::vector<std::vector<ResId>> claims(n);
+  for (ProcId p = 0; p < n; ++p) {
+    if (rng.below(3) == 0) continue;  // claim everything
+    const std::size_t k = 1 + rng.below(std::min<std::size_t>(m, 6));
+    for (std::size_t i = 0; i < k; ++i) claims[p].push_back(rng.below(m));
+    e.declare_claims(p, claims[p]);
+  }
+  MeterPin out{m, n, seed, steps, {}, 0, 0};
+  for (int step = 0; step < steps; ++step) {
+    const ProcId p = static_cast<ProcId>(rng.below(n));
+    const ResId q = claims[p].empty() || rng.below(5) == 0
+                        ? static_cast<ResId>(rng.below(m))
+                        : claims[p][rng.below(claims[p].size())];
+    const Edge edge = e.state().at(q, p);
+    if (edge == Edge::kGrant && rng.below(4) != 0) {
+      out.grants += e.release(p, q).grants.size();
+    } else if (edge == Edge::kRequest && rng.below(4) == 0) {
+      e.cancel_request(p, q);
+      continue;
+    } else {
+      const auto r = e.request(p, q);
+      out.grants += (r.outcome == Outcome::kGranted ? 1 : 0) + r.grants.size();
+    }
+    out.meter += e.last_meter();
+  }
+  out.unsafe_refusals = e.unsafe_refusals();
+  return out;
+}
+
+TEST(Bankers, MeterIsPinnedOnRandomTraffic) {
+  const MeterPin pins[] = {
+      {5, 5, 0x5eed05, 600, {27741, 4791, 834, 21692}, 64, 406},
+      {64, 64, 0x5eed40, 600, {35586601, 286513, 5774, 25269461}, 77, 2994},
+      {96, 40, 0x5eed60, 600, {25529775, 361331, 5094, 18414588}, 80, 2721},
+  };
+  for (const MeterPin& pin : pins) {
+    const MeterPin got = drive_bankers(pin.m, pin.n, pin.seed, pin.steps);
+    SCOPED_TRACE(testing::Message() << pin.m << "x" << pin.n);
+    EXPECT_EQ(got.meter.loads, pin.meter.loads);
+    EXPECT_EQ(got.meter.stores, pin.meter.stores);
+    EXPECT_EQ(got.meter.alu, pin.meter.alu);
+    EXPECT_EQ(got.meter.branches, pin.meter.branches);
+    EXPECT_EQ(got.grants, pin.grants);
+    EXPECT_EQ(got.unsafe_refusals, pin.unsafe_refusals);
+  }
 }
 
 // Property: a Banker-managed state never contains a cycle, regardless
