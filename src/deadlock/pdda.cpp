@@ -1,144 +1,139 @@
 #include "deadlock/pdda.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 namespace delta::deadlock {
 
+ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
+  const std::size_t m = state.resources();
+  const std::size_t w = state.words_per_row();
+  req_.resize(m * w);
+  gnt_.resize(m * w);
+  col_or_.resize(2 * w);
+  std::memcpy(req_.data(), state.row_request_bits(0), m * w * 8);
+  std::memcpy(gnt_.data(), state.row_grant_bits(0), m * w * 8);
+  std::uint64_t* const or_req = col_or_.data();
+  std::uint64_t* const or_gnt = col_or_.data() + w;
+
+  ReductionSummary out;
+  while (true) {
+    // Eqs. 3-4 on rows and columns of the same matrix: a row is terminal
+    // iff it has requests or grants but not both; column t likewise,
+    // from bit t of the OR of all request rows and of all grant rows.
+    std::fill(col_or_.begin(), col_or_.end(), 0);
+    std::size_t term_rows = 0;
+    for (std::size_t s = 0; s < m; ++s) {
+      bool has_r = false, has_g = false;
+      for (std::size_t k = 0; k < w; ++k) {
+        const std::uint64_t r = req_[s * w + k], g = gnt_[s * w + k];
+        has_r |= r != 0;
+        has_g |= g != 0;
+        or_req[k] |= r;
+        or_gnt[k] |= g;
+      }
+      term_rows += has_r != has_g ? 1 : 0;
+    }
+    std::size_t term_cols = 0;
+    for (std::size_t k = 0; k < w; ++k) {
+      or_req[k] ^= or_gnt[k];  // now the terminal-column word
+      term_cols += static_cast<std::size_t>(std::popcount(or_req[k]));
+    }
+    // Eq. 5: no terminal node left -> irreducible.
+    if (term_rows == 0 && term_cols == 0) break;
+    ++out.iterations;
+    out.terminal_rows += term_rows;
+    out.terminal_cols += term_cols;
+
+    // Lines 8-9 of Algorithm 1: every cell of a terminal row or column
+    // clears (the row flags are recomputed; nothing has changed yet).
+    for (std::size_t s = 0; s < m; ++s) {
+      std::uint64_t* const r = &req_[s * w];
+      std::uint64_t* const g = &gnt_[s * w];
+      bool has_r = false, has_g = false;
+      for (std::size_t k = 0; k < w; ++k) {
+        has_r |= r[k] != 0;
+        has_g |= g[k] != 0;
+      }
+      const bool terminal = has_r != has_g;
+      for (std::size_t k = 0; k < w; ++k) {
+        const std::uint64_t keep = terminal ? 0 : ~or_req[k];
+        r[k] &= keep;
+        g[k] &= keep;
+      }
+    }
+  }
+
+  // Algorithm 2: deadlock iff edges remain; note the first one.
+  for (std::size_t s = 0; s < m && !out.edges_remain; ++s) {
+    for (std::size_t k = 0; k < w; ++k) {
+      const std::uint64_t word = req_[s * w + k] | gnt_[s * w + k];
+      if (word == 0) continue;
+      out.edges_remain = true;
+      out.first_row = s;
+      out.first_col =
+          k * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      break;
+    }
+  }
+  return out;
+}
+
+namespace {
+
 // The OpMeter models the serial byte-matrix implementation a compact C
 // port on the MPC755 would use (one load + compares per cell, per
 // Algorithms 1/2), so its counts are defined by that reference code:
 // every count below is the exact aggregate of the per-cell increments
-// the straightforward implementation would make. The scans are
-// data-independent; only the round count and the terminal-row/column
-// clears vary, and those are reproduced exactly. The host-side work,
-// by contrast, runs word-parallel on the request/grant bit-planes
-// (detection executes on every request/release, so it is the hottest
-// code in the all-software presets) and never allocates: the scratch
-// planes are members reused across calls.
+// the straightforward implementation would make. Its scans are
+// data-independent; only the round count, the terminal rows and
+// columns each round clears and the final scan's stopping cell vary,
+// and the reduction summary carries exactly those.
+OpMeter reference_meter(std::size_t m, std::size_t n,
+                        const ReductionSummary& r) {
+  const std::uint64_t mn = m * n;
+  // Every round scans once; the last scan finds no terminal node.
+  const std::uint64_t scans = r.iterations + 1;
+  const std::uint64_t cleared = n * r.terminal_rows + m * r.terminal_cols;
+  // The final scan stops at the first surviving edge (row-major).
+  const std::uint64_t visited =
+      r.edges_remain ? r.first_row * n + r.first_col + 1 : mn;
+  OpMeter o;
+  // Lines 2-6 of Algorithm 2, building the working matrix from the RAG:
+  // per cell one load, one store, index arithmetic and the loop test.
+  o.loads = mn;
+  o.stores = mn;
+  o.alu = 2 * mn;
+  o.branches = mn;
+  // Lines 5-7 of Algorithm 1, per scan. Terminal rows: per cell one
+  // load, two compares plus indexing, one loop test; per row the XOR,
+  // its store and the terminal accumulation. Terminal columns: the
+  // same with rows and columns swapped. Then the line-7 test.
+  o.loads += scans * 2 * mn;
+  o.alu += scans * (6 * mn + 2 * m + 2 * n);
+  o.branches += scans * (2 * mn + m + n + 1);
+  o.stores += scans * (m + n);
+  // Lines 8-9, per reducing round: the terminal-flag load and test per
+  // row and column; per cleared cell the store, indexing and loop test.
+  o.loads += r.iterations * (m + n);
+  o.branches += r.iterations * (m + n) + cleared;
+  o.stores += cleared;
+  o.alu += cleared;
+  // Lines 8-12 of Algorithm 2: the scan for a surviving edge.
+  o.loads += visited;
+  o.alu += visited;
+  o.branches += visited;
+  return o;
+}
+
+}  // namespace
+
 bool SoftwarePdda::detect(const rag::StateMatrix& state) {
-  meter_.reset();
-  iterations_ = 0;
-
-  const std::size_t m = state.resources();
-  const std::size_t n = state.processes();
-  const std::size_t w = state.words_per_row();
-
-  // Lines 2-6 of Algorithm 2: build the working matrix from the RAG.
-  // Modelled cost per cell: one load, one store, index arithmetic, and
-  // the loop test. Host cost: two plane memcpys (rows are contiguous).
-  wreq_.resize(m * w);
-  wgnt_.resize(m * w);
-  if (m != 0 && w != 0) {
-    std::memcpy(wreq_.data(), state.row_request_bits(0), m * w * 8);
-    std::memcpy(wgnt_.data(), state.row_grant_bits(0), m * w * 8);
-  }
-  meter_.loads += m * n;
-  meter_.stores += m * n;
-  meter_.alu += 2 * m * n;
-  meter_.branches += m * n;
-
-  // Algorithm 1: terminal reduction sequence, serial version.
-  row_term_.resize(m);
-  col_term_words_.resize(w);
-  while (true) {
-    bool any_terminal = false;
-
-    // Line 5: terminal rows — a row is terminal iff it has requests or
-    // grants but not both (Eq. 4). Reference cost per cell: one load,
-    // two compares plus indexing, one loop test; per row: the XOR, its
-    // store, and the terminal accumulation.
-    for (std::size_t s = 0; s < m; ++s) {
-      bool has_r = false, has_g = false;
-      for (std::size_t k = 0; k < w; ++k) {
-        has_r |= wreq_[s * w + k] != 0;
-        has_g |= wgnt_[s * w + k] != 0;
-      }
-      row_term_[s] = static_cast<std::uint8_t>(has_r != has_g);
-      any_terminal |= (row_term_[s] != 0);
-    }
-    meter_.loads += m * n;
-    meter_.alu += 3 * m * n + 2 * m;
-    meter_.branches += m * n + m;
-    meter_.stores += m;
-
-    // Line 6: terminal columns. Column t has a request iff bit t of the
-    // OR of all request rows is set (same for grants), so the per-bit
-    // "has_r != has_g" of Eq. 4 is one XOR of the two column ORs.
-    std::size_t term_cols = 0;
-    for (std::size_t k = 0; k < w; ++k) {
-      std::uint64_t or_req = 0, or_gnt = 0;
-      for (std::size_t s = 0; s < m; ++s) {
-        or_req |= wreq_[s * w + k];
-        or_gnt |= wgnt_[s * w + k];
-      }
-      col_term_words_[k] = or_req ^ or_gnt;
-      term_cols += static_cast<std::size_t>(
-          std::popcount(col_term_words_[k]));
-      any_terminal |= (col_term_words_[k] != 0);
-    }
-    meter_.loads += m * n;
-    meter_.alu += 3 * m * n + 2 * n;
-    meter_.branches += m * n + n;
-    meter_.stores += n;
-
-    // Line 7: no more terminals -> irreducible.
-    meter_.branches += 1;
-    if (!any_terminal) break;
-    ++iterations_;
-
-    // Lines 8-9: remove all terminal edges. Reference cost: per
-    // row/column the terminal-flag load and test; per cell of a
-    // terminal row/column the store, indexing, and loop test.
-    std::size_t term_rows = 0;
-    for (std::size_t s = 0; s < m; ++s) {
-      if (!row_term_[s]) continue;
-      ++term_rows;
-      for (std::size_t k = 0; k < w; ++k) {
-        wreq_[s * w + k] = 0;
-        wgnt_[s * w + k] = 0;
-      }
-    }
-    meter_.loads += m;
-    meter_.branches += m + n * term_rows;
-    meter_.stores += n * term_rows;
-    meter_.alu += n * term_rows;
-
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t keep = ~col_term_words_[k];
-      if (keep == ~std::uint64_t{0}) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        wreq_[s * w + k] &= keep;
-        wgnt_[s * w + k] &= keep;
-      }
-    }
-    meter_.loads += n;
-    meter_.branches += n + m * term_cols;
-    meter_.stores += m * term_cols;
-    meter_.alu += m * term_cols;
-  }
-
-  // Lines 8-12 of Algorithm 2: deadlock iff edges remain. The reference
-  // serial scan stops at the first surviving edge (row-major), so the
-  // metered count is the number of cells it would visit.
-  bool edges_remain = false;
-  std::size_t visited = m * n;
-  for (std::size_t s = 0; s < m && !edges_remain; ++s) {
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t word = wreq_[s * w + k] | wgnt_[s * w + k];
-      if (word != 0) {
-        const std::size_t t =
-            k * 64 + static_cast<std::size_t>(std::countr_zero(word));
-        visited = s * n + t + 1;
-        edges_remain = true;
-        break;
-      }
-    }
-  }
-  meter_.loads += visited;
-  meter_.alu += visited;
-  meter_.branches += visited;
-  return edges_remain;
+  const ReductionSummary r = reduce_.run(state);
+  iterations_ = r.iterations;
+  meter_ = reference_meter(state.resources(), state.processes(), r);
+  return r.edges_remain;
 }
 
 }  // namespace delta::deadlock

@@ -16,6 +16,34 @@
 
 namespace delta::deadlock {
 
+/// What one terminal reduction sequence (Algorithm 1) did. The software
+/// PDDA's meter and the DDU's cycle count are functions of these values
+/// plus the geometry.
+struct ReductionSummary {
+  std::size_t iterations = 0;     ///< rounds that removed edges (k of xi)
+  std::size_t terminal_rows = 0;  ///< terminal rows, summed over rounds
+  std::size_t terminal_cols = 0;  ///< terminal columns, summed over rounds
+  bool edges_remain = false;      ///< irreducible residue non-empty
+  rag::ResId first_row = 0;       ///< first surviving cell in row-major
+  rag::ProcId first_col = 0;      ///< order (valid when edges_remain)
+};
+
+/// Algorithm 1 evaluated word-parallel on a copy of a state's
+/// request/grant bit-planes: per round, one pass computes the row
+/// aggregates and ORs the rows into the column aggregates (Eqs. 3-4),
+/// a second clears terminal rows and masks terminal columns. This is
+/// the one reduction loop behind the software PDDA, the DDU model and
+/// the DAU's embedded DDU. The working planes are members reused across
+/// calls, so a warm reducer never allocates.
+class TerminalReduction {
+ public:
+  ReductionSummary run(const rag::StateMatrix& state);
+
+ private:
+  std::vector<std::uint64_t> req_, gnt_;  // m * words, row-major
+  std::vector<std::uint64_t> col_or_;     // request ORs, then grant ORs
+};
+
 /// Serial, instrumented PDDA.
 class SoftwarePdda {
  public:
@@ -39,14 +67,7 @@ class SoftwarePdda {
   SoftwareCostModel model_;
   OpMeter meter_;
   std::size_t iterations_ = 0;
-  // Scratch for detect(), kept across calls so the hot path (detection
-  // runs on every request/release) never allocates. The working matrix
-  // is two bit-planes (request/grant), row-major, mirroring
-  // StateMatrix's own storage.
-  std::vector<std::uint64_t> wreq_;
-  std::vector<std::uint64_t> wgnt_;
-  std::vector<std::uint8_t> row_term_;
-  std::vector<std::uint64_t> col_term_words_;
+  TerminalReduction reduce_;
 };
 
 }  // namespace delta::deadlock

@@ -8,7 +8,7 @@ Dau::Dau(std::size_t resources, std::size_t processes)
     : m_(resources), n_(processes) {
   engine_ = std::make_unique<deadlock::DaaEngine>(
       resources, processes, [this](const rag::StateMatrix& s) {
-        const DduResult r = Ddu::evaluate(s);
+        const DduResult r = Ddu::evaluate(s, probe_scratch_);
         probe_cycles_ += r.cycles;
         // Fault injection (tests): pretend every probe came back safe.
         return grant_fault_ ? false : r.deadlock;

@@ -109,6 +109,7 @@ class Dau {
   void note_command();
 
   std::unique_ptr<deadlock::DaaEngine> engine_;
+  deadlock::TerminalReduction probe_scratch_;  // the embedded DDU's datapath
   std::size_t m_, n_;
   sim::Cycles last_cycles_ = 0;
   sim::Cycles probe_cycles_ = 0;  // accumulated DDU time per event

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace delta::hw {
 
@@ -21,50 +20,13 @@ std::size_t Ddu::iteration_bound() const {
   return k < 2 ? 1 : 2 * k - 3 + 1;  // +1: final all-zero/irreducible check
 }
 
-DduResult Ddu::evaluate(const rag::StateMatrix& state) {
-  const std::size_t m = state.resources();
-  const std::size_t n = state.processes();
-  rag::StateMatrix work = state;
-
+DduResult Ddu::evaluate(const rag::StateMatrix& state,
+                        deadlock::TerminalReduction& scratch) {
+  const deadlock::ReductionSummary r = scratch.run(state);
   DduResult result;
-  // Weight-cell outputs per iteration (tau = terminal, phi = connect).
-  std::vector<std::uint8_t> row_tau(m), col_tau(n);
-  bool any_phi = false;
-
-  while (true) {
-    // Eq. 3: BWO aggregates; Eq. 4: XOR terminal; Eq. 6: AND connect.
-    // All weight cells evaluate simultaneously — one hardware iteration.
-    bool t_iter = false;  // Eq. 5 termination condition
-    any_phi = false;
-    for (rag::ResId s = 0; s < m; ++s) {
-      const bool r = work.row_has_request(s);
-      const bool g = work.row_has_grant(s);
-      row_tau[s] = static_cast<std::uint8_t>(r != g);
-      t_iter |= (r != g);
-      any_phi |= (r && g);
-    }
-    for (rag::ProcId t = 0; t < n; ++t) {
-      const bool r = work.col_has_request(t);
-      const bool g = work.col_has_grant(t);
-      col_tau[t] = static_cast<std::uint8_t>(r != g);
-      t_iter |= (r != g);
-      any_phi |= (r && g);
-    }
-
-    if (!t_iter) break;  // irreducible: stop iterating
-
-    // Matrix cells clear themselves when their row or column weight cell
-    // asserts tau (lines 8-9 of Algorithm 1, in parallel).
-    for (rag::ResId s = 0; s < m; ++s)
-      if (row_tau[s]) work.clear_row(s);
-    for (rag::ProcId t = 0; t < n; ++t)
-      if (col_tau[t]) work.clear_col(t);
-    ++result.iterations;
-  }
-
-  // Eq. 7: D = OR of connect flags once T_iter == 0. Any surviving edge
-  // belongs to a connect node, so any_phi == "edges remain".
-  result.deadlock = any_phi;
+  // Eq. 7: D = OR of connect flags once T_iter == 0, i.e. edges remain.
+  result.deadlock = r.edges_remain;
+  result.iterations = r.iterations;
   // Hardware time: one bus cycle per iteration; the final (non-reducing)
   // evaluation that observes T_iter == 0 and latches D is the same cycle
   // as the last reduction for reducible inputs, and one cycle for
@@ -73,8 +35,13 @@ DduResult Ddu::evaluate(const rag::StateMatrix& state) {
   return result;
 }
 
-DduResult Ddu::run() const {
-  const DduResult r = evaluate(cells_);
+DduResult Ddu::evaluate(const rag::StateMatrix& state) {
+  deadlock::TerminalReduction scratch;
+  return evaluate(state, scratch);
+}
+
+DduResult Ddu::run() {
+  const DduResult r = evaluate(cells_, reduce_);
   if (ctr_runs_ != nullptr) {
     ctr_runs_->add();
     ctr_iterations_->add(r.iterations);

@@ -9,13 +9,18 @@
 // cannot reach.
 //
 // The model is cycle-faithful, not gate-faithful: each iteration costs one
-// bus-clock cycle; the combinational equations are evaluated with
-// word-parallel bit operations and are property-checked equivalent to the
-// reference reduction (tests/hw/ddu_test.cpp).
+// bus-clock cycle. Eqs. 3-7 are evaluated as word-parallel row and column
+// ORs over the request/grant bit-planes, in the one reduction loop shared
+// with the software PDDA (deadlock::TerminalReduction): a round reduces
+// exactly when some weight cell asserts tau (Eq. 5), and once none does,
+// an edge survives exactly when some node is a connect node (Eq. 7). The
+// model is checked against the reference reduction rag::reduce and the
+// DFS cycle oracle (tests/hw/ddu_test.cpp).
 #pragma once
 
 #include <cstdint>
 
+#include "deadlock/pdda.h"
 #include "obs/metrics.h"
 #include "rag/state_matrix.h"
 #include "sim/sim_time.h"
@@ -53,10 +58,15 @@ class Ddu {
 
   /// Start the unit: runs the reduction on a working copy of the cells
   /// (the architectural matrix is preserved, as in the real unit where the
-  /// weight-cell pipeline operates on shadow latches).
-  DduResult run() const;
+  /// weight-cell pipeline operates on shadow latches). The copy lives in
+  /// scratch the unit owns, so a run allocates nothing.
+  DduResult run();
 
-  /// Convenience: run on an arbitrary state without loading it.
+  /// Run the unit's datapath on an arbitrary state, in `scratch`.
+  static DduResult evaluate(const rag::StateMatrix& state,
+                            deadlock::TerminalReduction& scratch);
+
+  /// Convenience: the same with fresh scratch.
   static DduResult evaluate(const rag::StateMatrix& state);
 
   /// Proven upper bound on iterations: 2*min(m,n) - 3 (paper §4.2.1).
@@ -68,6 +78,7 @@ class Ddu {
 
  private:
   rag::StateMatrix cells_;
+  deadlock::TerminalReduction reduce_;
   obs::Counter* ctr_runs_ = nullptr;
   obs::Counter* ctr_iterations_ = nullptr;
 };

@@ -149,7 +149,7 @@ class PddaSoftwareStrategy final : public GrantingManagerBase {
 // The two DDU shapes behind one adapter. A detection run reports its
 // verdict, the unit's cycles and any software residue for the invoking
 // PE; the monolithic unit never has a residue.
-hw::ShardedDduResult run_unit(const hw::Ddu& ddu, ResourceId) {
+hw::ShardedDduResult run_unit(hw::Ddu& ddu, ResourceId) {
   const hw::DduResult r = ddu.run();
   hw::ShardedDduResult out;
   out.deadlock = r.deadlock;
