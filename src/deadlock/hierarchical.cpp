@@ -7,7 +7,6 @@
 
 namespace delta::deadlock {
 
-using rag::Edge;
 using rag::ProcId;
 using rag::ResId;
 
@@ -45,8 +44,11 @@ std::size_t ClusterMap::default_clusters(std::size_t resources) {
 
 HierarchicalDetector::HierarchicalDetector(ClusterMap map,
                                            SoftwareCostModel model)
-    : map_(std::move(map)), pdda_(model) {
-  const std::size_t words = (map_.processes() + 63) / 64;
+    : map_(std::move(map)),
+      pdda_(model),
+      comp_mask_((map_.processes() + 63) / 64),
+      col_of_(map_.processes()) {
+  const std::size_t words = comp_mask_.size();
   proc_mask_.assign(map_.clusters() * words, 0);
   for (std::size_t c = 0; c < map_.clusters(); ++c) {
     const std::size_t b = map_.process_begin(c);
@@ -99,19 +101,33 @@ bool HierarchicalDetector::scan_remote(const rag::StateMatrix& full) {
   return any;
 }
 
+void HierarchicalDetector::copy_rows(const rag::StateMatrix& full,
+                                     std::size_t rb, std::size_t count,
+                                     std::size_t row0,
+                                     const std::uint64_t* mask) {
+  const std::size_t words = full.words_per_row();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* req = full.row_request_bits(rb + i);
+    const std::uint64_t* gnt = full.row_grant_bits(rb + i);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t b = req[w] & mask[w]; b != 0; b &= b - 1)
+        sub_.add_request(col_of_[w * 64 + std::countr_zero(b)], row0 + i);
+      for (std::uint64_t b = gnt[w] & mask[w]; b != 0; b &= b - 1)
+        sub_.add_grant(row0 + i, col_of_[w * 64 + std::countr_zero(b)]);
+    }
+  }
+}
+
 void HierarchicalDetector::run_local(const rag::StateMatrix& full,
                                      std::size_t c, HierOutcome& out) {
-  const std::size_t rb = map_.resource_begin(c);
   const std::size_t rc = map_.resource_count(c);
   const std::size_t pb = map_.process_begin(c);
   const std::size_t pc = map_.process_count(c);
-  rag::StateMatrix sub(rc, pc);
-  for (std::size_t i = 0; i < rc; ++i)
-    for (std::size_t j = 0; j < pc; ++j) {
-      const Edge e = full.at(rb + i, pb + j);
-      if (e != Edge::kNone) sub.set(i, j, e);
-    }
-  const bool dl = pdda_.detect(sub);
+  for (std::size_t j = 0; j < pc; ++j) col_of_[pb + j] = j;
+  sub_.reset(rc, pc);
+  copy_rows(full, map_.resource_begin(c), rc, 0,
+            &proc_mask_[c * comp_mask_.size()]);
+  const bool dl = pdda_.detect(sub_);
   out.deadlock |= dl;
   out.local_units += 1;
   out.local_iterations = std::max(out.local_iterations,
@@ -127,32 +143,38 @@ void HierarchicalDetector::run_local(const rag::StateMatrix& full,
 void HierarchicalDetector::run_residue(const rag::StateMatrix& full,
                                        std::size_t k, HierOutcome& out) {
   const std::size_t root = find(k);
-  std::vector<std::size_t> member;
-  for (std::size_t c = 0; c < map_.clusters(); ++c)
-    if (find(c) == root) member.push_back(c);
+  const std::size_t words = comp_mask_.size();
 
-  // Index remaps for the component submatrix. The component is closed
-  // (every edge incident to its rows/columns stays inside it), so the
-  // reduction residue over it matches the full matrix restricted to it.
-  std::vector<std::size_t> rows, cols;
-  for (const std::size_t c : member) {
-    for (std::size_t i = 0; i < map_.resource_count(c); ++i)
-      rows.push_back(map_.resource_begin(c) + i);
+  // The component submatrix keeps the member clusters' rows and columns
+  // in ascending order (clusters are contiguous index blocks). The
+  // component is closed (every edge incident to its rows/columns stays
+  // inside it), so the reduction residue over it matches the full
+  // matrix restricted to it.
+  std::size_t members = 0, rows = 0, cols = 0;
+  std::fill(comp_mask_.begin(), comp_mask_.end(), 0);
+  for (std::size_t c = 0; c < map_.clusters(); ++c) {
+    if (find(c) != root) continue;
+    ++members;
+    rows += map_.resource_count(c);
     for (std::size_t j = 0; j < map_.process_count(c); ++j)
-      cols.push_back(map_.process_begin(c) + j);
+      col_of_[map_.process_begin(c) + j] = cols++;
+    for (std::size_t w = 0; w < words; ++w)
+      comp_mask_[w] |= proc_mask_[c * words + w];
   }
-  rag::StateMatrix sub(rows.size(), cols.size());
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      const Edge e = full.at(rows[i], cols[j]);
-      if (e != Edge::kNone) sub.set(i, j, e);
-    }
+  sub_.reset(rows, cols);
+  std::size_t row0 = 0;
+  for (std::size_t c = 0; c < map_.clusters(); ++c) {
+    if (find(c) != root) continue;
+    copy_rows(full, map_.resource_begin(c), map_.resource_count(c), row0,
+              comp_mask_.data());
+    row0 += map_.resource_count(c);
+  }
 
-  out.deadlock |= pdda_.detect(sub);
+  out.deadlock |= pdda_.detect(sub_);
   out.escalated = true;
-  out.residue_clusters += member.size();
-  out.residue_resources += rows.size();
-  out.residue_processes += cols.size();
+  out.residue_clusters += members;
+  out.residue_resources += rows;
+  out.residue_processes += cols;
   // The residue runs in software on the invoking PE; multiple residues
   // (detect_all) execute serially, so the cost is a sum.
   out.residue_sw_cycles += pdda_.last_cycles();
@@ -175,11 +197,11 @@ HierOutcome HierarchicalDetector::detect_all(const rag::StateMatrix& full) {
   HierOutcome out;
   for (std::size_t c = 0; c < map_.clusters(); ++c) run_local(full, c, out);
   if (scan_remote(full)) {
-    std::vector<std::uint8_t> done(map_.clusters(), 0);
+    done_.assign(map_.clusters(), 0);
     for (std::size_t c = 0; c < map_.clusters(); ++c) {
       const std::size_t root = find(c);
-      if (incident_[c] == 0 || done[root] != 0) continue;
-      done[root] = 1;
+      if (incident_[c] == 0 || done_[root] != 0) continue;
+      done_[root] = 1;
       run_residue(full, root, out);
     }
   }

@@ -7,14 +7,18 @@
 
 namespace delta::rag {
 
-StateMatrix::StateMatrix(std::size_t resources, std::size_t processes)
-    : m_(resources),
-      n_(processes),
-      words_((processes + 63) / 64),
-      req_(m_ * words_, 0),
-      gnt_(m_ * words_, 0) {
+StateMatrix::StateMatrix(std::size_t resources, std::size_t processes) {
+  reset(resources, processes);
+}
+
+void StateMatrix::reset(std::size_t resources, std::size_t processes) {
   if (resources == 0 || processes == 0)
     throw std::invalid_argument("StateMatrix: dimensions must be positive");
+  m_ = resources;
+  n_ = processes;
+  words_ = (processes + 63) / 64;
+  req_.assign(m_ * words_, 0);
+  gnt_.assign(m_ * words_, 0);
 }
 
 std::size_t StateMatrix::word_index(ResId s, ProcId t) const {

@@ -25,6 +25,10 @@ class StateMatrix {
   /// Construct an all-zero matrix for `resources` rows x `processes` cols.
   StateMatrix(std::size_t resources, std::size_t processes);
 
+  /// Become an all-zero `resources` x `processes` matrix, keeping the
+  /// storage when it is large enough (scratch matrices reshape per call).
+  void reset(std::size_t resources, std::size_t processes);
+
   [[nodiscard]] std::size_t resources() const { return m_; }  ///< rows (m)
   [[nodiscard]] std::size_t processes() const { return n_; }  ///< cols (n)
 
