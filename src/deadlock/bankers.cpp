@@ -1,6 +1,8 @@
 #include "deadlock/bankers.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace delta::deadlock {
 
@@ -8,19 +10,41 @@ using rag::Edge;
 using rag::ProcId;
 using rag::ResId;
 
+namespace {
+
+std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << (i % 64); }
+
+}  // namespace
+
 BankersEngine::BankersEngine(std::size_t resources, std::size_t processes)
     : state_(resources, processes),
-      claim_(processes, std::vector<std::uint8_t>(resources, 0)),
-      claim_all_(processes, 1),
-      priority_(processes, 0) {
+      words_((resources + 63) / 64),
+      claims_(processes * words_, 0),
+      priority_(processes, 0),
+      held_(processes * words_, 0),
+      freed_(words_, 0),
+      done_(processes, 0) {
   // Default priorities: p1 highest, i.e. priority == index (DaaEngine).
-  for (ProcId p = 0; p < processes; ++p) priority_[p] = static_cast<int>(p);
+  for (ProcId p = 0; p < processes; ++p) {
+    priority_[p] = static_cast<int>(p);
+    declare_claims(p, {});
+  }
 }
 
 void BankersEngine::declare_claims(ProcId p, const std::vector<ResId>& rs) {
-  std::fill(claim_.at(p).begin(), claim_.at(p).end(), 0);
-  claim_all_.at(p) = rs.empty() ? 1 : 0;
-  for (ResId q : rs) claim_[p].at(q) = 1;
+  // Check every id before writing, so a rejected declaration leaves the
+  // one it would have replaced intact.
+  const std::size_t m = state_.resources();
+  if (p >= state_.processes())
+    throw std::out_of_range("BankersEngine::declare_claims: process id");
+  for (ResId q : rs)
+    if (q >= m)
+      throw std::out_of_range("BankersEngine::declare_claims: resource id");
+  std::uint64_t* claim = &claims_[p * words_];
+  std::fill(claim, claim + words_, 0);
+  if (rs.empty())
+    for (ResId q = 0; q < m; ++q) claim[q / 64] |= bit(q);
+  for (ResId q : rs) claim[q / 64] |= bit(q);
 }
 
 void BankersEngine::set_priority(ProcId p, int priority) {
@@ -28,54 +52,75 @@ void BankersEngine::set_priority(ProcId p, int priority) {
 }
 
 bool BankersEngine::claimed(ProcId p, ResId q) const {
-  return claim_all_[p] != 0 || claim_[p][q] != 0;
+  return (claims_[p * words_ + q / 64] & bit(q)) != 0;
 }
 
+// The meter counts what the reference serial check does: per resource
+// one load and store to initialise `freed`; per process tested in a
+// sweep, a done-flag load and test, then per resource visited three
+// loads (claim, cell, freed) and two tests until the first claimed
+// resource that is neither held nor free (or all m), and the can-finish
+// test; per finishing process a store, then one load and test per
+// resource and one store per resource it releases. The host evaluates
+// the same decisions on resource bitsets.
 bool BankersEngine::is_safe() {
   const std::size_t m = state_.resources();
   const std::size_t n = state_.processes();
-  std::vector<std::uint8_t> freed(m, 0);
-  std::vector<std::uint8_t> done(n, 0);
+  // Transpose the grant plane once: held_ is each process's holdings,
+  // and a resource nobody holds starts out free.
+  std::fill(held_.begin(), held_.end(), 0);
+  std::fill(freed_.begin(), freed_.end(), 0);
   for (ResId s = 0; s < m; ++s) {
-    freed[s] = static_cast<std::uint8_t>(state_.owner(s) == rag::kNoProc);
-    meter_.loads += 1;
-    meter_.stores += 1;
+    const std::uint64_t* gnt = state_.row_grant_bits(s);
+    bool owned = false;
+    for (std::size_t k = 0; k < state_.words_per_row(); ++k)
+      for (std::uint64_t b = gnt[k]; b != 0; b &= b - 1) {
+        const ProcId t = k * 64 + std::countr_zero(b);
+        held_[t * words_ + s / 64] |= bit(s);
+        owned = true;
+      }
+    if (!owned) freed_[s / 64] |= bit(s);
   }
+  meter_.loads += m;
+  meter_.stores += m;
   // A process can finish if every *claimed but not yet held* resource is
   // currently free; finishing releases its holdings. Safe iff all finish.
+  std::fill(done_.begin(), done_.end(), 0);
+  std::size_t finished = 0;
   bool progress = true;
   while (progress) {
     progress = false;
     for (ProcId t = 0; t < n; ++t) {
       meter_.loads += 1;
       meter_.branches += 1;
-      if (done[t]) continue;
-      bool can_finish = true;
-      for (ResId s = 0; s < m; ++s) {
-        meter_.loads += 3;
-        meter_.branches += 2;
-        if (claimed(t, s) && state_.at(s, t) != Edge::kGrant && !freed[s]) {
-          can_finish = false;
-          break;
-        }
+      if (done_[t]) continue;
+      const std::uint64_t* claim = &claims_[t * words_];
+      const std::uint64_t* held = &held_[t * words_];
+      bool blocked = false;
+      std::size_t visited = m;
+      for (std::size_t k = 0; k < words_ && !blocked; ++k) {
+        const std::uint64_t need = claim[k] & ~held[k] & ~freed_[k];
+        if (need == 0) continue;
+        blocked = true;
+        visited = k * 64 + std::countr_zero(need) + 1;
       }
-      meter_.branches += 1;
-      if (!can_finish) continue;
-      done[t] = 1;
+      meter_.loads += 3 * visited;
+      meter_.branches += 2 * visited + 1;
+      if (blocked) continue;
+      done_[t] = 1;
+      ++finished;
       progress = true;
-      meter_.stores += 1;
-      for (ResId s = 0; s < m; ++s) {
-        meter_.loads += 1;
-        meter_.branches += 1;
-        if (state_.at(s, t) == Edge::kGrant) {
-          freed[s] = 1;
-          meter_.stores += 1;
-        }
+      std::size_t released = 0;
+      for (std::size_t k = 0; k < words_; ++k) {
+        freed_[k] |= held[k];
+        released += static_cast<std::size_t>(std::popcount(held[k]));
       }
+      meter_.loads += m;
+      meter_.branches += m;
+      meter_.stores += 1 + released;
     }
   }
-  return std::all_of(done.begin(), done.end(),
-                     [](std::uint8_t d) { return d != 0; });
+  return finished == n;
 }
 
 BankersEngine::Result BankersEngine::request(ProcId p, ResId q) {
@@ -98,7 +143,7 @@ BankersEngine::Result BankersEngine::request(ProcId p, ResId q) {
   meter_.loads += 1;
   meter_.branches += 1;
   if (!claimed(p, q)) {
-    claim_[p][q] = 1;
+    claims_[p * words_ + q / 64] |= bit(q);
     meter_.stores += 1;
   }
 
@@ -157,15 +202,23 @@ void BankersEngine::drain(Result& res) {
       meter_.loads += 1;
       meter_.branches += 1;
       if (state_.owner(s) != rag::kNoProc) continue;
-      std::vector<ProcId> w = state_.waiters(s);
+      waiters_.clear();
+      const std::uint64_t* req = state_.row_request_bits(s);
+      for (std::size_t k = 0; k < state_.words_per_row(); ++k)
+        for (std::uint64_t b = req[k]; b != 0; b &= b - 1)
+          waiters_.push_back(k * 64 + std::countr_zero(b));
       meter_.loads += state_.processes();
       meter_.branches += state_.processes();
-      std::stable_sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
-        return priority_[a] < priority_[b];  // smaller value = higher prio
+      // Stable by priority (smaller value = higher priority): the waiters
+      // were collected in process order, so breaking ties on the index
+      // gives the stable order without a merge buffer.
+      std::sort(waiters_.begin(), waiters_.end(), [this](ProcId a, ProcId b) {
+        return priority_[a] != priority_[b] ? priority_[a] < priority_[b]
+                                            : a < b;
       });
-      meter_.alu += 2 * w.size();
-      meter_.loads += 2 * w.size();
-      for (ProcId cand : w) {
+      meter_.alu += 2 * waiters_.size();
+      meter_.loads += 2 * waiters_.size();
+      for (ProcId cand : waiters_) {
         state_.clear(s, cand);
         state_.add_grant(s, cand);
         meter_.stores += 2;

@@ -25,7 +25,8 @@ class BankersEngine {
 
   /// Declare the full claim set of process p (every resource it may ever
   /// request). Replaces any previous declaration; an empty `rs` restores
-  /// the conservative claim-everything default.
+  /// the conservative claim-everything default. An out-of-range id throws
+  /// std::out_of_range and leaves the previous declaration in place.
   void declare_claims(rag::ProcId p, const std::vector<rag::ResId>& rs);
 
   /// Smaller value == higher priority (matches DaaEngine).
@@ -83,12 +84,19 @@ class BankersEngine {
 
  private:
   rag::StateMatrix state_;  // grants = holdings, requests = parked waiters
-  std::vector<std::vector<std::uint8_t>> claim_;  // [p][q]
-  std::vector<std::uint8_t> claim_all_;           // p has no declaration
+  std::size_t words_;       // 64-bit words per resource bitset
+  // Claims of process p: resource bitset words [p * words_, +words_).
+  // No declaration (claim everything) is the all-ones set.
+  std::vector<std::uint64_t> claims_;
   std::vector<int> priority_;
   OpMeter meter_;
   bool force_unsafe_ = false;
   std::uint64_t unsafe_refusals_ = 0;
+  // Scratch reused across calls, so a warm safety check never allocates.
+  std::vector<std::uint64_t> held_;   // resources each process holds
+  std::vector<std::uint64_t> freed_;  // resources free in the check
+  std::vector<std::uint8_t> done_;    // process can finish
+  std::vector<rag::ProcId> waiters_;  // drain(): one resource's waiters
 
   [[nodiscard]] bool claimed(rag::ProcId p, rag::ResId q) const;
   /// Grant every safe (resource, waiter) pair until no more commit.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "deadlock/bankers.h"
@@ -158,6 +159,17 @@ TEST(Bankers, MeterChargesSafetyProbes) {
   const OpMeter& m = e.last_meter();
   EXPECT_GT(m.loads, 0u);
   EXPECT_GT(m.branches, 0u);
+}
+
+TEST(Bankers, RejectedDeclarationKeepsPreviousClaims) {
+  // An out-of-range id rejects the whole declaration before anything is
+  // written: p1 keeps its claim-everything default, so after p1 takes r0
+  // the crossed grant of r1 to p0 is still unsafe, as on a fresh engine.
+  BankersEngine e(2, 2);
+  EXPECT_THROW(e.declare_claims(1, {0, 99}), std::out_of_range);
+  EXPECT_THROW(e.declare_claims(2, {0}), std::out_of_range);
+  ASSERT_EQ(e.request(1, 0).outcome, Outcome::kGranted);
+  EXPECT_EQ(e.request(0, 1).outcome, Outcome::kRefusedUnsafe);
 }
 
 // The meter is part of the simulated cost (Banker's runs in software on
