@@ -16,6 +16,16 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
   std::memcpy(gnt_.data(), state.row_grant_bits(0), m * w * 8);
   std::uint64_t* const or_req = col_or_.data();
   std::uint64_t* const or_gnt = col_or_.data() + w;
+  // Only rows that still hold an edge take part: an empty row is never
+  // terminal and adds nothing to the column ORs. The list stays in
+  // ascending order.
+  live_.clear();
+  for (std::size_t s = 0; s < m; ++s)
+    for (std::size_t k = 0; k < w; ++k)
+      if ((req_[s * w + k] | gnt_[s * w + k]) != 0) {
+        live_.push_back(s);
+        break;
+      }
 
   ReductionSummary out;
   while (true) {
@@ -24,7 +34,7 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
     // from bit t of the OR of all request rows and of all grant rows.
     std::fill(col_or_.begin(), col_or_.end(), 0);
     std::size_t term_rows = 0;
-    for (std::size_t s = 0; s < m; ++s) {
+    for (const std::size_t s : live_) {
       bool has_r = false, has_g = false;
       for (std::size_t k = 0; k < w; ++k) {
         const std::uint64_t r = req_[s * w + k], g = gnt_[s * w + k];
@@ -48,7 +58,9 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
 
     // Lines 8-9 of Algorithm 1: every cell of a terminal row or column
     // clears (the row flags are recomputed; nothing has changed yet).
-    for (std::size_t s = 0; s < m; ++s) {
+    // Rows left empty drop out of the live list.
+    std::size_t kept = 0;
+    for (const std::size_t s : live_) {
       std::uint64_t* const r = &req_[s * w];
       std::uint64_t* const g = &gnt_[s * w];
       bool has_r = false, has_g = false;
@@ -56,22 +68,27 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
         has_r |= r[k] != 0;
         has_g |= g[k] != 0;
       }
-      const bool terminal = has_r != has_g;
+      if (has_r != has_g) continue;  // terminal row: every cell clears
+      std::uint64_t left = 0;
       for (std::size_t k = 0; k < w; ++k) {
-        const std::uint64_t keep = terminal ? 0 : ~or_req[k];
-        r[k] &= keep;
-        g[k] &= keep;
+        r[k] &= ~or_req[k];
+        g[k] &= ~or_req[k];
+        left |= r[k] | g[k];
       }
+      if (left != 0) live_[kept++] = s;
     }
+    live_.resize(kept);
   }
 
-  // Algorithm 2: deadlock iff edges remain; note the first one.
-  for (std::size_t s = 0; s < m && !out.edges_remain; ++s) {
+  // Algorithm 2: deadlock iff edges remain; note the first one (the
+  // live rows are exactly the non-empty ones, in ascending order).
+  if (!live_.empty()) {
+    const std::size_t s = live_.front();
+    out.edges_remain = true;
+    out.first_row = s;
     for (std::size_t k = 0; k < w; ++k) {
       const std::uint64_t word = req_[s * w + k] | gnt_[s * w + k];
       if (word == 0) continue;
-      out.edges_remain = true;
-      out.first_row = s;
       out.first_col =
           k * 64 + static_cast<std::size_t>(std::countr_zero(word));
       break;

@@ -42,6 +42,7 @@ class TerminalReduction {
  private:
   std::vector<std::uint64_t> req_, gnt_;  // m * words, row-major
   std::vector<std::uint64_t> col_or_;     // request ORs, then grant ORs
+  std::vector<std::size_t> live_;         // rows that still hold an edge
 };
 
 /// Serial, instrumented PDDA.
