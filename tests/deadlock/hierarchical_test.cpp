@@ -133,7 +133,7 @@ TEST(Hierarchical, ChainStateStaysDeadlockFree) {
 TEST(Hierarchical, DetectEventMatchesOracleOnIncrementalWalks) {
   sim::Rng rng(31337);
   const struct { std::size_t m, n, c; } geoms[] = {
-      {16, 16, 4}, {64, 64, 8}, {40, 24, 5}};
+      {16, 16, 4}, {64, 64, 8}, {40, 24, 5}, {80, 130, 9}};
   for (const auto& g : geoms) {
     HierarchicalDetector det(ClusterMap(g.m, g.n, g.c));
     rag::StateMatrix s(g.m, g.n);

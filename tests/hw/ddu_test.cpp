@@ -80,15 +80,24 @@ class DduEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DduEquivalenceTest, MatchesReferenceAndSoftware) {
   sim::Rng rng(GetParam());
   deadlock::SoftwarePdda pdda;
-  for (int i = 0; i < 150; ++i) {
-    const std::size_t m = 2 + rng.below(8);
-    const std::size_t n = 2 + rng.below(8);
-    const StateMatrix s = rag::random_state(m, n, rng);
+  const auto check = [&pdda](const StateMatrix& s) {
     const DduResult r = Ddu::evaluate(s);
     EXPECT_EQ(r.deadlock, rag::has_deadlock(s)) << s.to_string();
     EXPECT_EQ(r.deadlock, pdda.detect(s)) << s.to_string();
     EXPECT_EQ(r.iterations, rag::reduce(s).steps) << s.to_string();
+    EXPECT_EQ(pdda.last_iterations(), r.iterations) << s.to_string();
+  };
+  for (int i = 0; i < 150; ++i) {
+    const std::size_t m = 2 + rng.below(8);
+    const std::size_t n = 2 + rng.below(8);
+    check(rag::random_state(m, n, rng));
   }
+  // Rows spanning a second and third 64-bit word, at about one request
+  // per row so some states deadlock and some reduce away.
+  const struct { std::size_t m, n; } wide[] = {{70, 70}, {65, 130}, {130, 65}};
+  for (const auto& g : wide)
+    for (int i = 0; i < 8; ++i)
+      check(rag::random_state(g.m, g.n, rng, 0.5, 1.0 / double(g.n)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DduEquivalenceTest,

@@ -17,7 +17,7 @@ namespace {
 TEST(ShardedDdu, RunAllMatchesMonolithicOnRandomStates) {
   sim::Rng rng(2024);
   const struct { std::size_t m, n, c; } geoms[] = {
-      {16, 16, 4}, {64, 64, 8}, {96, 40, 6}};
+      {16, 16, 4}, {64, 64, 8}, {96, 40, 6}, {80, 130, 9}};
   for (const auto& g : geoms) {
     ShardedDdu unit(g.m, g.n, g.c);
     for (int i = 0; i < 30; ++i) {

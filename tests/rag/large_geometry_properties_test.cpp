@@ -96,8 +96,10 @@ TEST(LargeGeometry, WorstCaseIterationCountScalesAsTableOne) {
 
 // Protocol-zoo properties at scale (ROADMAP item 3): the wait-for-graph
 // scan and the Banker's engine must keep their contracts on geometries
-// up to 64x64, where the matrices span several 64-bit words.
-const Geometry kZooGeometries[] = {{32, 32}, {48, 64}, {64, 48}, {64, 64}};
+// up to 64x64 and on 96 resources, whose Banker's resource bitsets span
+// two 64-bit words.
+const Geometry kZooGeometries[] = {
+    {32, 32}, {48, 64}, {64, 48}, {64, 64}, {96, 40}};
 
 TEST_P(LargeGeometryTest, WfgVerdictAgreesWithOracleAtScale) {
   for (const Geometry& g : kZooGeometries) {
