@@ -32,9 +32,12 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
     // Eqs. 3-4 on rows and columns of the same matrix: a row is terminal
     // iff it has requests or grants but not both; column t likewise,
     // from bit t of the OR of all request rows and of all grant rows.
+    // Every cell of a terminal row clears (lines 8-9 of Algorithm 1), so
+    // the row simply leaves the live list; its words are never read again.
     std::fill(col_or_.begin(), col_or_.end(), 0);
-    std::size_t term_rows = 0;
-    for (const std::size_t s : live_) {
+    std::size_t term_rows = 0, kept = 0;
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      const std::size_t s = live_[i];
       bool has_r = false, has_g = false;
       for (std::size_t k = 0; k < w; ++k) {
         const std::uint64_t r = req_[s * w + k], g = gnt_[s * w + k];
@@ -43,8 +46,10 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
         or_req[k] |= r;
         or_gnt[k] |= g;
       }
-      term_rows += has_r != has_g ? 1 : 0;
+      if (has_r != has_g) ++term_rows;
+      else live_[kept++] = s;
     }
+    live_.resize(kept);
     std::size_t term_cols = 0;
     for (std::size_t k = 0; k < w; ++k) {
       or_req[k] ^= or_gnt[k];  // now the terminal-column word
@@ -56,24 +61,15 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
     out.terminal_rows += term_rows;
     out.terminal_cols += term_cols;
 
-    // Lines 8-9 of Algorithm 1: every cell of a terminal row or column
-    // clears (the row flags are recomputed; nothing has changed yet).
-    // Rows left empty drop out of the live list.
-    std::size_t kept = 0;
+    // Lines 8-9: terminal columns clear in the rows that stay; rows left
+    // empty drop out of the live list.
+    kept = 0;
     for (const std::size_t s : live_) {
-      std::uint64_t* const r = &req_[s * w];
-      std::uint64_t* const g = &gnt_[s * w];
-      bool has_r = false, has_g = false;
-      for (std::size_t k = 0; k < w; ++k) {
-        has_r |= r[k] != 0;
-        has_g |= g[k] != 0;
-      }
-      if (has_r != has_g) continue;  // terminal row: every cell clears
       std::uint64_t left = 0;
       for (std::size_t k = 0; k < w; ++k) {
-        r[k] &= ~or_req[k];
-        g[k] &= ~or_req[k];
-        left |= r[k] | g[k];
+        req_[s * w + k] &= ~or_req[k];
+        gnt_[s * w + k] &= ~or_req[k];
+        left |= req_[s * w + k] | gnt_[s * w + k];
       }
       if (left != 0) live_[kept++] = s;
     }
