@@ -5,7 +5,9 @@
 // software the terminal-row/column scans execute serially, which is
 // exactly why the paper's RTOS1 configuration is slow (Table 5) and what
 // the DDU (src/hw/ddu.h) accelerates. Every operation the serial code
-// would perform is counted in an OpMeter for cycle accounting.
+// would perform is counted in an OpMeter for cycle accounting; the host
+// itself runs the word-parallel TerminalReduction below and derives
+// that meter from its summary.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,10 @@
 // Terminal reduction machinery (Definitions 7-13 and Algorithm 1).
 //
-// This is the *reference* (functional) implementation used by tests and by
-// the hardware model for cross-checking. The instrumented software PDDA
-// (with per-operation cycle accounting) lives in src/deadlock/pdda.h.
+// This is the *reference* (functional) implementation. Tests and the
+// differential fuzzer check the deadlock units against it, and recovery
+// victim choice and the DOT export read deadlocked_processes(). The
+// word-parallel loop the software PDDA and the DDU model share (with
+// per-operation cycle accounting) lives in src/deadlock/pdda.h.
 #pragma once
 
 #include <cstddef>
