@@ -5,19 +5,24 @@
 // 16 MB global memory; if the transaction is a burst, the successive
 // words are accessed each in one clock cycle."
 //
-// Transactions from concurrently active masters serialize: the bus keeps
-// a busy-until horizon and each transaction starts at
-// max(request time, horizon). Contention wait is accounted per master.
+// Arbitration is part of that 3-cycle first word; there is no separate
+// arbiter model. Transactions from concurrently active masters serialize
+// in the order the simulator submits them: the bus keeps a busy-until
+// horizon and each transaction starts at max(request time, horizon).
+// Contention wait is accounted per master.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "bus/arbiter.h"
 #include "obs/observer.h"
 #include "sim/sim_time.h"
 
 namespace delta::bus {
+
+/// Master index on the bus (PEs first, then DMA-capable devices).
+using MasterId = std::size_t;
 
 /// Timing parameters of one bus (the generator's knobs, Figs. 4-6).
 struct BusTiming {

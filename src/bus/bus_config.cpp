@@ -62,10 +62,6 @@ std::string BusSystemConfig::describe() const {
   os << "  Number of BANs: " << bans.size() << "\n";
   os << "  Address bus width: " << address_bus_width << "\n";
   os << "  Data bus width: " << data_bus_width << "\n";
-  os << "  Arbitration: "
-     << (arbitration == ArbitrationPolicy::kFixedPriority ? "fixed-priority"
-                                                          : "round-robin")
-     << "\n";
   for (std::size_t i = 0; i < bans.size(); ++i) {
     const BanConfig& b = bans[i];
     os << "  Bus Subsystem #" << (i + 1) << "\n";

@@ -8,11 +8,10 @@
 // show. The Verilog top generator (soc/archi_gen) consumes the result.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "bus/arbiter.h"
 
 namespace delta::bus {
 
@@ -40,7 +39,6 @@ struct BanConfig {
 struct BusSystemConfig {
   unsigned address_bus_width = 32;
   unsigned data_bus_width = 64;
-  ArbitrationPolicy arbitration = ArbitrationPolicy::kFixedPriority;
   std::vector<BanConfig> bans;
 
   /// Total CPU masters across all BANs.

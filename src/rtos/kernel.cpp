@@ -43,7 +43,6 @@ Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
   if (cfg_.pe_count == 0) throw std::invalid_argument("Kernel: zero PEs");
   if (!strategy_ || !locks_ || !memory_)
     throw std::invalid_argument("Kernel: missing backend");
-  cost_table_ = ServiceCostTable::build(cfg_.costs, *locks_, *memory_);
   running_.assign(cfg_.pe_count, kNoTask);
   in_service_.assign(cfg_.pe_count, false);
   ready_count_.assign(cfg_.pe_count, 0);
@@ -333,7 +332,7 @@ void Kernel::dispatch(PeId pe, TaskId id) {
   ctr_ctx_switches_->add();
   obs_->trace.record(obs::EventKind::kContextSwitch,
                      static_cast<std::uint16_t>(pe), sim_.now(),
-                     cost_table_.context_switch, id);
+                     cfg_.costs.context_switch, id);
   const std::uint64_t gen = ++t.gen;
   auto switch_done = [this, pe, id, gen] {
     if (halted_) return;
@@ -357,7 +356,7 @@ void Kernel::dispatch(PeId pe, TaskId id) {
   };
   static_assert(sim::SmallFn::fits_inline_v<decltype(switch_done)>,
                 "context-switch completion must stay inline in SmallFn");
-  sim_.schedule_in(cost_table_.context_switch, std::move(switch_done));
+  sim_.schedule_in(cfg_.costs.context_switch, std::move(switch_done));
   arm_time_slice(pe);
 }
 
@@ -654,7 +653,7 @@ std::string join_names(const std::vector<ResourceId>& rs,
 void Kernel::op_request(Task& t, const op::Request& r) {
   const sim::Cycles now = sim_.now();
   const sim::Cycles start = std::max(now, resmgr_lock_until_);
-  sim::Cycles cursor = start + cost_table_.resmgr_entry;
+  sim::Cycles cursor = start + cfg_.costs.kernel_entry;
 
   trace("RTOS", [&] {
     return t.name + " requests " +
@@ -714,7 +713,7 @@ void Kernel::op_request(Task& t, const op::Request& r) {
 void Kernel::op_release(Task& t, const op::Release& r) {
   const sim::Cycles now = sim_.now();
   const sim::Cycles start = std::max(now, resmgr_lock_until_);
-  sim::Cycles cursor = start + cost_table_.resmgr_entry;
+  sim::Cycles cursor = start + cfg_.costs.kernel_entry;
 
   trace("RTOS", [&] {
     return t.name + " releases " +
@@ -762,7 +761,7 @@ void Kernel::op_use_device(Task& t, const op::UseDevice& u) {
   // completion interrupt; the PE runs other tasks meanwhile.
   const ResourceId dev = u.resource;
   const sim::Cycles cycles = u.cycles;
-  service(t.pe, cost_table_.device_start, [this, id, dev, cycles] {
+  service(t.pe, cfg_.costs.kernel_entry, [this, id, dev, cycles] {
     Task& tk = task(id);
     trace("DEV", [&] {
       return tk.name + " starts a " + std::to_string(cycles) +
@@ -865,8 +864,8 @@ void Kernel::schedule_give_up(TaskId victim, std::vector<ResourceId> rs) {
                rs, [&](ResourceId x) { return resource_name(x); });
   });
 
-  sim_.schedule_in(cost_table_.give_up_delay, [this, victim,
-                                               rs = std::move(rs)] {
+  sim_.schedule_in(cfg_.costs.give_up_delay, [this, victim,
+                                              rs = std::move(rs)] {
     if (halted_) return;
     Task& v = task(victim);
     std::vector<ResourceId> released;
@@ -1014,8 +1013,8 @@ void Kernel::recover_from_deadlock() {
   ceiling_stack_[victim].clear();
   v.priority = v.base_priority;
 
-  // Restart the victim from the top of its program after a back-off (it
-  // must redo the work it lost).
+  // Restart the victim from the top of its program after a back-off of
+  // four context switches (it must redo the work it lost).
   v.pc = 0;
   v.compute_left = 0;
   v.allocations.clear();
@@ -1023,7 +1022,7 @@ void Kernel::recover_from_deadlock() {
     v.blocked_cycles += sim_.now() - v.blocked_since;
   }
   set_state(victim, TaskState::kNotStarted);
-  sim_.schedule_in(cost_table_.recovery_backoff, [this, victim] {
+  sim_.schedule_in(4 * cfg_.costs.context_switch, [this, victim] {
     Task& t = task(victim);
     if (t.state != TaskState::kNotStarted) return;
     set_state(victim, TaskState::kReady);
@@ -1040,7 +1039,7 @@ void Kernel::op_lock(Task& t, const op::Lock& l) {
   lock_requested_at_[id] = sim_.now();
   ctr_lock_acquires_->add();
   const LockAcquire res = locks_->acquire(lk, id, t.priority);
-  const sim::Cycles total = cost_table_.kernel_entry + res.cycles;
+  const sim::Cycles total = cfg_.costs.kernel_entry + res.cycles;
   service(t.pe, total, [this, id, lk, res, total] {
     Task& tk = task(id);
     if (res.granted) {
@@ -1111,7 +1110,7 @@ void Kernel::op_unlock(Task& t, const op::Unlock& u) {
   } else {
     recompute_inherited_priority(id);
   }
-  const sim::Cycles total = cost_table_.kernel_entry + res.cycles;
+  const sim::Cycles total = cfg_.costs.kernel_entry + res.cycles;
   service(t.pe, total, [this, id, lk, res] {
     Task& tk = task(id);
     ctr_lock_releases_->add();
@@ -1155,6 +1154,11 @@ void Kernel::hand_off_lock(LockId lk, const LockRelease& res) {
   }
 }
 
+namespace {
+/// Test&set retry cadence of a short-CS spinner (docs/CALIBRATION.md).
+constexpr sim::Cycles kSpinPollInterval = 12;
+}  // namespace
+
 void Kernel::spin_on_lock(TaskId id, LockId lk) {
   Task& t = task(id);
   const PeId pe = t.pe;
@@ -1183,10 +1187,10 @@ void Kernel::spin_on_lock(TaskId id, LockId lk) {
   // lets obs/critpath count spin cycles without estimation.
   obs_->trace.record(obs::EventKind::kLockSpin,
                      static_cast<std::uint16_t>(pe), sim_.now(),
-                     cfg_.spin_poll_interval, lk);
+                     kSpinPollInterval, lk);
   const std::size_t words = locks_->spin_poll_bus_words();
   if (words > 0) bus_.transfer(pe, sim_.now(), words);
-  sim_.schedule_in(cfg_.spin_poll_interval, [this, id, lk] {
+  sim_.schedule_in(kSpinPollInterval, [this, id, lk] {
     if (halted_) return;
     spin_on_lock(id, lk);
   });
@@ -1237,12 +1241,12 @@ void Kernel::op_alloc(Task& t, const op::Alloc& a) {
   if (!res.ok) ctr_alloc_failures_->add();
   obs_->trace.record(obs::EventKind::kAlloc,
                      static_cast<std::uint16_t>(t.pe), sim_.now(),
-                     cost_table_.kernel_entry + res.pe_cycles, a.bytes, 0);
+                     cfg_.costs.kernel_entry + res.pe_cycles, a.bytes, 0);
   // Capture only the result fields the continuation reads: the whole
   // MemResult would push the service closure past SmallFn's inline
   // buffer and onto the heap. The slot name is captured by pointer — op
   // storage is owned by the task's Program and outlives the event.
-  service(t.pe, cost_table_.kernel_entry + res.pe_cycles,
+  service(t.pe, cfg_.costs.kernel_entry + res.pe_cycles,
           [this, id, slot = &a.slot, ok = res.ok, addr = res.addr] {
             Task& tk = task(id);
             if (ok) {
@@ -1266,8 +1270,8 @@ void Kernel::op_alloc_shared(Task& t, const op::AllocShared& a) {
   if (!res.ok) ctr_alloc_failures_->add();
   obs_->trace.record(obs::EventKind::kAlloc,
                      static_cast<std::uint16_t>(t.pe), sim_.now(),
-                     cost_table_.kernel_entry + res.pe_cycles, a.bytes, 1);
-  service(t.pe, cost_table_.kernel_entry + res.pe_cycles,
+                     cfg_.costs.kernel_entry + res.pe_cycles, a.bytes, 1);
+  service(t.pe, cfg_.costs.kernel_entry + res.pe_cycles,
           [this, id, slot = &a.slot, ok = res.ok, addr = res.addr] {
             Task& tk = task(id);
             if (ok) {
@@ -1299,9 +1303,9 @@ void Kernel::op_free(Task& t, const op::Free& f) {
   ctr_frees_->add();
   obs_->trace.record(obs::EventKind::kFree,
                      static_cast<std::uint16_t>(t.pe), sim_.now(),
-                     cost_table_.kernel_entry + res.pe_cycles, it->second);
+                     cfg_.costs.kernel_entry + res.pe_cycles, it->second);
   t.allocations.erase(it);
-  service(t.pe, cost_table_.kernel_entry + res.pe_cycles, [this, id] {
+  service(t.pe, cfg_.costs.kernel_entry + res.pe_cycles, [this, id] {
     Task& tk = task(id);
     ++tk.pc;
     step_task(id);
@@ -1313,7 +1317,7 @@ void Kernel::op_free(Task& t, const op::Free& f) {
 void Kernel::op_sem_wait(Task& t, const op::SemWait& s) {
   const TaskId id = t.id;
   const SemId sem = s.sem;
-  service(t.pe, cost_table_.sem_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.sem_service,
           [this, id, sem] {
             Task& tk = task(id);
             Semaphore& sm = semaphores_.at(sem);
@@ -1331,7 +1335,7 @@ void Kernel::op_sem_wait(Task& t, const op::SemWait& s) {
 void Kernel::op_sem_post(Task& t, const op::SemPost& s) {
   const TaskId id = t.id;
   const SemId sem = s.sem;
-  service(t.pe, cost_table_.sem_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.sem_service,
           [this, id, sem] {
             Semaphore& sm = semaphores_.at(sem);
             const TaskId next = sm.waiters.pop();
@@ -1351,7 +1355,7 @@ void Kernel::op_sem_post(Task& t, const op::SemPost& s) {
 
 void Kernel::op_send(Task& t, const op::Send& s) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.mailbox_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.mailbox_service,
           [this, id, s] {
             Mailbox& mb = mailboxes_.at(s.box);
             const TaskId rx = mb.receivers.pop();
@@ -1371,7 +1375,7 @@ void Kernel::op_send(Task& t, const op::Send& s) {
 
 void Kernel::op_recv(Task& t, const op::Recv& r) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.mailbox_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.mailbox_service,
           [this, id, r] {
             Task& tk = task(id);
             Mailbox& mb = mailboxes_.at(r.box);
@@ -1389,7 +1393,7 @@ void Kernel::op_recv(Task& t, const op::Recv& r) {
 
 void Kernel::op_queue_send(Task& t, const op::QueueSend& s) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.queue_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.queue_service,
           [this, id, s] {
             Task& tk = task(id);
             MessageQueue& q = queues_.at(s.queue);
@@ -1418,7 +1422,7 @@ void Kernel::op_queue_send(Task& t, const op::QueueSend& s) {
 
 void Kernel::op_queue_recv(Task& t, const op::QueueRecv& r) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.queue_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.queue_service,
           [this, id, r] {
             Task& tk = task(id);
             MessageQueue& q = queues_.at(r.queue);
@@ -1446,7 +1450,7 @@ void Kernel::op_queue_recv(Task& t, const op::QueueRecv& r) {
 
 void Kernel::op_event_set(Task& t, const op::EventSet& e) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.event_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.event_service,
           [this, id, e] {
             EventGroup& g = event_groups_.at(e.group);
             g.flags |= e.mask;
@@ -1468,7 +1472,7 @@ void Kernel::op_event_set(Task& t, const op::EventSet& e) {
 
 void Kernel::op_event_wait(Task& t, const op::EventWait& e) {
   const TaskId id = t.id;
-  service(t.pe, cost_table_.event_op,
+  service(t.pe, cfg_.costs.kernel_entry + cfg_.costs.event_service,
           [this, id, e] {
             Task& tk = task(id);
             EventGroup& g = event_groups_.at(e.group);

@@ -31,7 +31,6 @@
 #include "rtos/memory_manager.h"
 #include "rtos/program.h"
 #include "rtos/resource_manager.h"
-#include "rtos/service_cost_table.h"
 #include "rtos/service_costs.h"
 #include "rtos/task.h"
 #include "rtos/types.h"
@@ -64,7 +63,6 @@ struct KernelConfig {
   /// protocol) instead of suspending. Software spinners hammer the bus;
   /// SoCLC spinners do not — §2.3.1's traffic-reduction claim.
   bool spin_short_locks = false;
-  sim::Cycles spin_poll_interval = 12;
   /// Periodic deadlock scan (wait-for-graph backend): every
   /// `detection_period` cycles the kernel invokes the strategy's scan()
   /// inside the resource-manager critical section. 0 = no periodic scan.
@@ -168,11 +166,6 @@ class Kernel {
   [[nodiscard]] MemoryBackend& memory() { return *memory_; }
   [[nodiscard]] DeviceManager& devices() { return devices_; }
   [[nodiscard]] const KernelConfig& config() const { return cfg_; }
-  /// Fused service-chain cycle totals, folded once at construction from
-  /// ServiceCosts + the active lock/memory backends.
-  [[nodiscard]] const ServiceCostTable& cost_table() const {
-    return cost_table_;
-  }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Lock metrics for Table 10: latency = uncontended acquire service
@@ -225,7 +218,6 @@ class Kernel {
   sim::Simulator& sim_;
   bus::SharedBus& bus_;
   KernelConfig cfg_;
-  ServiceCostTable cost_table_;
   std::unique_ptr<DeadlockStrategy> strategy_;
   std::unique_ptr<LockBackend> locks_;
   std::unique_ptr<MemoryBackend> memory_;

@@ -63,17 +63,6 @@ class LockBackend {
   /// the §2.3.1 "reduces on-chip memory traffic" claim.
   [[nodiscard]] virtual std::size_t spin_poll_bus_words() const = 0;
 
-  /// Static service-body cycles of an uncontended acquire / a release
-  /// with no hand-off, excluding kernel_entry and any dynamic unit time.
-  /// Feeds the precomputed ServiceCostTable; the defaults keep test
-  /// doubles compiling (they never drive the cost-table fields).
-  [[nodiscard]] virtual sim::Cycles uncontended_acquire_cycles() const {
-    return 0;
-  }
-  [[nodiscard]] virtual sim::Cycles uncontended_release_cycles() const {
-    return 0;
-  }
-
   /// Attach observability (default: no-op). Backends register their
   /// counters into the registry; nullptr detaches nothing.
   virtual void attach_observer(obs::Observer* o) { (void)o; }
@@ -99,12 +88,6 @@ class SoftwarePiLockBackend final : public LockBackend {
   }
   [[nodiscard]] std::size_t spin_poll_bus_words() const override {
     return 1;  // test&set on the lock word in shared memory
-  }
-  [[nodiscard]] sim::Cycles uncontended_acquire_cycles() const override {
-    return costs_.sw_lock_acquire;
-  }
-  [[nodiscard]] sim::Cycles uncontended_release_cycles() const override {
-    return costs_.sw_lock_release;
   }
   [[nodiscard]] std::optional<Priority> top_waiter(
       LockId lock) const override;
@@ -151,12 +134,6 @@ class SoclcLockBackend final : public LockBackend {
   }
   [[nodiscard]] std::size_t spin_poll_bus_words() const override {
     return 0;  // waiters poll the lock cache, not the memory bus
-  }
-  [[nodiscard]] sim::Cycles uncontended_acquire_cycles() const override {
-    return costs_.hw_lock_acquire + soclc_.config().access_cycles;
-  }
-  [[nodiscard]] sim::Cycles uncontended_release_cycles() const override {
-    return costs_.hw_lock_release + soclc_.config().access_cycles;
   }
   [[nodiscard]] std::optional<Priority> top_waiter(LockId) const override {
     return std::nullopt;  // hardware IPCP makes inheritance unnecessary

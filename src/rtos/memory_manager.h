@@ -50,12 +50,6 @@ class MemoryBackend {
   /// Block-granular backends report whole blocks.
   [[nodiscard]] virtual std::uint64_t bytes_in_use() const { return 0; }
 
-  /// Static API-wrapper cycles charged on every call, excluding
-  /// kernel_entry and the allocator's dynamic time. Feeds the
-  /// precomputed ServiceCostTable; the default keeps test doubles
-  /// compiling.
-  [[nodiscard]] virtual sim::Cycles wrapper_cycles() const { return 0; }
-
   /// Attach observability (default: no-op). Hardware backends register
   /// their unit's counters into the registry.
   virtual void attach_observer(obs::Observer* o) { (void)o; }
@@ -80,9 +74,6 @@ class SoftwareHeapBackend final : public MemoryBackend {
   [[nodiscard]] std::uint64_t call_count() const override { return calls_; }
   [[nodiscard]] std::uint64_t bytes_in_use() const override {
     return heap_.live_bytes();
-  }
-  [[nodiscard]] sim::Cycles wrapper_cycles() const override {
-    return costs_.mem_wrapper_sw;
   }
 
   [[nodiscard]] mem::SoftwareHeap& heap() { return heap_; }
@@ -117,9 +108,6 @@ class SocdmmuBackend final : public MemoryBackend {
   }
   [[nodiscard]] std::uint64_t call_count() const override { return calls_; }
   [[nodiscard]] std::uint64_t bytes_in_use() const override;
-  [[nodiscard]] sim::Cycles wrapper_cycles() const override {
-    return costs_.mem_wrapper_hw;
-  }
   void attach_observer(obs::Observer* o) override {
     if (o != nullptr) dmmu_.attach_metrics(o->metrics);
   }

@@ -1,6 +1,7 @@
 // The assembled MPSoC: backend selection, kernel wiring, engine
 // introspection and the (optionally sampled) run loop.
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -10,6 +11,10 @@
 namespace delta::soc {
 
 namespace {
+
+/// The software heap's arena in global memory: 8 MB at 8 MB.
+constexpr std::uint64_t kHeapBase = 0x0080'0000;
+constexpr std::uint64_t kHeapBytes = 8ULL * 1024 * 1024;
 
 std::unique_ptr<rtos::LockBackend> make_locks(const MpsocConfig& cfg) {
   switch (cfg.lock) {
@@ -30,8 +35,8 @@ std::unique_ptr<rtos::MemoryBackend> make_memory(
     const MpsocConfig& cfg, bus::SharedBus* bus) {
   switch (cfg.memory) {
     case MemoryComponent::kMallocFree:
-      return std::make_unique<rtos::SoftwareHeapBackend>(
-          cfg.heap_base, cfg.heap_bytes, cfg.costs);
+      return std::make_unique<rtos::SoftwareHeapBackend>(kHeapBase,
+                                                         kHeapBytes, cfg.costs);
     case MemoryComponent::kSocdmmu: {
       hw::SocdmmuConfig dc = cfg.socdmmu;
       dc.pe_count = cfg.pe_count;
@@ -56,11 +61,9 @@ Mpsoc::Mpsoc(MpsocConfig cfg) : cfg_(std::move(cfg)) {
         " entries but the SoCLC is configured with " +
         std::to_string(cfg_.soclc.short_locks + cfg_.soclc.long_locks) +
         " locks");
-  // Masters: PEs plus one port for the hardware units.
-  bus_ = std::make_unique<bus::SharedBus>(cfg_.pe_count + 1,
-                                          cfg_.bus_timing);
-  l2_ = std::make_unique<mem::L2Memory>();
-  map_ = bus::AddressMap::base_mpsoc();
+  // Masters: PEs plus one port for the hardware units. The bus keeps
+  // its default §5.5 timing (3-cycle first word, 1 per burst word).
+  bus_ = std::make_unique<bus::SharedBus>(cfg_.pe_count + 1);
 
   rtos::KernelConfig kc;
   kc.pe_count = cfg_.pe_count;

@@ -1,22 +1,22 @@
 // The assembled MPSoC.
 //
 // One object owning the whole modeled system of paper §5.1: the
-// simulator, the shared bus (100 MHz, 3-cycle first word), the 16 MB L2,
-// the address map, the four resources (VI, IDCT/MPEG, DSP, WI), and the
-// RTOS kernel wired to the configured deadlock strategy, lock backend
-// and memory backend. Construct it through delta_framework.h (the
-// paper's GUI flow) or directly for tests. The PEs' L1 caches are not
-// modeled here: no simulated path reads them (bench/ablation_l1_cache
-// drives mem::L1Cache on its own).
+// simulator, the shared bus (100 MHz, 3-cycle first word), the four
+// resources (VI, IDCT/MPEG, DSP, WI), and the RTOS kernel wired to the
+// configured deadlock strategy, lock backend and memory backend.
+// Construct it through delta_framework.h (the paper's GUI flow) or
+// directly for tests. The PEs' L1 caches are not modeled here: no
+// simulated path reads them (bench/ablation_l1_cache drives
+// mem::L1Cache on its own). Nor are the 16 MB L2's contents or address
+// decoding: global memory is the bus's timing plus the address ranges
+// the memory backend allocates from.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bus/address_map.h"
 #include "bus/bus.h"
-#include "mem/l2_memory.h"
 #include "obs/observer.h"
 #include "obs/timeseries.h"
 #include "rtos/kernel.h"
@@ -74,12 +74,9 @@ struct MpsocConfig {
   MemoryComponent memory = MemoryComponent::kMallocFree;
 
   rtos::ServiceCosts costs;
-  bus::BusTiming bus_timing;
   hw::SoclcConfig soclc;
   std::vector<rtos::Priority> lock_ceilings;
   hw::SocdmmuConfig socdmmu;
-  std::uint64_t heap_base = 0x0080'0000;       ///< software heap arena
-  std::uint64_t heap_bytes = 8ULL * 1024 * 1024;
   bool stop_on_deadlock = true;
   rtos::RecoveryPolicy recovery = rtos::RecoveryPolicy::kNone;
   /// Periodic wait-for-graph scan period (kWfgRecovery); 0 = no scans.
@@ -117,9 +114,7 @@ class Mpsoc {
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] bus::SharedBus& bus() { return *bus_; }
-  [[nodiscard]] mem::L2Memory& l2() { return *l2_; }
   [[nodiscard]] rtos::Kernel& kernel() { return *kernel_; }
-  [[nodiscard]] const bus::AddressMap& address_map() const { return map_; }
   [[nodiscard]] const MpsocConfig& config() const { return cfg_; }
 
   /// The system-wide observability bundle: every subsystem's counters,
@@ -160,8 +155,6 @@ class Mpsoc {
   sim::Simulator sim_;
   obs::Observer obs_;  ///< per-system, so concurrent sweeps never share
   std::unique_ptr<bus::SharedBus> bus_;
-  std::unique_ptr<mem::L2Memory> l2_;
-  bus::AddressMap map_;
   std::unique_ptr<rtos::Kernel> kernel_;
   obs::TimeSeries series_;  ///< filled by run() when sample_period > 0
   /// Engine gauges; filled only when sample_period > 0 && engine_stats.

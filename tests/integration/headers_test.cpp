@@ -4,8 +4,6 @@
 #include "apps/deadlock_apps.h"
 #include "apps/robot_app.h"
 #include "apps/splash.h"
-#include "bus/address_map.h"
-#include "bus/arbiter.h"
 #include "bus/bus.h"
 #include "bus/bus_config.h"
 #include "deadlock/avoidance_baselines.h"
@@ -24,7 +22,6 @@
 #include "hw/verilog_lint.h"
 #include "mem/heap.h"
 #include "mem/l1_cache.h"
-#include "mem/l2_memory.h"
 #include "rag/dot.h"
 #include "rag/generators.h"
 #include "rag/oracle.h"
