@@ -9,6 +9,10 @@
 # "written" line and exit 0. /dev/full accepts the open and fails every
 # write with ENOSPC, so only a checked close or flush can catch it.
 #
+# A hostile input file (a repro nested a million levels deep, a value
+# too wide for its field) must be a located parse error, not a crash or
+# a silently truncated value.
+#
 # usage: check_cli_args.sh <examples-bin-dir>
 set -uo pipefail
 
@@ -48,6 +52,21 @@ expect_write_failure() {
   fi
 }
 
+# expect_input_error <exit-code> <message> <cli> <args...>
+expect_input_error() {
+  local want=$1 msg=$2 cli=$3 err rc
+  shift 3
+  err=$("$bin_dir/$cli" "$@" 2>&1 >/dev/null)
+  rc=$?
+  if [[ $rc -eq $want && $err == *"$msg"* ]]; then
+    echo "ok: $cli $* -> exit $rc: $(head -1 <<<"$err")"
+  else
+    echo "INPUT NOT REJECTED: $cli $* exited $rc (want $want):" \
+         "$(head -1 <<<"$err")" >&2
+    status=1
+  fi
+}
+
 # Each call is cheap even when a value slips through, so a regression
 # fails fast instead of running a full default sweep.
 sweep=(delta_sweep --presets 4 --seeds 1 --quiet --out "$tmp/sweep.json")
@@ -75,4 +94,13 @@ expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
 expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
     --out "$tmp/profile.json" --chrome /dev/full
 expect_write_failure 2 delta_fuzz --runs 2 --seed 1 --out /dev/full
+
+{ printf '{"x": '; head -c 1000000 /dev/zero | tr '\0' '['; } >"$tmp/deep.json"
+printf '%s\n' '{"geometry": {"pes": 1, "resources": 1}, "tasks": [' \
+    '  {"name": "t0", "pe": 0, "priority": 4294967297,' \
+    '   "steps": [{"op": "compute", "cycles": 10}]}]}' >"$tmp/priority.json"
+printf 'bus.address_width = 4294967328\n' >"$tmp/wide.cfg"
+expect_input_error 2 "scenario JSON: " delta_fuzz --replay "$tmp/deep.json"
+expect_input_error 2 "scenario JSON: " delta_fuzz --replay "$tmp/priority.json"
+expect_input_error 1 "config line 1" delta_gen "$tmp/wide.cfg" "$tmp/gen"
 exit $status

@@ -77,8 +77,12 @@ namespace {
 // Minimal recursive-descent parser over the repro grammar. Numbers are
 // kept as integers end to end (scenario seeds use the full 64-bit
 // range; doubles would corrupt them and break byte-stable round trips).
+// Each object or array level recurses once, so nesting is capped: a
+// repro nests six levels, and a hostile file must not blow the stack.
 class Parser {
  public:
+  static constexpr int kMaxDepth = 64;
+
   explicit Parser(const std::string& text) : s_(text) {}
 
   [[noreturn]] void fail(const std::string& why) const {
@@ -191,9 +195,16 @@ class Parser {
     return static_cast<std::int64_t>(v);
   }
 
+  std::int32_t int32() {
+    const std::int64_t v = int64();
+    if (v < INT32_MIN || v > INT32_MAX) fail("integer out of 32-bit range");
+    return static_cast<std::int32_t>(v);
+  }
+
   /// `fn(key)` must consume the key's value.
   void object(const std::function<void(const std::string&)>& fn) {
     expect('{');
+    const Nest nest(*this);
     if (consume('}')) return;
     while (true) {
       const std::string key = string();
@@ -207,6 +218,7 @@ class Parser {
   /// `fn()` must consume one element.
   void array(const std::function<void()>& fn) {
     expect('[');
+    const Nest nest(*this);
     if (consume(']')) return;
     while (true) {
       fn();
@@ -247,8 +259,21 @@ class Parser {
   }
 
  private:
+  /// One open object or array for the lifetime of its parse.
+  struct Nest {
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth)
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    Parser& p_;
+  };
+
   const std::string& s_;
   std::size_t i_ = 0;
+  int depth_ = 0;
 };
 
 Step parse_step(Parser& p) {
@@ -282,8 +307,7 @@ ScenarioTask parse_task(Parser& p) {
   p.object([&](const std::string& key) {
     if (key == "name") t.name = p.string();
     else if (key == "pe") t.pe = static_cast<rtos::PeId>(p.uint64());
-    else if (key == "priority")
-      t.priority = static_cast<rtos::Priority>(p.int64());
+    else if (key == "priority") t.priority = p.int32();
     else if (key == "release") t.release_time = p.uint64();
     else if (key == "steps")
       p.array([&] { t.steps.push_back(parse_step(p)); });

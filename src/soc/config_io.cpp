@@ -1,6 +1,7 @@
 #include "soc/config_io.h"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,6 +79,14 @@ std::uint64_t parse_u64(const std::string& v, int line) {
     throw std::invalid_argument("config line " + std::to_string(line) +
                                 ": expected a number, got '" + v + "'");
   return out;
+}
+
+unsigned parse_unsigned(const std::string& v, int line) {
+  const std::uint64_t out = parse_u64(v, line);
+  if (out > std::numeric_limits<unsigned>::max())
+    throw std::invalid_argument("config line " + std::to_string(line) +
+                                ": value '" + v + "' is out of range");
+  return static_cast<unsigned>(out);
 }
 
 bool parse_bool(const std::string& v, int line) {
@@ -197,11 +206,9 @@ DeltaConfig read_config(const std::string& text) {
     } else if (key == "socdmmu.block_bytes") {
       cfg.socdmmu.block_bytes = parse_u64(value, line_no);
     } else if (key == "bus.address_width") {
-      cfg.bus.address_bus_width =
-          static_cast<unsigned>(parse_u64(value, line_no));
+      cfg.bus.address_bus_width = parse_unsigned(value, line_no);
     } else if (key == "bus.data_width") {
-      cfg.bus.data_bus_width =
-          static_cast<unsigned>(parse_u64(value, line_no));
+      cfg.bus.data_bus_width = parse_unsigned(value, line_no);
     } else if (key == "stop_on_deadlock") {
       cfg.stop_on_deadlock = parse_bool(value, line_no);
     } else if (key == "detection_period") {

@@ -214,6 +214,26 @@ TEST(ScenarioJson, MalformedInputReportsPosition) {
                    R"({"geometry": {"pes": 0, "resources": 1}, "tasks": [
                        {"name": "a", "pe": 0, "steps": []}]})"),
                std::invalid_argument);
+  const auto expect_located_error = [](const std::string& json) {
+    try {
+      (void)scenario_from_json(json);
+      ADD_FAILURE() << "accepted: " << json.substr(0, 80);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(" at line "), std::string::npos)
+          << e.what();
+    }
+  };
+  // A priority beyond `int` must not wrap (2^32 + 1 would load as 1 and
+  // write back as 1, so the repro would not round-trip).
+  const std::string narrow = "\"priority\": 3";
+  std::string wide = scenario_to_json(tiny_scenario());
+  const std::size_t at = wide.find(narrow);
+  ASSERT_NE(at, std::string::npos);
+  wide.replace(at, narrow.size(), "\"priority\": 4294967297");
+  expect_located_error(wide);
+  // Unknown keys are skipped recursively; hostile nesting must fail
+  // cleanly instead of overflowing the stack.
+  expect_located_error("{\"x\": " + std::string(1'000'000, '[') + "}");
 }
 
 TEST(ScenarioJson, InstallRunsOnAKernel) {

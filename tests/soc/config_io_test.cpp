@@ -69,6 +69,17 @@ TEST(ConfigIo, RejectsMalformedValues) {
                std::invalid_argument);
   EXPECT_THROW(read_config("just a line\n"), std::invalid_argument);
   EXPECT_THROW(read_config("pe_count =\n"), std::invalid_argument);
+  // Bus widths are `unsigned`: 2^32 + 32 must not wrap to a valid 32.
+  for (const char* key : {"bus.address_width", "bus.data_width"}) {
+    try {
+      (void)read_config(std::string(key) + " = 4294967328\n");
+      ADD_FAILURE() << key << " accepted a value above UINT_MAX";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("config line 1:"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigIo, ParsedConfigGeneratesSystem) {
