@@ -23,10 +23,9 @@ struct TimelineSpan {
       What::kRunning;
 };
 
-/// Recorder: subscribes to the kernel's trace after a run and rebuilds
-/// the schedule. (The kernel's trace carries released/preempted/
-/// finished/blocks/handed events; running intervals are inferred from
-/// the sequence.)
+/// Folds the kernel's task-state transition log (Kernel::transitions(),
+/// kept while KernelConfig::record_transitions is on) after a run into
+/// running/blocked/ready spans, one per state a task held.
 class Timeline {
  public:
   /// Build from a finished kernel. `until` clips the horizon.
