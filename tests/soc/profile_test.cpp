@@ -4,8 +4,11 @@
 // end-of-run utilization totals, and sampling never perturbs the run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "exp/workloads.h"
 #include "soc/mpsoc.h"
 #include "soc/profile.h"
 #include "soc/utilization.h"
@@ -165,6 +168,91 @@ TEST(Profile, SamplingDoesNotChangeTheRun) {
         "lock.acquires", "deadlock.requests", "mem.allocs"})
     EXPECT_EQ(counter_value(plain, name), counter_value(sampled, name))
         << name;
+}
+
+/// RTOS`preset` x mixed (rng seed 1) sampled every 777 cycles, a
+/// period that lines up with no compute phase of the workload.
+obs::TimeSeries mixed_series(RtosPreset preset) {
+  const exp::Workload w = exp::mixed_workload();
+  MpsocConfig mc = rtos_preset(preset).to_mpsoc_config();
+  if (w.tune) w.tune(mc);
+  mc.stop_on_deadlock = false;
+  mc.sample_period = 777;
+  Mpsoc soc{mc};
+  sim::Rng rng(1);
+  w.build(soc, rng);
+  soc.run(50'000'000);
+  return soc.time_series();
+}
+
+/// FNV-1a over the bytes of `v`, little end first.
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the sampler's per-window values, not just their totals: every
+// (t, value) of every track for RTOS1-7, plus RTOS1's per-PE busy
+// windows spelled out. Moving one busy cycle across a window boundary
+// fails both.
+TEST(Profile, PerWindowSamplesArePinned) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t samples = 0;
+  for (const RtosPreset p : kAllRtosPresets) {
+    const obs::TimeSeries ts = mixed_series(p);
+    digest = fnv(digest, ts.tracks().size());
+    for (const obs::TimeSeries::Sample& s : ts.samples()) {
+      digest = fnv(digest, s.t);
+      for (const std::uint64_t v : s.values) digest = fnv(digest, v);
+    }
+    samples += ts.samples().size();
+  }
+  EXPECT_EQ(samples, 339u);
+  EXPECT_EQ(digest, 4591334714177387913ULL);
+
+  // RTOS1 per-PE busy cycles in each 777-cycle window. The run goes
+  // idle at ~57k cycles, so the last window closes at the 50M limit.
+  const std::vector<std::vector<std::uint64_t>> rtos1_busy = {
+      {656, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       777, 777, 777, 522, 0, 0, 0, 0, 608, 777, 777, 777, 777, 777, 777,
+       777, 777, 777, 777, 777, 777, 664, 0, 0, 0, 0, 466, 777, 777, 777,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 29, 0, 0, 0,
+       324, 777, 777, 777, 777, 777, 777, 760, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+       0},
+      {466, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       777, 777, 777, 777, 777, 734, 0, 0, 0, 0, 396, 777, 777, 777, 777,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 99, 0, 0, 0, 254,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       241, 0, 0, 0, 112, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       413, 0, 0, 0, 0, 0},
+      {314, 777, 777, 777, 777, 777, 777, 451, 0, 0, 0, 0, 679, 777, 777,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 593, 0, 0, 0, 0,
+       537, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       735, 0, 0, 0, 0, 395, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       777, 777, 777, 777, 100, 0, 465, 777, 777, 777, 777, 777, 777,
+       557, 0, 0, 0},
+      {91, 777, 777, 777, 777, 777, 777, 777, 777, 663, 0, 0, 0, 0, 467,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       28, 0, 0, 0, 325, 777, 777, 777, 777, 777, 777, 777, 777, 777,
+       777, 777, 777, 777, 170, 0, 0, 0, 183, 777, 777, 777, 777, 777,
+       777, 777, 777, 777, 777, 777, 777, 777, 777, 777, 524, 0, 41, 777,
+       777, 777, 777, 777, 349},
+  };
+  const obs::TimeSeries ts = mixed_series(RtosPreset::kRtos1);
+  ASSERT_EQ(ts.samples().size(), 75u);
+  EXPECT_EQ(ts.samples().back().t, 50'000'000u);
+  for (std::size_t pe = 0; pe < rtos1_busy.size(); ++pe) {
+    const std::int64_t track =
+        ts.track_index("pe" + std::to_string(pe) + ".busy_cycles");
+    ASSERT_GE(track, 0);
+    std::vector<std::uint64_t> windows;
+    for (const obs::TimeSeries::Sample& s : ts.samples())
+      windows.push_back(s.values[static_cast<std::size_t>(track)]);
+    EXPECT_EQ(windows, rtos1_busy[pe]) << "pe" << pe;
+  }
 }
 
 }  // namespace
