@@ -85,43 +85,28 @@ sim::Cycles clipped_overlap(const std::vector<Span>& spans,
   return total;
 }
 
-/// Per-task phase spans rebuilt from the phase log, clipped to the
-/// horizon (the same clipping rtos::Timeline applies).
-struct TaskSpans {
-  std::vector<Span> running;
-  std::vector<Span> blocked;
-  sim::Cycles ready = 0;
-};
-
-std::vector<TaskSpans> rebuild_spans(const ProfileInput& in) {
-  std::vector<TaskSpans> out(in.tasks.size());
-  std::vector<TaskPhase> phase(in.tasks.size(), TaskPhase::kAbsent);
-  std::vector<sim::Cycles> since(in.tasks.size(), 0);
-
-  auto close = [&](std::size_t t, sim::Cycles at) {
-    const sim::Cycles begin = since[t];
-    const sim::Cycles end = std::min(at, in.horizon);
-    if (begin >= end) return;
-    switch (phase[t]) {
-      case TaskPhase::kRunning: out[t].running.push_back({begin, end}); break;
-      case TaskPhase::kBlocked: out[t].blocked.push_back({begin, end}); break;
-      case TaskPhase::kReady: out[t].ready += end - begin; break;
-      case TaskPhase::kAbsent: break;
-    }
-  };
-
-  for (const PhaseChange& c : in.phases) {
-    if (c.task >= in.tasks.size()) continue;
-    close(c.task, c.time);
-    phase[c.task] = c.to;
-    since[c.task] = c.time;
-  }
-  for (std::size_t t = 0; t < in.tasks.size(); ++t)
-    close(t, in.horizon);
-  return out;
-}
-
 }  // namespace
+
+std::vector<PhaseSpan> fold_phases(const std::vector<PhaseChange>& log,
+                                   std::size_t tasks, sim::Cycles horizon) {
+  std::vector<PhaseSpan> spans;
+  // The change that opened each task's current phase; every task starts
+  // absent at time 0.
+  std::vector<PhaseChange> open(tasks);
+  const auto close = [&](std::uint32_t t, sim::Cycles at) {
+    const PhaseChange& o = open[t];
+    const sim::Cycles end = std::min(at, horizon);
+    if (o.to != TaskPhase::kAbsent && o.time < end)
+      spans.push_back({t, o.time, end, o.to});
+  };
+  for (const PhaseChange& c : log) {
+    if (c.task >= tasks) continue;
+    close(c.task, c.time);
+    open[c.task] = c;
+  }
+  for (std::uint32_t t = 0; t < tasks; ++t) close(t, horizon);
+  return spans;
+}
 
 std::string object_label(WaitObject kind, std::uint64_t object,
                          const std::vector<std::string>& resource_names) {
@@ -137,7 +122,27 @@ ProfileReport build_profile(const ProfileInput& in) {
   report.events_seen = in.events.size();
   report.events_dropped = in.events_dropped;
 
-  const std::vector<TaskSpans> spans = rebuild_spans(in);
+  // Each task's running and blocked spans (in time order) and its total
+  // ready time.
+  struct TaskSpans {
+    std::vector<Span> running;
+    std::vector<Span> blocked;
+    sim::Cycles ready = 0;
+  };
+  std::vector<TaskSpans> spans(in.tasks.size());
+  for (const PhaseSpan& s :
+       fold_phases(in.phases, in.tasks.size(), in.horizon)) {
+    switch (s.phase) {
+      case TaskPhase::kRunning:
+        spans[s.task].running.push_back({s.begin, s.end});
+        break;
+      case TaskPhase::kBlocked:
+        spans[s.task].blocked.push_back({s.begin, s.end});
+        break;
+      case TaskPhase::kReady: spans[s.task].ready += s.end - s.begin; break;
+      case TaskPhase::kAbsent: break;
+    }
+  }
 
   // Index running spans per PE (one task runs per PE at a time) so spin
   // events — stamped with the PE, not the task — can be attributed.

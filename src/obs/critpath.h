@@ -1,7 +1,10 @@
-// Cycle attribution and blocking-chain analysis.
+// Task phase spans, cycle attribution and blocking-chain analysis.
 //
-// Folds a run's structured trace (obs/trace.h) plus the task phase log
-// into (a) per-task cycle buckets — run / spin / blocked / kernel
+// fold_phases() is the one place the kernel's task phase log becomes
+// clipped ready/running/blocked spans; the Gantt timeline, the
+// utilization report, the windowed sampler and the profiler below all
+// read its output. The profiler folds a run's structured trace
+// (obs/trace.h) plus those spans into (a) per-task cycle buckets — run / spin / blocked / kernel
 // overhead, summing *exactly* to the task's total accounted cycles —
 // and (b) the wait-for span graph (blocked task -> holder) from which
 // the longest blocking chain and a per-object contention ranking fall
@@ -37,6 +40,22 @@ struct PhaseChange {
   std::uint32_t task = 0;
   TaskPhase to = TaskPhase::kAbsent;
 };
+
+/// One contiguous interval [begin, end) a task spent in one phase.
+struct PhaseSpan {
+  std::uint32_t task = 0;
+  sim::Cycles begin = 0;
+  sim::Cycles end = 0;
+  TaskPhase phase = TaskPhase::kAbsent;
+};
+
+/// Fold a phase log (non-decreasing times) into spans, in the order they
+/// close: at the task's next change, or at `horizon` for phases still
+/// open. Spans are clipped to `horizon`; kAbsent and empty spans are
+/// dropped, and entries for task ids >= `tasks` are ignored.
+[[nodiscard]] std::vector<PhaseSpan> fold_phases(
+    const std::vector<PhaseChange>& log, std::size_t tasks,
+    sim::Cycles horizon);
 
 /// Static description of one task.
 struct ProfileTaskInfo {

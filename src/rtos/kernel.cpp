@@ -15,17 +15,22 @@
 
 namespace delta::rtos {
 
-const char* task_state_name(TaskState s) {
+namespace {
+
+obs::TaskPhase phase_of(TaskState s) {
   switch (s) {
-    case TaskState::kNotStarted: return "not-started";
-    case TaskState::kReady: return "ready";
-    case TaskState::kRunning: return "running";
-    case TaskState::kBlocked: return "blocked";
-    case TaskState::kSuspended: return "suspended";
-    case TaskState::kFinished: return "finished";
+    case TaskState::kReady: return obs::TaskPhase::kReady;
+    case TaskState::kRunning: return obs::TaskPhase::kRunning;
+    case TaskState::kBlocked: return obs::TaskPhase::kBlocked;
+    case TaskState::kNotStarted:
+    case TaskState::kSuspended:
+    case TaskState::kFinished:
+      break;
   }
-  return "?";
+  return obs::TaskPhase::kAbsent;
 }
+
+}  // namespace
 
 Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
                std::unique_ptr<DeadlockStrategy> strategy,
@@ -85,7 +90,8 @@ void Kernel::set_state(TaskId id, TaskState to) {
   if (to == TaskState::kReady) ++ready_count_[t.pe];
   t.state = to;
   if (cfg_.record_transitions)
-    transitions_.push_back(StateTransition{sim_.now(), id, to});
+    transitions_.push_back(
+        {sim_.now(), static_cast<std::uint32_t>(id), phase_of(to)});
 }
 
 // ---------------------------------------------------------------- tasks --
@@ -506,7 +512,6 @@ void Kernel::block_task(TaskId id, WaitKind why, std::uint64_t object) {
   record_wait_for(t, why, object);
   set_state(id, TaskState::kBlocked);
   t.wait_kind = why;
-  t.blocked_since = sim_.now();
   if (running_[t.pe] == id) running_[t.pe] = kNoTask;
   reschedule(t.pe);
 }
@@ -574,7 +579,6 @@ void Kernel::record_wait_for(const Task& t, WaitKind why,
 void Kernel::wake_task(TaskId id) {
   Task& t = task(id);
   if (t.state != TaskState::kBlocked) return;
-  t.blocked_cycles += sim_.now() - t.blocked_since;
   set_state(id, TaskState::kReady);
   t.wait_kind = WaitKind::kNone;
   reschedule(t.pe);
@@ -1018,9 +1022,6 @@ void Kernel::recover_from_deadlock() {
   v.pc = 0;
   v.compute_left = 0;
   v.allocations.clear();
-  if (v.state == TaskState::kBlocked) {
-    v.blocked_cycles += sim_.now() - v.blocked_since;
-  }
   set_state(victim, TaskState::kNotStarted);
   sim_.schedule_in(4 * cfg_.costs.context_switch, [this, victim] {
     Task& t = task(victim);

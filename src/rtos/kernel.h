@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bus/bus.h"
+#include "obs/critpath.h"
 #include "obs/observer.h"
 #include "rtos/devices.h"
 #include "rtos/engine_counters.h"
@@ -73,11 +74,12 @@ struct KernelConfig {
   std::vector<std::vector<ResourceId>> claims;
   std::vector<std::string> resource_names;  ///< default q1..qm
   bool trace = true;
-  /// Keep the per-transition phase log (transitions()) that the
-  /// utilization report, timeline and critical-path profiler fold. It
-  /// grows without bound — one entry per task state change — so callers
-  /// that run billions of cycles and never read it (the differential
-  /// fuzzer) turn it off.
+  /// Keep the per-transition phase log (transitions()). Four readers
+  /// fold it through obs::fold_phases(): the utilization report, the
+  /// Gantt timeline (rtos/timeline.h), the critical-path profiler and
+  /// the windowed sampler's per-PE busy tracks. It grows without bound
+  /// — one entry per task state change — so callers that run billions
+  /// of cycles and never read it (the differential fuzzer) turn it off.
   bool record_transitions = true;
 };
 
@@ -199,13 +201,10 @@ class Kernel {
 
   [[nodiscard]] TaskId running_on(PeId pe) const { return running_.at(pe); }
 
-  /// Structured task-state transition log (drives rtos/timeline.h).
-  struct StateTransition {
-    sim::Cycles time;
-    TaskId task;
-    TaskState to;
-  };
-  [[nodiscard]] const std::vector<StateTransition>& transitions() const {
+  /// Task phase log, one entry per state change (not-started, suspended
+  /// and finished all map to TaskPhase::kAbsent). Empty unless
+  /// KernelConfig::record_transitions.
+  [[nodiscard]] const std::vector<obs::PhaseChange>& transitions() const {
     return transitions_;
   }
 
@@ -270,7 +269,7 @@ class Kernel {
   bool halted_ = false;
   std::uint64_t recoveries_ = 0;
   std::map<TaskId, std::uint64_t> restarts_;
-  std::vector<StateTransition> transitions_;
+  std::vector<obs::PhaseChange> transitions_;
 
   /// Host-side engine counters; null = collection off (the default).
   std::unique_ptr<EngineCounters> engine_;
@@ -295,7 +294,7 @@ class Kernel {
   void trace(const char* channel, F&& make_text) {
     if (cfg_.trace) sim_.trace().record(sim_.now(), channel, make_text());
   }
-  /// Set a task's state and append to the transition log.
+  /// Set a task's state and append its phase to the transition log.
   void set_state(TaskId id, TaskState to);
   void reschedule(PeId pe);
   void dispatch(PeId pe, TaskId id);

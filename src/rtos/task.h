@@ -72,8 +72,6 @@ struct Task {
 
   /// Statistics.
   std::uint64_t preemptions = 0;
-  sim::Cycles blocked_cycles = 0;
-  sim::Cycles blocked_since = 0;
 
   [[nodiscard]] bool runnable() const {
     return state == TaskState::kReady || state == TaskState::kRunning;

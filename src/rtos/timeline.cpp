@@ -10,55 +10,21 @@ Timeline Timeline::from_kernel(Kernel& kernel, sim::Cycles until) {
   tl.horizon_ = until;
   const std::size_t n = kernel.task_count();
   for (TaskId t = 0; t < n; ++t) tl.names_.push_back(kernel.task(t).name);
-
-  // Walk the transition log per task, closing a span at each change.
-  std::vector<TaskState> state(n, TaskState::kNotStarted);
-  std::vector<sim::Cycles> since(n, 0);
-
-  const auto close = [&tl, until](TaskId t, TaskState s, sim::Cycles from,
-                                  sim::Cycles to) {
-    if (from >= to || from >= until) return;
-    TimelineSpan span;
-    span.task = t;
-    span.begin = from;
-    span.end = std::min(to, until);
-    switch (s) {
-      case TaskState::kRunning:
-        span.what = TimelineSpan::What::kRunning;
-        break;
-      case TaskState::kBlocked:
-        span.what = TimelineSpan::What::kBlocked;
-        break;
-      case TaskState::kReady:
-        span.what = TimelineSpan::What::kReady;
-        break;
-      default:
-        return;  // not started / suspended / finished: no bar
-    }
-    tl.spans_.push_back(span);
-  };
-
-  for (const Kernel::StateTransition& tr : kernel.transitions()) {
-    if (tr.task >= n) continue;
-    close(tr.task, state[tr.task], since[tr.task], tr.time);
-    state[tr.task] = tr.to;
-    since[tr.task] = tr.time;
-  }
-  for (TaskId t = 0; t < n; ++t) close(t, state[t], since[t], until);
+  tl.spans_ = obs::fold_phases(kernel.transitions(), n, until);
   return tl;
 }
 
-std::vector<TimelineSpan> Timeline::for_task(TaskId id) const {
-  std::vector<TimelineSpan> out;
-  for (const TimelineSpan& s : spans_)
+std::vector<obs::PhaseSpan> Timeline::for_task(TaskId id) const {
+  std::vector<obs::PhaseSpan> out;
+  for (const obs::PhaseSpan& s : spans_)
     if (s.task == id) out.push_back(s);
   return out;
 }
 
 sim::Cycles Timeline::running_time(TaskId id) const {
   sim::Cycles total = 0;
-  for (const TimelineSpan& s : spans_)
-    if (s.task == id && s.what == TimelineSpan::What::kRunning)
+  for (const obs::PhaseSpan& s : spans_)
+    if (s.task == id && s.phase == obs::TaskPhase::kRunning)
       total += s.end - s.begin;
   return total;
 }
@@ -75,14 +41,14 @@ std::string Timeline::gantt(std::size_t width) const {
 
   for (TaskId t = 0; t < names_.size(); ++t) {
     std::string row(width, ' ');
-    for (const TimelineSpan& s : for_task(t)) {
+    for (const obs::PhaseSpan& s : for_task(t)) {
       const auto b = static_cast<std::size_t>(
           static_cast<double>(s.begin) * scale);
       auto e = static_cast<std::size_t>(static_cast<double>(s.end) * scale);
       e = std::min(std::max(e, b + 1), width);
-      const char c = s.what == TimelineSpan::What::kRunning ? '#'
-                     : s.what == TimelineSpan::What::kBlocked ? '.'
-                                                              : ' ';
+      const char c = s.phase == obs::TaskPhase::kRunning   ? '#'
+                     : s.phase == obs::TaskPhase::kBlocked ? '.'
+                                                           : ' ';
       for (std::size_t i = b; i < e; ++i)
         if (c != ' ' || row[i] == ' ') row[i] = (row[i] == '#') ? '#' : c;
     }

@@ -1,42 +1,35 @@
 // Execution timelines (the Fig. 20 view).
 //
-// Reconstructs per-PE/per-task execution intervals from a finished
-// kernel and renders them as an ASCII Gantt chart — the same picture the
-// paper's Fig. 20 draws to explain IPCP behaviour (task3 holding PE2
-// through its critical section while task2 waits).
+// Per-task execution intervals of a finished kernel, rendered as an
+// ASCII Gantt chart: the same picture the paper's Fig. 20 draws to
+// explain IPCP behaviour (task3 holding PE2 through its critical
+// section while task2 waits).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "obs/critpath.h"
 #include "rtos/kernel.h"
 
 namespace delta::rtos {
 
-/// One contiguous interval a task spent in a state.
-struct TimelineSpan {
-  TaskId task = kNoTask;
-  sim::Cycles begin = 0;
-  sim::Cycles end = 0;
-  enum class What : std::uint8_t { kRunning, kBlocked, kReady } what =
-      What::kRunning;
-};
-
-/// Folds the kernel's task-state transition log (Kernel::transitions(),
-/// kept while KernelConfig::record_transitions is on) after a run into
-/// running/blocked/ready spans, one per state a task held.
+/// The kernel's phase log (Kernel::transitions(), kept while
+/// KernelConfig::record_transitions is on) folded by obs::fold_phases()
+/// into running/blocked/ready spans, plus the task names to label them.
 class Timeline {
  public:
   /// Build from a finished kernel. `until` clips the horizon.
   static Timeline from_kernel(Kernel& kernel, sim::Cycles until);
 
-  [[nodiscard]] const std::vector<TimelineSpan>& spans() const {
+  /// Every span, in the order fold_phases() closed them.
+  [[nodiscard]] const std::vector<obs::PhaseSpan>& spans() const {
     return spans_;
   }
 
   /// Spans of one task.
-  [[nodiscard]] std::vector<TimelineSpan> for_task(TaskId id) const;
+  [[nodiscard]] std::vector<obs::PhaseSpan> for_task(TaskId id) const;
 
   /// Total running time of a task within the horizon.
   [[nodiscard]] sim::Cycles running_time(TaskId id) const;
@@ -48,7 +41,7 @@ class Timeline {
   [[nodiscard]] sim::Cycles horizon() const { return horizon_; }
 
  private:
-  std::vector<TimelineSpan> spans_;
+  std::vector<obs::PhaseSpan> spans_;
   std::vector<std::string> names_;
   sim::Cycles horizon_ = 0;
 };

@@ -39,8 +39,6 @@ enum class TaskState : std::uint8_t {
   kFinished,    ///< program completed
 };
 
-const char* task_state_name(TaskState s);
-
 /// What a blocked task is waiting for (diagnostics and wake-up routing).
 enum class WaitKind : std::uint8_t {
   kNone,

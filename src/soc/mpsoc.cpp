@@ -6,7 +6,6 @@
 #include <string>
 
 #include "soc/mpsoc.h"
-#include "soc/utilization.h"
 
 namespace delta::soc {
 
@@ -144,14 +143,15 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
         cfg_.sample_period,
         {"engine.queue_depth", "engine.footprint_bytes"});
 
-  WindowedPeBusy busy(*kernel_);
+  // The per-PE busy slots stay zero until the run is over; the other
+  // tracks are probed at each window boundary.
+  std::vector<obs::TimeSeries::Sample> samples;
   std::uint64_t prev_bus_busy = 0;
   std::uint64_t prev_bus_words = 0;
   std::uint64_t prev_spins = 0;
   const obs::Counter& spins = obs_.metrics.counter("lock.spins");
   const auto take_sample = [&](sim::Cycles t) {
-    std::vector<std::uint64_t> v;
-    for (const sim::Cycles b : busy.advance(t)) v.push_back(b);
+    std::vector<std::uint64_t> v(cfg_.pe_count, 0);
     std::uint64_t bus_busy = 0;
     std::uint64_t bus_words = 0;
     for (bus::MasterId m = 0; m < bus_->masters(); ++m) {
@@ -169,7 +169,7 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
       if (kernel_->task(id).state == rtos::TaskState::kReady) ++ready;
     v.push_back(ready);
     v.push_back(kernel_->memory().bytes_in_use());
-    series_.append(t, std::move(v));
+    samples.push_back({t, std::move(v)});
     if (cfg_.engine_stats)
       engine_series_.append(
           t, {static_cast<std::uint64_t>(sim_.queue_depth()),
@@ -192,8 +192,29 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
   const sim::Cycles end = sim_.run(limit);
   // Close the last (possibly partial) window so delta tracks integrate
   // to the end-of-run totals exactly.
-  if (series_.empty() || series_.samples().back().t < end)
-    take_sample(end);
+  if (samples.empty() || samples.back().t < end) take_sample(end);
+
+  // Busy cycles: each running span's overlap with each window
+  // [t[i-1], t[i]), folded from the same phase log (and clipped at the
+  // same end) that utilization_report() reads.
+  for (const obs::PhaseSpan& s :
+       obs::fold_phases(kernel_->transitions(), kernel_->task_count(), end)) {
+    if (s.phase != obs::TaskPhase::kRunning) continue;
+    const rtos::PeId pe = kernel_->task(s.task).pe;
+    auto w = std::upper_bound(
+        samples.begin(), samples.end(), s.begin,
+        [](sim::Cycles at, const obs::TimeSeries::Sample& x) {
+          return at < x.t;
+        });
+    for (sim::Cycles from = s.begin; w != samples.end() && from < s.end;
+         ++w) {
+      const sim::Cycles to = std::min(s.end, w->t);
+      w->values[pe] += to - from;
+      from = to;
+    }
+  }
+  for (obs::TimeSeries::Sample& sample : samples)
+    series_.append(sample.t, std::move(sample.values));
   stamp_trace_dropped();
   return end;
 }

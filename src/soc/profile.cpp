@@ -2,26 +2,6 @@
 
 namespace delta::soc {
 
-namespace {
-
-obs::TaskPhase to_phase(rtos::TaskState s) {
-  switch (s) {
-    case rtos::TaskState::kReady:
-      return obs::TaskPhase::kReady;
-    case rtos::TaskState::kRunning:
-      return obs::TaskPhase::kRunning;
-    case rtos::TaskState::kBlocked:
-      return obs::TaskPhase::kBlocked;
-    case rtos::TaskState::kNotStarted:
-    case rtos::TaskState::kSuspended:
-    case rtos::TaskState::kFinished:
-      break;
-  }
-  return obs::TaskPhase::kAbsent;
-}
-
-}  // namespace
-
 obs::ProfileInput profile_input(Mpsoc& soc, sim::Cycles horizon) {
   rtos::Kernel& k = soc.kernel();
   obs::ProfileInput in;
@@ -34,13 +14,7 @@ obs::ProfileInput profile_input(Mpsoc& soc, sim::Cycles horizon) {
     info.pe = static_cast<std::uint16_t>(k.task(id).pe);
     in.tasks.push_back(std::move(info));
   }
-  for (const rtos::Kernel::StateTransition& tr : k.transitions()) {
-    obs::PhaseChange pc;
-    pc.time = tr.time;
-    pc.task = static_cast<std::uint32_t>(tr.task);
-    pc.to = to_phase(tr.to);
-    in.phases.push_back(pc);
-  }
+  in.phases = k.transitions();
   in.events = soc.observer().trace.events();
   in.events_dropped = soc.observer().trace.dropped();
   for (const ResourceSpec& r : soc.config().resources)

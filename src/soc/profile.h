@@ -1,11 +1,11 @@
 // Bridge from a finished Mpsoc to the rtos-agnostic profiler input.
 //
 // obs/critpath.h deliberately knows nothing about the kernel; this
-// adapter maps the kernel's state-transition log onto TaskPhases, copies
+// adapter copies the kernel's phase log (already obs::PhaseChanges) and
 // the retained structured-trace events, and carries the resource names
 // so contention entries read "IDCT", not "resource1". The horizon rule
-// matches utilization_report(): explicit argument, else the last task
-// finish time, else the simulator clock.
+// matches utilization_report(): the explicit argument, else the last
+// task finish time, and the simulator clock only when no task finished.
 #pragma once
 
 #include "obs/critpath.h"

@@ -1,10 +1,7 @@
 #include "soc/utilization.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
-
-#include "rtos/timeline.h"
 
 namespace delta::soc {
 
@@ -17,14 +14,15 @@ UtilizationReport utilization_report(Mpsoc& soc, sim::Cycles horizon) {
   r.deadline_misses = k.deadline_misses();
 
   // PE busy time: sum of running spans of the tasks pinned to each PE.
-  const rtos::Timeline tl = rtos::Timeline::from_kernel(k, r.horizon);
-  std::map<rtos::PeId, sim::Cycles> busy;
-  for (rtos::TaskId t = 0; t < k.task_count(); ++t)
-    busy[k.task(t).pe] += tl.running_time(t);
-  for (std::size_t pe = 0; pe < k.config().pe_count; ++pe) {
+  std::vector<sim::Cycles> busy(k.config().pe_count, 0);
+  for (const obs::PhaseSpan& s :
+       obs::fold_phases(k.transitions(), k.task_count(), r.horizon))
+    if (s.phase == obs::TaskPhase::kRunning)
+      busy[k.task(s.task).pe] += s.end - s.begin;
+  for (std::size_t pe = 0; pe < busy.size(); ++pe) {
     PeUtilization u;
     u.pe = pe;
-    u.busy = busy.count(pe) ? busy[pe] : 0;
+    u.busy = busy[pe];
     u.fraction = r.horizon == 0 ? 0.0
                                 : static_cast<double>(u.busy) /
                                       static_cast<double>(r.horizon);
@@ -51,37 +49,6 @@ UtilizationReport utilization_report(Mpsoc& soc, sim::Cycles horizon) {
     r.device_fraction.push_back(std::min(1.0, f));
   }
   return r;
-}
-
-WindowedPeBusy::WindowedPeBusy(const rtos::Kernel& kernel)
-    : kernel_(kernel) {}
-
-std::vector<sim::Cycles> WindowedPeBusy::advance(sim::Cycles t) {
-  std::vector<sim::Cycles> acc(kernel_.config().pe_count, 0);
-  if (running_since_.size() < kernel_.task_count())
-    running_since_.resize(kernel_.task_count(), sim::kNeverCycles);
-
-  const auto credit = [&](rtos::TaskId task, sim::Cycles until) {
-    const sim::Cycles from = std::max(running_since_[task], last_);
-    if (until > from) acc[kernel_.task(task).pe] += until - from;
-  };
-
-  const auto& log = kernel_.transitions();
-  for (; next_ < log.size() && log[next_].time <= t; ++next_) {
-    const auto& tr = log[next_];
-    if (tr.task >= running_since_.size()) continue;
-    if (running_since_[tr.task] != sim::kNeverCycles) {
-      credit(tr.task, tr.time);
-      running_since_[tr.task] = sim::kNeverCycles;
-    }
-    if (tr.to == rtos::TaskState::kRunning) running_since_[tr.task] = tr.time;
-  }
-  // Spans still open at the boundary contribute their overlap with the
-  // window; the next window picks them up again from last_.
-  for (rtos::TaskId task = 0; task < running_since_.size(); ++task)
-    if (running_since_[task] != sim::kNeverCycles) credit(task, t);
-  last_ = t;
-  return acc;
 }
 
 std::string UtilizationReport::to_string() const {

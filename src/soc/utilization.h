@@ -1,9 +1,10 @@
 // System utilization reporting.
 //
-// Summarizes a finished run: per-PE busy fraction (from the kernel's
-// state-transition log), bus occupancy and per-master traffic, device
-// busy time, and task response statistics — the numbers a designer
-// exploring Table 3 configurations wants next to the raw makespan.
+// Summarizes a finished run: per-PE busy fraction (the running spans
+// obs::fold_phases() folds from the kernel's phase log), bus occupancy
+// and per-master traffic, device busy time, and task response
+// statistics — the numbers a designer exploring Table 3 configurations
+// wants next to the raw makespan.
 #pragma once
 
 #include <iosfwd>
@@ -35,29 +36,9 @@ struct UtilizationReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Build the report for a finished system (horizon = last finish time,
-/// or pass one explicitly).
+/// Build the report for a finished system. The horizon is `horizon` when
+/// non-zero, else the last task finish time, and the simulator clock
+/// only when no task finished.
 UtilizationReport utilization_report(Mpsoc& soc, sim::Cycles horizon = 0);
-
-/// Incremental per-PE busy-time cursor over the kernel's state-transition
-/// log, for windowed sampling during a run. Each advance(t) consumes the
-/// transitions up to `t` and returns the busy cycles each PE accrued in
-/// the half-open window (previous t, t]; summing the windows of a whole
-/// run reproduces utilization_report()'s per-PE busy totals exactly.
-class WindowedPeBusy {
- public:
-  explicit WindowedPeBusy(const rtos::Kernel& kernel);
-
-  /// Advance the cursor to `t` (must not decrease across calls) and
-  /// return the per-PE busy cycles of the window just closed.
-  std::vector<sim::Cycles> advance(sim::Cycles t);
-
- private:
-  const rtos::Kernel& kernel_;
-  std::size_t next_ = 0;     ///< first unconsumed transition index
-  sim::Cycles last_ = 0;     ///< previous window boundary
-  /// Per task: start time of its open running span, or kNeverCycles.
-  std::vector<sim::Cycles> running_since_;
-};
 
 }  // namespace delta::soc

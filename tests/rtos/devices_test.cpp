@@ -4,6 +4,7 @@
 
 #include "rtos/devices.h"
 #include "rtos/kernel.h"
+#include "support/phases.h"
 
 namespace delta::rtos {
 namespace {
@@ -91,7 +92,7 @@ TEST(KernelDevices, UseDeviceBlocksUntilInterrupt) {
   w.run();
   EXPECT_TRUE(w.k().task(id).done());
   EXPECT_GT(w.k().task(id).finished_at, 5000u);
-  EXPECT_GT(w.k().task(id).blocked_cycles, 4000u);
+  EXPECT_GT(tests::blocked_cycles(w.k(), id), 4000u);
   EXPECT_EQ(w.k().devices().jobs_completed(1), 1u);
 }
 

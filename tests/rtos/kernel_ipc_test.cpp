@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "rtos/kernel.h"
+#include "support/phases.h"
 
 namespace delta::rtos {
 namespace {
@@ -47,7 +48,7 @@ TEST(KernelIpc, SemaphoreInitialCountConsumedWithoutBlocking) {
   const TaskId id = w.k().create_task("t", 0, 1, std::move(p));
   w.run();
   EXPECT_TRUE(w.k().task(id).done());
-  EXPECT_EQ(w.k().task(id).blocked_cycles, 0u);
+  EXPECT_EQ(tests::blocked_cycles(w.k(), id), 0u);
 }
 
 TEST(KernelIpc, SemaphoreWakesHighestPriorityWaiter) {
@@ -97,7 +98,7 @@ TEST(KernelIpc, MailboxBuffersWhenNoReceiver) {
   const TaskId rx_id = w.k().create_task("rx", 1, 2, std::move(rx));
   w.run();
   EXPECT_TRUE(w.k().all_finished());
-  EXPECT_EQ(w.k().task(rx_id).blocked_cycles, 0u);  // messages were ready
+  EXPECT_EQ(tests::blocked_cycles(w.k(), rx_id), 0u);  // messages were ready
 }
 
 TEST(KernelIpc, QueueBlocksSenderWhenFull) {
@@ -112,7 +113,7 @@ TEST(KernelIpc, QueueBlocksSenderWhenFull) {
   w.run();
   EXPECT_TRUE(w.k().all_finished());
   // The second send blocked until the receiver drained a slot.
-  EXPECT_GT(w.k().task(tx_id).blocked_cycles, 2000u);
+  EXPECT_GT(tests::blocked_cycles(w.k(), tx_id), 2000u);
 }
 
 TEST(KernelIpc, QueueDeliversInOrder) {
@@ -159,7 +160,7 @@ TEST(KernelIpc, EventWaitAlreadySatisfied) {
   const TaskId id = w.k().create_task("t", 0, 1, std::move(p));
   w.run();
   EXPECT_TRUE(w.k().task(id).done());
-  EXPECT_EQ(w.k().task(id).blocked_cycles, 0u);
+  EXPECT_EQ(tests::blocked_cycles(w.k(), id), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rag/oracle.h"
+#include "support/phases.h"
 
 namespace delta::rtos {
 namespace {
@@ -173,7 +174,7 @@ TEST(Kernel, ResourceBlockingAndWakeup) {
   w.run();
   EXPECT_TRUE(w.k().all_finished());
   // p2 had to wait for p1's release.
-  EXPECT_GT(w.k().task(id2).blocked_cycles, 1000u);
+  EXPECT_GT(tests::blocked_cycles(w.k(), id2), 1000u);
   EXPECT_GT(w.k().task(id2).finished_at, w.k().task(id1).finished_at);
 }
 
@@ -309,7 +310,7 @@ TEST(Kernel, BlockedCyclesAccounted) {
   w.k().create_task("h", 0, 1, std::move(holder));
   const TaskId id = w.k().create_task("w", 1, 2, std::move(waiter), 100);
   w.run();
-  EXPECT_GT(w.k().task(id).blocked_cycles, 3000u);
+  EXPECT_GT(tests::blocked_cycles(w.k(), id), 3000u);
 }
 
 TEST(Kernel, CreateTaskErrorsNameTheOffendingIndexAndLimit) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "rtos/kernel.h"
+#include "support/phases.h"
 
 namespace delta::rtos {
 namespace {
@@ -105,7 +106,7 @@ TEST(SpinLocks, LongLocksStillSuspend) {
   EXPECT_TRUE(w.k().all_finished());
   // c ran while b was suspended: it finished before b.
   EXPECT_LT(w.k().task(cid).finished_at, w.k().task(bid).finished_at);
-  EXPECT_GT(w.k().task(bid).blocked_cycles, 1000u);
+  EXPECT_GT(tests::blocked_cycles(w.k(), bid), 1000u);
 }
 
 TEST(SpinLocks, DisabledFlagFallsBackToBlocking) {
@@ -126,7 +127,7 @@ TEST(SpinLocks, DisabledFlagFallsBackToBlocking) {
   k.start();
   sim.run(10'000'000);
   EXPECT_TRUE(k.all_finished());
-  EXPECT_GT(k.task(bid).blocked_cycles, 0u);  // suspended, not spinning
+  EXPECT_GT(tests::blocked_cycles(k, bid), 0u);  // suspended, not spinning
 }
 
 }  // namespace

