@@ -47,4 +47,11 @@ struct SweepReport {
 [[nodiscard]] SweepReport run_sweep(const SweepSpec& spec,
                                     const RunnerOptions& opt = {});
 
+/// Call body(i) once for every i in [0, count), on min(threads, count)
+/// workers pulling indices from one atomic cursor; with one worker the
+/// calls run on the calling thread, in index order. Returns after every
+/// call finished. The sweep runner and the fuzz campaign share it.
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body);
+
 }  // namespace delta::exp
