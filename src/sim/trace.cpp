@@ -6,15 +6,7 @@
 namespace delta::sim {
 
 void Trace::record(Cycles t, std::string_view channel, std::string_view text) {
-  if (!enabled_) return;
   events_.push_back(TraceEvent{t, std::string(channel), std::string(text)});
-}
-
-std::vector<TraceEvent> Trace::channel(std::string_view name) const {
-  std::vector<TraceEvent> out;
-  for (const auto& e : events_)
-    if (e.channel == name) out.push_back(e);
-  return out;
 }
 
 std::vector<TraceEvent> Trace::matching(std::string_view needle) const {
@@ -24,26 +16,12 @@ std::vector<TraceEvent> Trace::matching(std::string_view needle) const {
   return out;
 }
 
-namespace {
-void print_rows(std::ostream& os, const std::vector<TraceEvent>& rows,
-                bool with_channel) {
-  for (const auto& e : rows) {
-    os << std::setw(10) << e.time << "  ";
-    if (with_channel) os << std::setw(8) << std::left << e.channel << std::right << "  ";
-    os << e.text << '\n';
-  }
-}
-}  // namespace
-
 void Trace::print(std::ostream& os) const {
   os << std::setw(10) << "cycle" << "  " << std::setw(8) << std::left
      << "channel" << std::right << "  event\n";
-  print_rows(os, events_, /*with_channel=*/true);
-}
-
-void Trace::print_channel(std::ostream& os, std::string_view name) const {
-  os << std::setw(10) << "cycle" << "  event (" << name << ")\n";
-  print_rows(os, channel(name), /*with_channel=*/false);
+  for (const auto& e : events_)
+    os << std::setw(10) << e.time << "  " << std::setw(8) << std::left
+       << e.channel << std::right << "  " << e.text << '\n';
 }
 
 }  // namespace delta::sim

@@ -22,24 +22,16 @@ struct TraceEvent {
   std::string text;     ///< human-readable description
 };
 
-/// Append-only event log with channel filtering and table formatting.
+/// Append-only event log with text search and table formatting.
 class Trace {
  public:
   /// Record an event at time `t` on `channel`.
   void record(Cycles t, std::string_view channel, std::string_view text);
 
-  /// Enable/disable recording globally (default: enabled).
-  void set_enabled(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
-
-  /// Events on a given channel, in time order.
-  [[nodiscard]] std::vector<TraceEvent> channel(std::string_view name) const;
 
   /// Events whose text contains `needle`.
   [[nodiscard]] std::vector<TraceEvent> matching(
@@ -47,11 +39,9 @@ class Trace {
 
   /// Render as a two-column (time | event) table like the paper's Table 4.
   void print(std::ostream& os) const;
-  void print_channel(std::ostream& os, std::string_view name) const;
 
  private:
   std::vector<TraceEvent> events_;
-  bool enabled_ = true;
 };
 
 }  // namespace delta::sim

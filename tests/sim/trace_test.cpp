@@ -15,17 +15,6 @@ TEST(Trace, RecordsEvents) {
   EXPECT_EQ(t.events()[1].text, "request q2");
 }
 
-TEST(Trace, ChannelFilter) {
-  Trace t;
-  t.record(1, "PE1", "a");
-  t.record(2, "PE2", "b");
-  t.record(3, "PE1", "c");
-  const auto pe1 = t.channel("PE1");
-  ASSERT_EQ(pe1.size(), 2u);
-  EXPECT_EQ(pe1[0].text, "a");
-  EXPECT_EQ(pe1[1].text, "c");
-}
-
 TEST(Trace, MatchingFilter) {
   Trace t;
   t.record(1, "DAU", "p1 requests q1");
@@ -36,16 +25,6 @@ TEST(Trace, MatchingFilter) {
   EXPECT_EQ(t.matching("nothing").size(), 0u);
 }
 
-TEST(Trace, DisableStopsRecording) {
-  Trace t;
-  t.set_enabled(false);
-  t.record(1, "x", "y");
-  EXPECT_EQ(t.size(), 0u);
-  t.set_enabled(true);
-  t.record(2, "x", "y");
-  EXPECT_EQ(t.size(), 1u);
-}
-
 TEST(Trace, PrintContainsRows) {
   Trace t;
   t.record(123, "PE3", "deadlock detected");
@@ -53,13 +32,6 @@ TEST(Trace, PrintContainsRows) {
   t.print(os);
   EXPECT_NE(os.str().find("123"), std::string::npos);
   EXPECT_NE(os.str().find("deadlock detected"), std::string::npos);
-}
-
-TEST(Trace, ClearEmpties) {
-  Trace t;
-  t.record(1, "x", "y");
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
 }
 
 }  // namespace
