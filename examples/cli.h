@@ -6,7 +6,9 @@
 // and delta_gen. Values stay strings internally; the typed getters
 // (u64/size/integer/list) convert at the call site and reject a value
 // that is not one whole in-range number, naming the flag. Every output
-// file goes through write_output, so a failed write is an error exit.
+// file goes through write_output, so a failed write is an error exit,
+// and a document sent to stdout ("-") keeps stdout to itself: the
+// tool's other lines go to log_stream(), which is then stderr.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -162,6 +165,25 @@ class Args {
   }
   [[nodiscard]] const std::vector<std::string>& positionals() const {
     return positionals_;
+  }
+
+  /// The stream for the tool's progress and summary lines. When one of
+  /// the document options `docs` is "-", the document owns stdout and
+  /// the lines go to stderr. Two documents on stdout print an error
+  /// naming both flags and exit 2.
+  [[nodiscard]] std::FILE* log_stream(
+      std::initializer_list<const char*> docs) const {
+    const char* on_stdout = nullptr;
+    for (const char* name : docs) {
+      if (str(name) != "-") continue;
+      if (on_stdout != nullptr) {
+        std::fprintf(stderr, "%s: --%s and --%s both write to stdout ('-')\n",
+                     prog_.c_str(), on_stdout, name);
+        std::exit(2);
+      }
+      on_stdout = name;
+    }
+    return on_stdout != nullptr ? stderr : stdout;
   }
 
   void print_usage(std::FILE* to) const {

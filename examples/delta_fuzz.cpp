@@ -116,50 +116,55 @@ int main(int argc, char** argv) {
   const std::string repro_path = args.str("repro");
   const std::string replay_path = args.str("replay");
   const std::string out_path = args.str("out");
+  std::FILE* const log = args.log_stream({"out", "repro"});
 
   try {
     if (!replay_path.empty())
       return replay(replay_path, opts.pairs, opts.fault);
 
     const fuzz::CampaignReport report = fuzz::run_campaign(opts);
-    std::printf("delta_fuzz: %llu runs, seed %llu, %zu pair set(s)%s\n",
-                static_cast<unsigned long long>(report.runs),
-                static_cast<unsigned long long>(report.seed),
-                report.pairs.size(),
-                opts.fault.empty()
-                    ? ""
-                    : (" [fault: " + opts.fault + "]").c_str());
+    std::fprintf(log, "delta_fuzz: %llu runs, seed %llu, %zu pair set(s)%s\n",
+                 static_cast<unsigned long long>(report.runs),
+                 static_cast<unsigned long long>(report.seed),
+                 report.pairs.size(),
+                 opts.fault.empty()
+                     ? ""
+                     : (" [fault: " + opts.fault + "]").c_str());
     if (opts.engine_stats)
-      std::printf("delta_fuzz: engine stats over %llu executions: %llu "
-                  "events dispatched, peak queue footprint %llu bytes\n",
-                  static_cast<unsigned long long>(report.engine_suts),
-                  static_cast<unsigned long long>(
-                      report.engine.events_dispatched),
-                  static_cast<unsigned long long>(
-                      report.engine.queue_footprint_bytes));
+      std::fprintf(log,
+                   "delta_fuzz: engine stats over %llu executions: %llu "
+                   "events dispatched, peak queue footprint %llu bytes\n",
+                   static_cast<unsigned long long>(report.engine_suts),
+                   static_cast<unsigned long long>(
+                       report.engine.events_dispatched),
+                   static_cast<unsigned long long>(
+                       report.engine.queue_footprint_bytes));
     if (!out_path.empty() &&
         !cli::write_output(out_path, fuzz::campaign_report_json(report)))
       return 2;
     if (report.clean()) {
-      std::printf("delta_fuzz: no divergence found\n");
+      std::fprintf(log, "delta_fuzz: no divergence found\n");
       return 0;
     }
-    std::printf("delta_fuzz: %llu failing run(s), %zu recorded failure(s)\n",
-                static_cast<unsigned long long>(report.failing_runs),
-                report.failures.size());
+    std::fprintf(log,
+                 "delta_fuzz: %llu failing run(s), %zu recorded failure(s)\n",
+                 static_cast<unsigned long long>(report.failing_runs),
+                 report.failures.size());
     for (const fuzz::CampaignFailure& f : report.failures) {
-      std::printf("  run %llu pair %s: shrunk %zu -> %zu task(s)\n",
-                  static_cast<unsigned long long>(f.run_index),
-                  f.pair.c_str(), f.original.tasks.size(),
-                  f.shrunk.tasks.size());
+      std::fprintf(log, "  run %llu pair %s: shrunk %zu -> %zu task(s)\n",
+                   static_cast<unsigned long long>(f.run_index),
+                   f.pair.c_str(), f.original.tasks.size(),
+                   f.shrunk.tasks.size());
       for (const std::string& v : f.violations)
-        std::printf("    %s\n", v.c_str());
+        std::fprintf(log, "    %s\n", v.c_str());
     }
     if (!repro_path.empty()) {
       const fuzz::Scenario& first = report.failures.front().shrunk;
       if (!cli::write_output(repro_path, fuzz::scenario_to_json(first)))
         return 2;
-      std::printf("delta_fuzz: repro written to %s\n", repro_path.c_str());
+      if (repro_path != "-")
+        std::fprintf(log, "delta_fuzz: repro written to %s\n",
+                     repro_path.c_str());
     }
     return 1;
   } catch (const std::exception& e) {

@@ -36,7 +36,8 @@ using namespace delta;
 
 namespace {
 
-int generate_into(const soc::DeltaConfig& cfg, const std::string& out_dir) {
+int generate_into(const soc::DeltaConfig& cfg, const std::string& out_dir,
+                  std::FILE* log) {
   const std::vector<soc::ConfigError> errors = cfg.validate();
   if (!errors.empty()) {
     std::fprintf(stderr, "invalid configuration (%zu problems):\n",
@@ -47,7 +48,7 @@ int generate_into(const soc::DeltaConfig& cfg, const std::string& out_dir) {
   }
   std::filesystem::create_directories(out_dir);
 
-  std::printf("%s\n", cfg.describe().c_str());
+  std::fprintf(log, "%s\n", cfg.describe().c_str());
   const auto files = soc::generate_hdl(cfg);
   bool clean = true;
   for (const auto& f : files) {
@@ -59,11 +60,11 @@ int generate_into(const soc::DeltaConfig& cfg, const std::string& out_dir) {
          "bus_arbiter", "interrupt_controller", "clock_driver",
          "ddu_5x5", "dau_5x5", "soclc", "socdmmu"});
     clean &= issues.empty();
-    std::printf("  wrote %-42s %5zu lines%s\n", path.c_str(),
-                hw::count_lines(f.contents),
-                issues.empty() ? "" : "  LINT ISSUES");
+    std::fprintf(log, "  wrote %-42s %5zu lines%s\n", path.c_str(),
+                 hw::count_lines(f.contents),
+                 issues.empty() ? "" : "  LINT ISSUES");
     for (const auto& i : issues)
-      std::printf("    line %d: %s\n", i.line, i.message.c_str());
+      std::fprintf(log, "    line %d: %s\n", i.line, i.message.c_str());
   }
 
   // Area summary for the selected hardware components.
@@ -83,16 +84,16 @@ int generate_into(const soc::DeltaConfig& cfg, const std::string& out_dir) {
          << hw::area_percent_of_mpsoc(total) << "% of the MPSoC)\n";
   std::ofstream(std::filesystem::path(out_dir) / "report.txt")
       << report.str();
-  std::printf("  wrote %s/report.txt (%.0f NAND2 total)\n", out_dir.c_str(),
-              total);
+  std::fprintf(log, "  wrote %s/report.txt (%.0f NAND2 total)\n",
+               out_dir.c_str(), total);
   return clean ? 0 : 2;
 }
 
 /// Smoke-simulate the configuration with the "mixed" sweep workload and
-/// surface the observability layer: the metrics registry on stdout
+/// surface the observability layer: the metrics registry on `log`
 /// and/or a Chrome trace-event file.
 int observe(const soc::DeltaConfig& cfg, bool metrics,
-            const std::string& trace_path) {
+            const std::string& trace_path, std::FILE* log) {
   try {
     soc::MpsocConfig mc = cfg.to_mpsoc_config();
     // The smoke workload is deadlock-free by construction; don't freeze
@@ -109,14 +110,14 @@ int observe(const soc::DeltaConfig& cfg, bool metrics,
 
     if (metrics) {
       const obs::MetricsSnapshot snap = soc.observer().metrics.snapshot();
-      std::printf("metrics (smoke run, workload mixed):\n");
+      std::fprintf(log, "metrics (smoke run, workload mixed):\n");
       for (const auto& [name, value] : snap.counters)
-        std::printf("  %-24s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
+        std::fprintf(log, "  %-24s %llu\n", name.c_str(),
+                     static_cast<unsigned long long>(value));
       for (const auto& [name, h] : snap.histograms)
-        std::printf("  %-24s n=%llu mean=%.1f p95=%.1f\n", name.c_str(),
-                    static_cast<unsigned long long>(h.count), h.mean,
-                    h.p95);
+        std::fprintf(log, "  %-24s n=%llu mean=%.1f p95=%.1f\n",
+                     name.c_str(), static_cast<unsigned long long>(h.count),
+                     h.mean, h.p95);
     }
     if (!trace_path.empty()) {
       obs::ProcessTrace pt;
@@ -125,8 +126,9 @@ int observe(const soc::DeltaConfig& cfg, bool metrics,
       pt.dropped = soc.observer().trace.dropped();
       const std::string json = obs::chrome_trace_json({pt});
       if (!cli::write_output(trace_path, json)) return 1;
-      std::printf("  wrote %s (%zu bytes; open in ui.perfetto.dev)\n",
-                  trace_path.c_str(), json.size());
+      if (trace_path != "-")
+        std::fprintf(log, "  wrote %s (%zu bytes; open in ui.perfetto.dev)\n",
+                     trace_path.c_str(), json.size());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "smoke simulation failed: %s\n", e.what());
@@ -167,6 +169,7 @@ int main(int argc, char** argv) {
   const int preset = args.integer("preset");
   const bool metrics = args.on("metrics");
   const std::string trace_path = args.str("trace");
+  std::FILE* const log = args.log_stream({"trace"});
   const std::vector<std::string>& positional = args.positionals();
 
   soc::DeltaConfig cfg;
@@ -197,9 +200,9 @@ int main(int argc, char** argv) {
     out_dir = positional[1];
   }
 
-  const int rc = generate_into(cfg, out_dir);
+  const int rc = generate_into(cfg, out_dir, log);
   if (rc != 0) return rc;
   if (metrics || !trace_path.empty())
-    return observe(cfg, metrics, trace_path);
+    return observe(cfg, metrics, trace_path, log);
   return 0;
 }

@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
   const std::size_t trace_capacity = args.size("trace-capacity");
   const std::string out_path = args.str("out");
   const std::string chrome_path = args.str("chrome");
+  std::FILE* const log = args.log_stream({"out", "chrome"});
   exp::SweepSpec spec;
   const bool limit_set = args.on("limit");
   if (limit_set) spec.run_limit = args.u64("limit");
@@ -152,14 +153,16 @@ int main(int argc, char** argv) {
                    r.workload.c_str(), r.error.c_str());
       continue;
     }
-    std::printf("%-7s %-16s exec %llu cycles, critical path %llu cycles "
-                "(%zu links), %llu trace events (%llu dropped)\n",
-                r.config.c_str(), r.workload.c_str(),
-                static_cast<unsigned long long>(r.app_run_time),
-                static_cast<unsigned long long>(r.profile.critical_path_cycles),
-                r.profile.critical_path.size(),
-                static_cast<unsigned long long>(r.profile.events_seen),
-                static_cast<unsigned long long>(r.profile.events_dropped));
+    std::fprintf(
+        log,
+        "%-7s %-16s exec %llu cycles, critical path %llu cycles "
+        "(%zu links), %llu trace events (%llu dropped)\n",
+        r.config.c_str(), r.workload.c_str(),
+        static_cast<unsigned long long>(r.app_run_time),
+        static_cast<unsigned long long>(r.profile.critical_path_cycles),
+        r.profile.critical_path.size(),
+        static_cast<unsigned long long>(r.profile.events_seen),
+        static_cast<unsigned long long>(r.profile.events_dropped));
   }
 
   // Profile document: one entry per run, deterministic bytes.
@@ -195,15 +198,15 @@ int main(int argc, char** argv) {
   const std::string doc = w.finish();
   if (!cli::write_output(out_path, doc)) return 1;
   if (out_path != "-")
-    std::printf("profile written to %s (%zu bytes)\n", out_path.c_str(),
-                doc.size());
+    std::fprintf(log, "profile written to %s (%zu bytes)\n",
+                 out_path.c_str(), doc.size());
 
   if (!chrome_path.empty()) {
     const std::string trace = exp::report_trace_to_chrome_json(report);
     if (!cli::write_output(chrome_path, trace)) return 1;
     if (chrome_path != "-")
-      std::printf("chrome trace written to %s (%zu bytes)\n",
-                  chrome_path.c_str(), trace.size());
+      std::fprintf(log, "chrome trace written to %s (%zu bytes)\n",
+                   chrome_path.c_str(), trace.size());
   }
 
   return report.failed() == 0 ? 0 : 1;

@@ -77,6 +77,7 @@ int main(int argc, char** argv) {
   const std::size_t trace_capacity = args.size("trace-capacity");
   const bool metrics = args.on("metrics");
   const bool quiet = args.on("quiet");
+  std::FILE* const log = args.log_stream({"out", "trace"});
   exp::SweepSpec spec;
   if (args.on("limit")) spec.run_limit = args.u64("limit");
   if (args.on("base-seed")) spec.base_seed = args.u64("base-seed");
@@ -116,48 +117,53 @@ int main(int argc, char** argv) {
   exp::RunnerOptions opt;
   opt.threads = threads;
   if (!quiet) {
-    opt.on_result = [](const exp::RunResult& r) {
+    opt.on_result = [log](const exp::RunResult& r) {
       if (r.ok) {
-        std::printf("  done %-7s %-12s seed %-3llu  exec %llu cycles%s\n",
-                    r.config.c_str(), r.workload.c_str(),
-                    static_cast<unsigned long long>(r.seed),
-                    static_cast<unsigned long long>(r.app_run_time),
-                    r.all_finished ? "" : "  [unfinished]");
+        std::fprintf(log,
+                     "  done %-7s %-12s seed %-3llu  exec %llu cycles%s\n",
+                     r.config.c_str(), r.workload.c_str(),
+                     static_cast<unsigned long long>(r.seed),
+                     static_cast<unsigned long long>(r.app_run_time),
+                     r.all_finished ? "" : "  [unfinished]");
       } else {
-        std::printf("  FAIL %-7s %-12s seed %-3llu  %s\n", r.config.c_str(),
-                    r.workload.c_str(),
-                    static_cast<unsigned long long>(r.seed),
-                    r.error.c_str());
+        std::fprintf(log, "  FAIL %-7s %-12s seed %-3llu  %s\n",
+                     r.config.c_str(), r.workload.c_str(),
+                     static_cast<unsigned long long>(r.seed),
+                     r.error.c_str());
       }
     };
   }
 
   const std::size_t cells =
       spec.configs.size() * spec.workloads.size() * spec.seeds.size();
-  std::printf("delta_sweep: %zu configs x %zu workloads x %zu seeds = %zu "
-              "runs\n",
-              spec.configs.size(), spec.workloads.size(), spec.seeds.size(),
-              cells);
+  std::fprintf(log,
+               "delta_sweep: %zu configs x %zu workloads x %zu seeds = %zu "
+               "runs\n",
+               spec.configs.size(), spec.workloads.size(), spec.seeds.size(),
+               cells);
 
   const exp::SweepReport report = exp::run_sweep(spec, opt);
 
-  std::printf("sweep finished: %zu runs (%zu failed) on %zu threads in "
-              "%.2f s\n",
-              report.runs.size(), report.failed(), report.threads_used,
-              report.wall_seconds);
+  std::fprintf(log,
+               "sweep finished: %zu runs (%zu failed) on %zu threads in "
+               "%.2f s\n",
+               report.runs.size(), report.failed(), report.threads_used,
+               report.wall_seconds);
 
   const std::string json = exp::report_to_json(spec, report);
   if (!cli::write_output(out_path, json)) return 1;
   if (out_path != "-")
-    std::printf("report written to %s (%zu bytes)\n", out_path.c_str(),
-                json.size());
+    std::fprintf(log, "report written to %s (%zu bytes)\n",
+                 out_path.c_str(), json.size());
 
   if (!trace_path.empty()) {
     const std::string trace = exp::report_trace_to_chrome_json(report);
     if (!cli::write_output(trace_path, trace)) return 1;
-    std::printf("trace written to %s (%zu bytes; open in "
-                "ui.perfetto.dev)\n",
-                trace_path.c_str(), trace.size());
+    if (trace_path != "-")
+      std::fprintf(log,
+                   "trace written to %s (%zu bytes; open in "
+                   "ui.perfetto.dev)\n",
+                   trace_path.c_str(), trace.size());
   }
 
   if (metrics) {
@@ -167,11 +173,11 @@ int main(int argc, char** argv) {
     for (const exp::RunResult& r : report.runs)
       for (const auto& [name, value] : r.metrics.counters)
         totals[name] += value;
-    std::printf("metrics (counters summed over %zu runs):\n",
-                report.runs.size() - report.failed());
+    std::fprintf(log, "metrics (counters summed over %zu runs):\n",
+                 report.runs.size() - report.failed());
     for (const auto& [name, value] : totals)
-      std::printf("  %-24s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
+      std::fprintf(log, "  %-24s %llu\n", name.c_str(),
+                   static_cast<unsigned long long>(value));
   }
   return report.failed() == 0 ? 0 : 1;
 }

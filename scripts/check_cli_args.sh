@@ -13,6 +13,10 @@
 # too wide for its field) must be a located parse error, not a crash or
 # a silently truncated value.
 #
+# A document sent to stdout ('-') must be the only thing there: it
+# parses as JSON and is byte-identical to the same run written to a
+# file. Two documents on stdout exit 2 with an error naming both flags.
+#
 # usage: check_cli_args.sh <examples-bin-dir>
 set -uo pipefail
 
@@ -67,6 +71,41 @@ expect_input_error() {
   fi
 }
 
+# expect_clean_stdout <flag> <cli> <args...>
+# Runs once with "<flag> -" and once with "<flag> <file>".
+expect_clean_stdout() {
+  local flag=$1 cli=$2 rc_out rc_file
+  shift 2
+  "$bin_dir/$cli" "$@" "$flag" - >"$tmp/stdout.doc" 2>/dev/null
+  rc_out=$?
+  "$bin_dir/$cli" "$@" "$flag" "$tmp/file.doc" >/dev/null 2>&1
+  rc_file=$?
+  if [[ $rc_out -eq $rc_file ]] && cmp -s "$tmp/stdout.doc" "$tmp/file.doc" &&
+     python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+         "$tmp/stdout.doc" 2>/dev/null; then
+    echo "ok: $cli $* $flag - -> $(wc -c <"$tmp/stdout.doc") bytes of JSON"
+  else
+    echo "STDOUT NOT CLEAN: $cli $* $flag - exited $rc_out" \
+         "(file run $rc_file)" >&2
+    status=1
+  fi
+}
+
+# expect_two_stdout <flag-a> <flag-b> <cli> <args...>
+expect_two_stdout() {
+  local a=$1 b=$2 cli=$3 err rc
+  shift 3
+  err=$("$bin_dir/$cli" "$@" "$a" - "$b" - 2>&1 >/dev/null)
+  rc=$?
+  if [[ $rc -eq 2 && $err == *"$a and $b"* ]]; then
+    echo "ok: $cli $* $a - $b - -> $(head -1 <<<"$err")"
+  else
+    echo "TWO STDOUT DOCUMENTS ACCEPTED: $cli $* $a - $b - exited $rc:" \
+         "$(head -1 <<<"$err")" >&2
+    status=1
+  fi
+}
+
 # Each call is cheap even when a value slips through, so a regression
 # fails fast instead of running a full default sweep.
 sweep=(delta_sweep --presets 4 --seeds 1 --quiet --out "$tmp/sweep.json")
@@ -94,6 +133,19 @@ expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
 expect_write_failure 1 delta_profile --preset 1 --workload mixed --seed 1 \
     --out "$tmp/profile.json" --chrome /dev/full
 expect_write_failure 2 delta_fuzz --runs 2 --seed 1 --out /dev/full
+
+# No --quiet: the per-run lines must go to stderr, not into the report.
+small_sweep=(delta_sweep --presets 1 --workloads mixed --seeds 1)
+small_profile=(delta_profile --preset 1 --workload mixed --seed 1)
+expect_clean_stdout --out "${small_sweep[@]}"
+expect_clean_stdout --trace "${small_sweep[@]}" --out "$tmp/sweep.json"
+expect_clean_stdout --out "${small_profile[@]}"
+expect_clean_stdout --chrome "${small_profile[@]}" --out "$tmp/profile.json"
+expect_clean_stdout --out delta_fuzz --runs 2 --seed 1
+expect_clean_stdout --trace delta_gen --preset 4 --metrics "$tmp/gen"
+expect_two_stdout --out --trace "${small_sweep[@]}"
+expect_two_stdout --out --chrome "${small_profile[@]}"
+expect_two_stdout --out --repro delta_fuzz --runs 2 --seed 1
 
 { printf '{"x": '; head -c 1000000 /dev/zero | tr '\0' '['; } >"$tmp/deep.json"
 printf '%s\n' '{"geometry": {"pes": 1, "resources": 1}, "tasks": [' \
