@@ -4,13 +4,13 @@
 // clipped ready/running/blocked spans; the Gantt timeline, the
 // utilization report, the windowed sampler and the profiler below all
 // read its output. The profiler folds a run's structured trace
-// (obs/trace.h) plus those spans into (a) per-task cycle buckets — run / spin / blocked / kernel
-// overhead, summing *exactly* to the task's total accounted cycles —
-// and (b) the wait-for span graph (blocked task -> holder) from which
-// the longest blocking chain and a per-object contention ranking fall
-// out. This is the "where did the RTOS1-vs-RTOS4 gap go" lens of the
-// paper's Tables 5-12, in the spirit of the dependency-graph view of
-// multiprocessor synchronization cost.
+// (obs/trace.h) plus those spans into (a) per-task cycle buckets — run /
+// spin / blocked / kernel overhead, summing *exactly* to the task's
+// total accounted cycles — and (b) the wait-for span graph (blocked
+// task -> holder) from which the longest blocking chain and a
+// per-object contention ranking fall out. This is the "where did the
+// RTOS1-vs-RTOS4 gap go" lens of the paper's Tables 5-12, in the spirit
+// of the dependency-graph view of multiprocessor synchronization cost.
 //
 // Everything here is integer arithmetic over clipped half-open spans
 // [begin, end), so results are deterministic and the bucket invariant

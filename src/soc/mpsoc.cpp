@@ -195,8 +195,8 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
   if (samples.empty() || samples.back().t < end) take_sample(end);
 
   // Busy cycles: each running span's overlap with each window
-  // [t[i-1], t[i]), folded from the same phase log (and clipped at the
-  // same end) that utilization_report() reads.
+  // [t[i-1], t[i]), from the same fold of the phase log that
+  // utilization_report() sums.
   for (const obs::PhaseSpan& s :
        obs::fold_phases(kernel_->transitions(), kernel_->task_count(), end)) {
     if (s.phase != obs::TaskPhase::kRunning) continue;

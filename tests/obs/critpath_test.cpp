@@ -189,6 +189,31 @@ TEST(Critpath, HorizonClipsOpenPhases) {
   EXPECT_EQ(r.tasks[0].total, 50u);
 }
 
+TEST(Critpath, FoldPhasesClipsAndDropsInCloseOrder) {
+  const std::vector<PhaseChange> log = {
+      {0, 0, TaskPhase::kReady},   {5, 1, TaskPhase::kRunning},
+      {10, 0, TaskPhase::kRunning},
+      {20, 7, TaskPhase::kRunning},  // no task 7: ignored
+      {30, 1, TaskPhase::kAbsent}, {40, 0, TaskPhase::kBlocked},
+      {40, 0, TaskPhase::kReady},    // empty blocked span: dropped
+      {120, 0, TaskPhase::kRunning},  // opens past the horizon: dropped
+  };
+  const std::vector<PhaseSpan> spans = fold_phases(log, 2, 100);
+  const std::vector<PhaseSpan> want = {
+      {0, 0, 10, TaskPhase::kReady},
+      {1, 5, 30, TaskPhase::kRunning},
+      {0, 10, 40, TaskPhase::kRunning},
+      {0, 40, 100, TaskPhase::kReady},  // clipped at the horizon
+  };
+  ASSERT_EQ(spans.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(spans[i].task, want[i].task) << i;
+    EXPECT_EQ(spans[i].begin, want[i].begin) << i;
+    EXPECT_EQ(spans[i].end, want[i].end) << i;
+    EXPECT_EQ(spans[i].phase, want[i].phase) << i;
+  }
+}
+
 TEST(Critpath, EmptyInputYieldsEmptyReport) {
   ProfileInput in;
   in.horizon = 0;
