@@ -88,16 +88,18 @@ struct MpsocConfig {
   sim::Cycles time_slice = 0;
   bool trace = true;
   /// Forwarded to KernelConfig::record_transitions (the unbounded phase
-  /// log behind utilization_report()/profiling). Leave on unless the
-  /// run is long and nothing reads it.
+  /// log behind utilization_report(), profiling, the Gantt timeline and
+  /// the sampler's per-PE busy tracks). Leave on unless the run is long
+  /// and nothing reads it.
   bool record_transitions = true;
   /// Structured-trace ring capacity (obs::TraceRecorder). 0 keeps the
   /// recorder disabled — the zero-cost default for sweeps and benches.
   std::size_t trace_capacity = 0;
   /// Windowed-sampling period in cycles. 0 (the default) disables the
-  /// sampler; > 0 makes run() probe per-PE busy time, bus traffic, lock
-  /// spinning, ready-queue depth and heap bytes at every period boundary
-  /// into time_series().
+  /// sampler; > 0 makes run() probe bus traffic, lock spinning,
+  /// ready-queue depth and heap bytes at every period boundary into
+  /// time_series(), plus per-PE busy time per window, folded from the
+  /// phase log once the run ends.
   sim::Cycles sample_period = 0;
   /// Collect host-side engine introspection (sim/engine_stats.h +
   /// rtos/engine_counters.h), harvested via engine_report(). Strictly
