@@ -135,6 +135,59 @@ TEST(DaaEngine, RequestDeadlockAsksRequesterWhenOwnerWins) {
   EXPECT_EQ(rel.grantee, 0u);
 }
 
+// Equal-priority waiters are arbitrated in process-id order, whatever
+// order they queued in, on a plain hand-off and on a G-dl walk-down.
+// Pins every grantee and the bookkeeping meter of each release.
+TEST(DaaEngine, TiedPrioritiesArbitrateInIdOrder) {
+  DaaEngine e = make_engine(6, 6);
+  for (ProcId p : {1u, 2u, 3u}) e.set_priority(p, 3);
+  e.set_priority(4, 9);
+  auto meter = [&e] {
+    const OpMeter& m = e.last_meter();
+    return std::vector<std::uint64_t>{m.loads, m.stores, m.alu, m.branches};
+  };
+  // Plain hand-off: p3, p1, p2 queue on q0 behind p0.
+  EXPECT_EQ(e.request(0, 0).outcome, RequestOutcome::kGranted);
+  for (ProcId p : {3u, 1u, 2u})
+    EXPECT_EQ(e.request(p, 0).outcome, RequestOutcome::kPending);
+  const std::vector<std::vector<std::uint64_t>> handoff_meters = {
+      {13, 3, 6, 9}, {11, 3, 4, 9}, {9, 3, 2, 9}};
+  for (ProcId owner = 0; owner < 3; ++owner) {
+    const ReleaseResult r = e.release(owner, 0);
+    EXPECT_EQ(r.outcome, ReleaseOutcome::kGrantedHighest);
+    EXPECT_EQ(r.grantee, owner + 1);
+    EXPECT_EQ(meter(), handoff_meters[owner]) << "release by p" << owner;
+  }
+  EXPECT_EQ(e.release(3, 0).outcome, ReleaseOutcome::kIdle);
+
+  // G-dl walk-down: p4 holds q3 and waits on q1, p1 waits on q3, so
+  // handing q1 to p1 closes p1 -> q3 -> p4 -> q1 -> p1. p1's tied peers
+  // take q1 in id order before the lower-priority p4.
+  EXPECT_EQ(e.request(0, 1).outcome, RequestOutcome::kGranted);
+  EXPECT_EQ(e.request(4, 3).outcome, RequestOutcome::kGranted);
+  EXPECT_EQ(e.request(1, 3).outcome, RequestOutcome::kPending);
+  for (ProcId p : {4u, 3u, 1u, 2u})
+    EXPECT_EQ(e.request(p, 1).outcome, RequestOutcome::kPending);
+  const std::vector<std::vector<std::uint64_t>> walk_meters = {
+      {15, 7, 8, 10}, {13, 7, 6, 10}, {11, 7, 4, 10}};
+  const ProcId owners[] = {0, 2, 3};
+  const ProcId grantees[] = {2, 3, 4};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ReleaseResult r = e.release(owners[i], 1);
+    EXPECT_EQ(r.outcome, ReleaseOutcome::kGrantedLower);
+    EXPECT_TRUE(r.g_dl);
+    EXPECT_EQ(r.grantee, grantees[i]);
+    EXPECT_EQ(e.last_detect_calls(), 2u);  // p1 refused, then a grant
+    EXPECT_EQ(meter(), walk_meters[i]) << "release by p" << owners[i];
+  }
+  // p4 finishes; p1 takes q3, then q1.
+  EXPECT_EQ(e.release(4, 3).grantee, 1u);
+  EXPECT_EQ(e.release(4, 1).grantee, 1u);
+  EXPECT_EQ(e.release(1, 3).outcome, ReleaseOutcome::kIdle);
+  EXPECT_EQ(e.release(1, 1).outcome, ReleaseOutcome::kIdle);
+  EXPECT_TRUE(e.state().empty());
+}
+
 TEST(DaaEngine, CancelRequestRemovesEdge) {
   DaaEngine e = make_engine();
   e.request(0, 0);

@@ -106,6 +106,54 @@ TEST(SoftwareHeap, MetersAccumulate) {
   EXPECT_GT(h.total_meter().total(), 0u);
 }
 
+// Pins what the modelled first-fit list charges on fixed traffic: the
+// meter counts the allocator the paper times, not the host container
+// that stores its block table, so no storage change may move a count.
+TEST(SoftwareHeap, MeterIsPinnedOnRandomTraffic) {
+  SoftwareHeap h(kBase, 16 * 1024);
+  // A scripted prefix takes every path once: splits, an exact-fit reuse
+  // that does not split, a free coalescing on both sides, exhaustion.
+  const HeapCall a = h.malloc(200);
+  const HeapCall b = h.malloc(200);
+  const HeapCall c = h.malloc(200);
+  const HeapCall d = h.malloc(200);
+  ASSERT_TRUE(a.ok && b.ok && c.ok && d.ok);
+  ASSERT_TRUE(h.free(b.addr).ok);
+  const HeapCall exact = h.malloc(200);  // b's 216-byte hole, no split
+  ASSERT_EQ(exact.addr, b.addr);
+  ASSERT_TRUE(h.free(a.addr).ok);
+  ASSERT_TRUE(h.free(c.addr).ok);
+  ASSERT_TRUE(h.free(exact.addr).ok);  // joins c, then a
+  ASSERT_EQ(h.free_list_length(), 2u);
+  EXPECT_FALSE(h.malloc(20 * 1024).ok);
+
+  sim::Rng rng(2024);
+  std::vector<std::uint64_t> live{d.addr};
+  std::uint64_t failures = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (!live.empty() && rng.chance(0.45)) {
+      const std::size_t i = rng.below(live.size());
+      ASSERT_TRUE(h.free(live[i]).ok);
+      live[i] = live.back();
+      live.pop_back();
+    } else {
+      const HeapCall m = h.malloc(1 + rng.below(1500));
+      if (m.ok) live.push_back(m.addr);
+      else ++failures;
+    }
+  }
+  ASSERT_TRUE(h.validate());
+  EXPECT_EQ(failures, 342u);
+  const sim::OpMeter& t = h.total_meter();
+  EXPECT_EQ(t.loads, 53091u);
+  EXPECT_EQ(t.stores, 20250u);
+  EXPECT_EQ(t.alu, 333186u);
+  EXPECT_EQ(t.branches, 338309u);
+  EXPECT_EQ(h.total_cycles(), 1293419u);
+  EXPECT_EQ(h.free_list_length(), 9u);
+  EXPECT_EQ(h.live_bytes(), 11848u);
+}
+
 // Property test: random malloc/free against a shadow model.
 class HeapPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 

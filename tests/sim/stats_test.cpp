@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/random.h"
+
 namespace delta::sim {
 namespace {
 
@@ -75,6 +77,29 @@ TEST(SampleSet, StddevMatchesAccumulator) {
   }
   EXPECT_DOUBLE_EQ(s.stddev(), a.stddev());
   EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
+
+  // Bit for bit, with percentile() sorting the samples between adds: the
+  // summary must be the Accumulator fed in insertion order, not one fed
+  // in sorted order. The magnitudes are spread so that order shows.
+  SampleSet t;
+  Accumulator b;
+  Rng rng(99);
+  for (int i = 1; i <= 200; ++i) {
+    const double x =
+        (rng.uniform() - 0.25) * static_cast<double>(1u << rng.below(24));
+    t.add(x);
+    b.add(x);
+    if (i % 7 == 0) (void)t.percentile(0.5);
+    if (i % 50 == 0) {
+      EXPECT_EQ(t.count(), b.count());
+      EXPECT_EQ(t.mean(), b.mean()) << "after " << i;
+      EXPECT_EQ(t.min(), b.min());
+      EXPECT_EQ(t.max(), b.max());
+      EXPECT_EQ(t.stddev(), b.stddev()) << "after " << i;
+      EXPECT_EQ(t.summary().sum(), b.sum());
+      EXPECT_EQ(t.summary().variance(), b.variance());
+    }
+  }
 }
 
 TEST(SampleSet, PercentileCacheSurvivesInterleavedAdds) {
