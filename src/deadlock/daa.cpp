@@ -1,6 +1,7 @@
 #include "deadlock/daa.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -32,16 +33,24 @@ bool DaaEngine::run_detect() {
   return detect_(state_);
 }
 
-std::vector<ProcId> DaaEngine::waiters_by_priority(ResId q) {
-  std::vector<ProcId> w = state_.waiters(q);
+const std::vector<ProcId>& DaaEngine::waiters_by_priority(ResId q) {
+  waiters_.clear();
+  const std::uint64_t* req = state_.row_request_bits(q);
+  for (std::size_t k = 0; k < state_.words_per_row(); ++k)
+    for (std::uint64_t b = req[k]; b != 0; b &= b - 1)
+      waiters_.push_back(k * 64 + std::countr_zero(b));
   meter_.loads += state_.processes();  // scan request column entries
   meter_.branches += state_.processes();
-  std::stable_sort(w.begin(), w.end(), [this](ProcId a, ProcId b) {
-    return priority_[a] < priority_[b];  // smaller value = higher priority
+  // Smaller value = higher priority. The waiters were collected in id
+  // order, so breaking ties on the id gives the stable order without a
+  // merge buffer.
+  std::sort(waiters_.begin(), waiters_.end(), [this](ProcId a, ProcId b) {
+    return priority_[a] != priority_[b] ? priority_[a] < priority_[b]
+                                        : a < b;
   });
-  meter_.alu += 2 * w.size();  // sort compare/swap work
-  meter_.loads += 2 * w.size();
-  return w;
+  meter_.alu += 2 * waiters_.size();  // sort compare/swap work
+  meter_.loads += 2 * waiters_.size();
+  return waiters_;
 }
 
 RequestResult DaaEngine::request(ProcId p, ResId q) {
@@ -59,7 +68,7 @@ RequestResult DaaEngine::request(ProcId p, ResId q) {
   if (own == rag::kNoProc) {
     meter_.loads += 1;
     meter_.branches += 1;
-    if (state_.waiters(q).empty()) {
+    if (!state_.row_has_request(q)) {
       // Line 3-4: available (free, nobody queued) -> grant immediately.
       state_.add_grant(q, p);
       meter_.stores += 1;
@@ -152,7 +161,7 @@ ReleaseResult DaaEngine::release(ProcId p, ResId q) {
   meter_.stores += 1;
 
   meter_.branches += 1;
-  if (state_.waiters(q).empty()) {
+  if (!state_.row_has_request(q)) {
     // Line 24: no waiters -> available.
     res.outcome = ReleaseOutcome::kIdle;
     return res;
@@ -164,7 +173,7 @@ ReleaseResult DaaEngine::retry_grant(ResId q) {
   meter_.reset();
   detect_calls_ = 0;
   ReleaseResult res;
-  if (state_.owner(q) != rag::kNoProc || state_.waiters(q).empty()) {
+  if (state_.owner(q) != rag::kNoProc || !state_.row_has_request(q)) {
     res.outcome = ReleaseOutcome::kError;
     return res;
   }
@@ -173,7 +182,7 @@ ReleaseResult DaaEngine::retry_grant(ResId q) {
 
 ReleaseResult DaaEngine::arbitrate(ResId q) {
   ReleaseResult res;
-  const std::vector<ProcId> waiting = waiters_by_priority(q);
+  const std::vector<ProcId>& waiting = waiters_by_priority(q);
 
   // Lines 17-22: try the highest-priority waiter first; on G-dl walk down
   // the priority order (line 19: "grant to a lower priority process").

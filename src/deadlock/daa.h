@@ -134,9 +134,12 @@ class DaaEngine {
   OpMeter meter_;
   std::size_t detect_calls_ = 0;
 
+  std::vector<rag::ProcId> waiters_;  ///< waiters_by_priority() scratch
+
   bool run_detect();
-  /// Waiters of q sorted by descending priority (ties: lower id first).
-  std::vector<rag::ProcId> waiters_by_priority(rag::ResId q);
+  /// Waiters of q sorted by descending priority (ties: lower id first),
+  /// in a scratch vector that the next call overwrites.
+  const std::vector<rag::ProcId>& waiters_by_priority(rag::ResId q);
   /// Grant arbitration over a free resource with >= 1 waiter (Algorithm 3
   /// lines 17-22 + livelock breaker). Shared by release/request/retry.
   ReleaseResult arbitrate(rag::ResId q);

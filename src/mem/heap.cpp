@@ -11,8 +11,15 @@ SoftwareHeap::SoftwareHeap(std::uint64_t base, std::uint64_t size,
     : base_(base), size_(size), model_(model), lock_ops_(lock_overhead_ops) {
   if (size <= kHeader)
     throw std::invalid_argument("SoftwareHeap: arena too small");
-  blocks_.emplace(base_, Block{size_, true});
+  blocks_.push_back(Block{base_, size_, true});
   free_.push_back(base_);
+}
+
+SoftwareHeap::BlockIt SoftwareHeap::find(std::uint64_t addr) {
+  const auto it = std::lower_bound(
+      blocks_.begin(), blocks_.end(), addr,
+      [](const Block& b, std::uint64_t a) { return b.addr < a; });
+  return it != blocks_.end() && it->addr == addr ? it : blocks_.end();
 }
 
 sim::Cycles SoftwareHeap::settle(sim::OpMeter& m) {
@@ -45,7 +52,7 @@ HeapCall SoftwareHeap::malloc(std::uint64_t bytes) {
     m.loads += 3;
     m.branches += 1;
     m.alu += 1;
-    if (blocks_.at(free_[i]).size >= need) {
+    if (find(free_[i])->size >= need) {
       pick = i;
       break;
     }
@@ -56,17 +63,19 @@ HeapCall SoftwareHeap::malloc(std::uint64_t bytes) {
   }
 
   const std::uint64_t addr = free_[pick];
-  auto it = blocks_.find(addr);
-  Block blk = it->second;
+  const BlockIt it = find(addr);
+  const std::uint64_t have = it->size;
   free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
   m.stores += 2;  // unlink from the free list
 
-  if (blk.size >= need + kHeader + kAlign) {
+  std::uint64_t taken = have;
+  if (have >= need + kHeader + kAlign) {
     // Split: write both boundary tags.
-    it->second = Block{need, false};
-    blocks_.emplace(addr + need, Block{blk.size - need, true});
-    // Address-ordered insert of the remainder.
+    taken = need;
+    *it = Block{addr, need, false};
     const std::uint64_t rest = addr + need;
+    blocks_.insert(it + 1, Block{rest, have - need, true});
+    // Address-ordered insert of the remainder.
     auto pos = std::lower_bound(free_.begin(), free_.end(), rest);
     // The insertion walk is part of the allocator's cost.
     m.loads += static_cast<std::uint64_t>(pos - free_.begin());
@@ -75,12 +84,12 @@ HeapCall SoftwareHeap::malloc(std::uint64_t bytes) {
     m.stores += 4;
     m.alu += 4;
   } else {
-    it->second.free = false;
+    it->free = false;
     m.stores += 1;
   }
 
   ++live_blocks_;
-  live_bytes_ += blocks_.at(addr).size - kHeader;
+  live_bytes_ += taken - kHeader;
   out.ok = true;
   out.addr = addr + kHeader;
   out.cycles = settle(m);
@@ -91,27 +100,27 @@ HeapCall SoftwareHeap::free(std::uint64_t addr) {
   sim::OpMeter m;
   HeapCall out;
   const std::uint64_t block_addr = addr - kHeader;
-  auto it = blocks_.find(block_addr);
+  const BlockIt it = find(block_addr);
   m.loads += 2;  // read boundary tag
   m.branches += 2;
-  if (it == blocks_.end() || it->second.free) {
+  if (it == blocks_.end() || it->free) {
     out.cycles = settle(m);
     return out;  // invalid free
   }
 
-  live_bytes_ -= it->second.size - kHeader;
+  live_bytes_ -= it->size - kHeader;
   --live_blocks_;
-  it->second.free = true;
+  it->free = true;
   m.stores += 1;
 
   // Coalesce with successor (boundary-tag check: O(1)).
-  auto next = std::next(it);
+  const BlockIt next = it + 1;
   m.loads += 2;
   m.branches += 1;
-  if (next != blocks_.end() && next->second.free) {
-    const std::uint64_t next_addr = next->first;
-    it->second.size += next->second.size;
-    blocks_.erase(next);
+  if (next != blocks_.end() && next->free) {
+    const std::uint64_t next_addr = next->addr;
+    it->size += next->size;
+    blocks_.erase(next);  // `it` sits before it and stays valid
     auto pos = std::lower_bound(free_.begin(), free_.end(), next_addr);
     m.loads += static_cast<std::uint64_t>(pos - free_.begin());
     free_.erase(pos);
@@ -122,12 +131,10 @@ HeapCall SoftwareHeap::free(std::uint64_t addr) {
   m.loads += 2;
   m.branches += 1;
   if (it != blocks_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.free &&
-        prev->first + prev->second.size == it->first) {
-      prev->second.size += it->second.size;
+    const BlockIt prev = it - 1;
+    if (prev->free && prev->addr + prev->size == it->addr) {
+      prev->size += it->size;
       blocks_.erase(it);
-      it = prev;
       m.stores += 3;
       m.alu += 2;
       // The predecessor is already on the free list; nothing to insert.
@@ -138,10 +145,10 @@ HeapCall SoftwareHeap::free(std::uint64_t addr) {
   }
 
   // Insert into the address-ordered free list.
-  auto pos = std::lower_bound(free_.begin(), free_.end(), it->first);
+  auto pos = std::lower_bound(free_.begin(), free_.end(), it->addr);
   m.loads += static_cast<std::uint64_t>(pos - free_.begin());
   m.branches += static_cast<std::uint64_t>(pos - free_.begin());
-  free_.insert(pos, it->first);
+  free_.insert(pos, it->addr);
   m.stores += 2;
   out.ok = true;
   out.cycles = settle(m);
@@ -150,33 +157,31 @@ HeapCall SoftwareHeap::free(std::uint64_t addr) {
 
 std::uint64_t SoftwareHeap::free_bytes() const {
   std::uint64_t total = 0;
-  for (std::uint64_t addr : free_) total += blocks_.at(addr).size;
+  for (const Block& b : blocks_)
+    if (b.free) total += b.size;
   return total;
 }
 
 bool SoftwareHeap::validate() const {
   // Blocks tile the arena.
   std::uint64_t cursor = base_;
-  for (const auto& [addr, blk] : blocks_) {
-    if (addr != cursor || blk.size == 0) return false;
-    cursor += blk.size;
+  for (const Block& b : blocks_) {
+    if (b.addr != cursor || b.size == 0) return false;
+    cursor += b.size;
   }
   if (cursor != base_ + size_) return false;
   // Free list is sorted, unique, and matches the free flags.
   if (!std::is_sorted(free_.begin(), free_.end())) return false;
   std::size_t free_count = 0;
-  for (const auto& [addr, blk] : blocks_) {
-    if (!blk.free) continue;
+  for (const Block& b : blocks_) {
+    if (!b.free) continue;
     ++free_count;
-    if (!std::binary_search(free_.begin(), free_.end(), addr)) return false;
+    if (!std::binary_search(free_.begin(), free_.end(), b.addr)) return false;
   }
   if (free_count != free_.size()) return false;
   // Fully coalesced: no two adjacent free blocks.
-  for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-    auto next = std::next(it);
-    if (next == blocks_.end()) break;
-    if (it->second.free && next->second.free) return false;
-  }
+  for (std::size_t i = 1; i < blocks_.size(); ++i)
+    if (blocks_[i - 1].free && blocks_[i].free) return false;
   return true;
 }
 

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -55,9 +53,11 @@ class SoftwareHeap {
 
  private:
   struct Block {
+    std::uint64_t addr;
     std::uint64_t size;  ///< including header
     bool free;
   };
+  using BlockIt = std::vector<Block>::iterator;
 
   static constexpr std::uint64_t kHeader = 16;  ///< boundary tag bytes
   static constexpr std::uint64_t kAlign = 8;
@@ -65,13 +65,19 @@ class SoftwareHeap {
   std::uint64_t base_, size_;
   sim::SoftwareCostModel model_;
   std::uint64_t lock_ops_;
-  std::map<std::uint64_t, Block> blocks_;      ///< by address
+  /// The block table, address-sorted and tiling the arena. A vector keeps
+  /// its capacity, so a warm split or coalesce allocates nothing on the
+  /// host; the meter charges the modelled boundary-tag list, never this
+  /// container.
+  std::vector<Block> blocks_;
   std::vector<std::uint64_t> free_;            ///< free block addresses
   std::uint64_t live_blocks_ = 0, live_bytes_ = 0;
   sim::OpMeter total_;
   sim::Cycles total_cycles_ = 0;
 
   sim::Cycles settle(sim::OpMeter& m);
+  /// The block at `addr`, or blocks_.end() when no block starts there.
+  [[nodiscard]] BlockIt find(std::uint64_t addr);
 };
 
 }  // namespace delta::mem

@@ -13,7 +13,7 @@ DeviceManager::DeviceManager(sim::Simulator& sim, std::size_t devices,
       device_free_at_(devices, 0),
       jobs_(devices, 0),
       busy_(devices, 0),
-      masked_(pe_count, false),
+      masked_(pe_count, 0),
       pending_(pe_count) {
   if (devices == 0 || pe_count == 0)
     throw std::invalid_argument("DeviceManager: empty configuration");

@@ -39,7 +39,7 @@ class DeviceManager {
     masked_[pe] = masked;
     if (!masked && !pending_[pe].empty()) drain(pe);
   }
-  [[nodiscard]] bool masked(PeId pe) const { return masked_.at(pe); }
+  [[nodiscard]] bool masked(PeId pe) const { return masked_.at(pe) != 0; }
 
   /// Statistics.
   [[nodiscard]] std::uint64_t jobs_completed(ResourceId dev) const {
@@ -62,7 +62,7 @@ class DeviceManager {
   std::vector<sim::Cycles> device_free_at_;
   std::vector<std::uint64_t> jobs_;
   std::vector<sim::Cycles> busy_;
-  std::vector<bool> masked_;
+  std::vector<std::uint8_t> masked_;  ///< per PE; bytes, not bits
   std::vector<std::vector<sim::SmallFn>> pending_;  // per PE
   std::uint64_t delivered_ = 0;
   std::uint64_t deferred_ = 0;

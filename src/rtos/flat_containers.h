@@ -1,4 +1,5 @@
-// Sorted-vector set/map for small hot-path collections.
+// Sorted-vector set/map and an inline small vector for hot-path
+// collections.
 //
 // Task bookkeeping (held/waited resources, held locks, allocation slots)
 // holds a handful of entries but is touched on every kernel service, and
@@ -8,11 +9,18 @@
 // erase are a memmove over a few cache-resident elements, and — key for
 // the periodic workloads — capacity is retained across clear()/erase()
 // cycles, so steady state runs allocation-free.
+//
+// SmallVec covers the other hot-path shape: a short list built fresh per
+// event and handed along by value (ResourceEvent::grants). Its first N
+// elements live inside the object, so building, moving and dropping it
+// touch no heap unless an event outgrows N.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,6 +130,69 @@ class FlatMap {
   }
 
   std::vector<value_type> v_;  ///< sorted by key, unique keys
+};
+
+/// Sequence whose first N elements are stored inline. Past N every
+/// element moves to a heap vector (the spill), which keeps its capacity
+/// across clear(). Drop-in for the std::vector<T> subset
+/// ResourceEvent::grants uses: emplace_back, clear, size, empty,
+/// operator[] and iteration in insertion order.
+template <typename T, std::size_t N>
+class SmallVec {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "clear() drops inline elements without destroying them");
+
+ public:
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
+
+  SmallVec() = default;
+  SmallVec(const SmallVec&) = default;
+  SmallVec& operator=(const SmallVec&) = default;
+  SmallVec(SmallVec&& o) noexcept
+      : inline_(o.inline_),
+        size_(std::exchange(o.size_, 0)),
+        spill_(std::move(o.spill_)) {}
+  SmallVec& operator=(SmallVec&& o) noexcept {
+    inline_ = o.inline_;
+    size_ = std::exchange(o.size_, 0);
+    spill_ = std::move(o.spill_);
+    return *this;
+  }
+
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    if (size_ < N) return inline_[size_++] = T(std::forward<Args>(args)...);
+    if (size_ == N) spill_.assign(inline_.begin(), inline_.end());
+    ++size_;
+    return spill_.emplace_back(std::forward<Args>(args)...);
+  }
+
+  void clear() {
+    size_ = 0;
+    spill_.clear();
+  }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  [[nodiscard]] T* data() { return size_ > N ? spill_.data() : inline_.data(); }
+  [[nodiscard]] const T* data() const {
+    return size_ > N ? spill_.data() : inline_.data();
+  }
+  [[nodiscard]] T& operator[](std::size_t i) { return data()[i]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
+
+  [[nodiscard]] iterator begin() { return data(); }
+  [[nodiscard]] iterator end() { return data() + size_; }
+  [[nodiscard]] const_iterator begin() const { return data(); }
+  [[nodiscard]] const_iterator end() const { return data() + size_; }
+
+ private:
+  std::array<T, N> inline_{};
+  std::size_t size_ = 0;
+  std::vector<T> spill_;  ///< every element once size_ > N
 };
 
 }  // namespace delta::rtos

@@ -49,7 +49,7 @@ Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
   if (!strategy_ || !locks_ || !memory_)
     throw std::invalid_argument("Kernel: missing backend");
   running_.assign(cfg_.pe_count, kNoTask);
-  in_service_.assign(cfg_.pe_count, false);
+  in_service_.assign(cfg_.pe_count, 0);
   ready_count_.assign(cfg_.pe_count, 0);
   if (cfg_.resource_names.size() < cfg_.resource_count) {
     for (std::size_t i = cfg_.resource_names.size();
@@ -597,10 +597,10 @@ void Kernel::service(PeId pe, sim::Cycles cycles, F done) {
                      static_cast<std::uint16_t>(pe), sim_.now(), cycles,
                      running_[pe] == kNoTask ? ~std::uint64_t{0}
                                              : running_[pe]);
-  in_service_[pe] = true;
+  in_service_[pe] = 1;
   devices_.set_masked(pe, true);  // kernel services run interrupts-off
   auto completion = [this, pe, done = std::move(done)]() mutable {
-    in_service_[pe] = false;
+    in_service_[pe] = 0;
     if (halted_) return;
     done();
     devices_.set_masked(pe, false);  // pending interrupts deliver now
@@ -665,7 +665,7 @@ void Kernel::op_request(Task& t, const op::Request& r) {
                r.resources, [&](ResourceId x) { return resource_name(x); });
   });
 
-  std::vector<std::pair<ResourceId, ResourceEvent>> events;
+  ResourceEvents events = take_event_buffer();
   events.reserve(r.resources.size());
   for (ResourceId res : r.resources) {
     ResourceEvent ev = strategy_->request(t.id, res, cursor);
@@ -674,12 +674,12 @@ void Kernel::op_request(Task& t, const op::Request& r) {
                        static_cast<std::uint16_t>(t.pe), cursor,
                        ev.pe_cycles, res, ev.unit_cycles);
     cursor += ev.pe_cycles;
-    events.emplace_back(res, ev);
+    events.emplace_back(res, std::move(ev));
   }
   resmgr_lock_until_ = cursor;
 
   const TaskId id = t.id;
-  service(t.pe, cursor - now, [this, id, events = std::move(events)] {
+  service(t.pe, cursor - now, [this, id, events = std::move(events)]() mutable {
     Task& tk = task(id);
     for (const auto& [res, ev] : events) {
       if (ev.granted) {
@@ -702,6 +702,9 @@ void Kernel::op_request(Task& t, const op::Request& r) {
       }
       apply_resource_event(ev, res, sim_.now());
     }
+    // Not before the loop ends: the grants it applies can start another
+    // window that takes a buffer.
+    return_event_buffer(std::move(events));
     // A recovery triggered by one of these events may have aborted this
     // very task; it is already detached from the PE then.
     if (tk.state != TaskState::kRunning) return;
@@ -725,7 +728,7 @@ void Kernel::op_release(Task& t, const op::Release& r) {
                r.resources, [&](ResourceId x) { return resource_name(x); });
   });
 
-  std::vector<std::pair<ResourceId, ResourceEvent>> events;
+  ResourceEvents events = take_event_buffer();
   events.reserve(r.resources.size());
   for (ResourceId res : r.resources) {
     if (t.held.erase(res) == 0) continue;  // not held (e.g. given up)
@@ -735,14 +738,15 @@ void Kernel::op_release(Task& t, const op::Release& r) {
                        static_cast<std::uint16_t>(t.pe), cursor,
                        ev.pe_cycles, res, ev.unit_cycles);
     cursor += ev.pe_cycles;
-    events.emplace_back(res, ev);
+    events.emplace_back(res, std::move(ev));
   }
   resmgr_lock_until_ = cursor;
 
   const TaskId id = t.id;
-  service(t.pe, cursor - now, [this, id, events = std::move(events)] {
+  service(t.pe, cursor - now, [this, id, events = std::move(events)]() mutable {
     for (const auto& [res, ev] : events)
       apply_resource_event(ev, res, sim_.now());
+    return_event_buffer(std::move(events));
     Task& tk = task(id);
     if (tk.state != TaskState::kRunning) return;  // aborted by recovery
     ++tk.pc;
@@ -785,6 +789,18 @@ void Kernel::op_use_device(Task& t, const op::UseDevice& u) {
     });
     block_task(id, WaitKind::kDevice, dev);
   });
+}
+
+Kernel::ResourceEvents Kernel::take_event_buffer() {
+  if (event_buffers_.empty()) return {};
+  ResourceEvents events = std::move(event_buffers_.back());
+  event_buffers_.pop_back();
+  return events;
+}
+
+void Kernel::return_event_buffer(ResourceEvents&& events) {
+  events.clear();
+  event_buffers_.push_back(std::move(events));
 }
 
 void Kernel::apply_resource_event(const ResourceEvent& ev, ResourceId res,
@@ -1165,11 +1181,11 @@ void Kernel::spin_on_lock(TaskId id, LockId lk) {
   const PeId pe = t.pe;
   // The spinner owns its PE for the duration (short CSes are bounded, and
   // the spin protocol runs with preemption off).
-  in_service_[pe] = true;
+  in_service_[pe] = 1;
   // One poll now; the hand-off is observed on a subsequent poll.
   if (pending_lock_grant_[id] == lk) {
     pending_lock_grant_[id] = kNoLock;
-    in_service_[pe] = false;
+    in_service_[pe] = 0;
     Task& tk = task(id);
     // The delay sample was taken in hand_off_lock.
     trace("LOCK", [&] {

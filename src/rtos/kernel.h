@@ -224,7 +224,7 @@ class Kernel {
 
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<TaskId> running_;      ///< per PE
-  std::vector<bool> in_service_;     ///< per PE: non-preemptible section
+  std::vector<std::uint8_t> in_service_;  ///< per PE: non-preemptible section
   sim::Cycles resmgr_lock_until_ = 0;  ///< kernel lock for resource services
 
   std::vector<Semaphore> semaphores_;
@@ -277,6 +277,12 @@ class Kernel {
   /// histogram on victim change and by engine_counters_snapshot().
   TaskId giveup_episode_victim_ = kNoTask;
   std::uint64_t giveup_episode_len_ = 0;
+
+  /// Strategy outcomes of one request/release service window, in op
+  /// order. Finished windows hand their buffer back to event_buffers_,
+  /// so a warm op_request/op_release allocates nothing.
+  using ResourceEvents = std::vector<std::pair<ResourceId, ResourceEvent>>;
+  std::vector<ResourceEvents> event_buffers_;
 
   FlatSet<ResourceId> starved_;  ///< livelock-idled resources to retry
   std::uint64_t sched_seq_ = 0;  ///< round-robin rotation counter
@@ -339,6 +345,10 @@ class Kernel {
   void op_queue_recv(Task& t, const op::QueueRecv& r);
   void op_event_set(Task& t, const op::EventSet& e);
   void op_event_wait(Task& t, const op::EventWait& e);
+
+  /// An empty event buffer, recycled when one is free.
+  ResourceEvents take_event_buffer();
+  void return_event_buffer(ResourceEvents&& events);
 
   /// Apply a strategy event's side effects (grants, asks, detection).
   void apply_resource_event(const ResourceEvent& ev, ResourceId res,

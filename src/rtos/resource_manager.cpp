@@ -1,6 +1,7 @@
 #include "rtos/resource_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "deadlock/bankers.h"
@@ -60,7 +61,7 @@ class GrantingManagerBase : public DeadlockStrategy {
     ev.pe_cycles = costs_.resource_service;
     changed_.clear();
     if (state_.at(res, who) != Edge::kNone) return ev;  // malformed
-    if (state_.owner(res) == rag::kNoProc && state_.waiters(res).empty()) {
+    if (state_.owner(res) == rag::kNoProc && !state_.row_has_request(res)) {
       set_cell(res, who, Edge::kGrant);
       ev.granted = true;
     } else {
@@ -76,13 +77,16 @@ class GrantingManagerBase : public DeadlockStrategy {
     changed_.clear();
     if (state_.at(res, who) != Edge::kGrant) return ev;  // malformed
     set_cell(res, who, Edge::kNone);
-    // Unconditional hand-off to the highest-priority waiter.
-    const std::vector<rag::ProcId> waiters = state_.waiters(res);
-    if (!waiters.empty()) {
-      const rag::ProcId next = *std::min_element(
-          waiters.begin(), waiters.end(), [this](rag::ProcId a, rag::ProcId b) {
-            return prio_[a] < prio_[b];
-          });
+    // Unconditional hand-off to the highest-priority waiter; ties go to
+    // the lowest id, the first one met in the row's request bits.
+    rag::ProcId next = rag::kNoProc;
+    const std::uint64_t* req = state_.row_request_bits(res);
+    for (std::size_t k = 0; k < state_.words_per_row(); ++k)
+      for (std::uint64_t b = req[k]; b != 0; b &= b - 1) {
+        const rag::ProcId w = k * 64 + std::countr_zero(b);
+        if (next == rag::kNoProc || prio_[w] < prio_[next]) next = w;
+      }
+    if (next != rag::kNoProc) {
       set_cell(res, next, Edge::kGrant);
       ev.grants.emplace_back(static_cast<TaskId>(next), res);
     }

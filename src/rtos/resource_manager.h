@@ -32,6 +32,7 @@
 #include "hw/dau.h"
 #include "hw/ddu.h"
 #include "obs/observer.h"
+#include "rtos/flat_containers.h"
 #include "rtos/service_costs.h"
 #include "rtos/types.h"
 #include "sim/stats.h"
@@ -56,10 +57,13 @@ struct ResourceEvent {
   sim::Cycles unit_cycles = 0; ///< hardware unit compute time (hw units)
   bool deadlock_detected = false;  ///< detection strategies only
 
-  /// Grants handed to *other* tasks (release arbitration).
-  std::vector<std::pair<TaskId, ResourceId>> grants;
+  /// Grants handed to *other* tasks (release arbitration). Two inline
+  /// entries cover every strategy but a Banker's drain that commits more,
+  /// so building and moving an event stays off the heap.
+  SmallVec<std::pair<TaskId, ResourceId>, 2> grants;
 
-  /// Give-up demand (avoidance strategies).
+  /// Give-up demand (avoidance strategies). Empty, and so unallocated,
+  /// except on give-up paths.
   TaskId asked = kNoTask;
   std::vector<ResourceId> ask_give_up;
   bool r_dl = false, g_dl = false, livelock = false;

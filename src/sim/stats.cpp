@@ -9,6 +9,7 @@ double Accumulator::stddev() const { return std::sqrt(variance()); }
 double SampleSet::percentile(double p) const {
   if (samples_.empty()) return 0.0;
   if (!sorted_) {
+    fold();  // the summary needs insertion order; sorting loses it
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }

@@ -51,20 +51,29 @@ class Accumulator {
 };
 
 /// Accumulator that also retains samples for percentile queries.
+///
+/// add() only appends: the hot paths that sample every lock, allocation
+/// and algorithm run pay no Welford update. The summary is folded over
+/// the samples on the first read after an add, in insertion order, so it
+/// is the same floating-point result bit for bit as an Accumulator fed
+/// one add at a time. Reads fold and sort under const, so a SampleSet
+/// must not be read from two threads at once.
 class SampleSet {
  public:
   void add(double v) {
-    acc_.add(v);
     samples_.push_back(v);
     sorted_ = false;
   }
 
-  [[nodiscard]] const Accumulator& summary() const { return acc_; }
-  [[nodiscard]] std::uint64_t count() const { return acc_.count(); }
-  [[nodiscard]] double mean() const { return acc_.mean(); }
-  [[nodiscard]] double max() const { return acc_.max(); }
-  [[nodiscard]] double min() const { return acc_.min(); }
-  [[nodiscard]] double stddev() const { return acc_.stddev(); }
+  [[nodiscard]] const Accumulator& summary() const {
+    fold();
+    return acc_;
+  }
+  [[nodiscard]] std::uint64_t count() const { return samples_.size(); }
+  [[nodiscard]] double mean() const { return summary().mean(); }
+  [[nodiscard]] double max() const { return summary().max(); }
+  [[nodiscard]] double min() const { return summary().min(); }
+  [[nodiscard]] double stddev() const { return summary().stddev(); }
 
   /// p in [0,1]; nearest-rank percentile. Returns 0 when empty. The
   /// sample vector is sorted lazily on first query and the order is
@@ -72,8 +81,15 @@ class SampleSet {
   [[nodiscard]] double percentile(double p) const;
 
  private:
-  Accumulator acc_;
+  /// Feed acc_ the samples added since the last fold. They sit unsorted
+  /// past folded_ in insertion order: percentile() folds before sorting.
+  void fold() const {
+    for (; folded_ < samples_.size(); ++folded_) acc_.add(samples_[folded_]);
+  }
+
+  mutable Accumulator acc_;
   mutable std::vector<double> samples_;
+  mutable std::size_t folded_ = 0;  ///< samples_[0, folded_) are in acc_
   mutable bool sorted_ = false;
 };
 
