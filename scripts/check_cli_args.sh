@@ -11,7 +11,8 @@
 #
 # A hostile input file (a repro nested a million levels deep, a value
 # too wide for its field) must be a located parse error, not a crash or
-# a silently truncated value.
+# a silently truncated value. An allocation size that wraps when rounded
+# up must fail in both allocator models, not pass as a small request.
 #
 # A document sent to stdout ('-') must be the only thing there: it
 # parses as JSON and is byte-identical to the same run written to a
@@ -155,4 +156,21 @@ printf 'bus.address_width = 4294967328\n' >"$tmp/wide.cfg"
 expect_input_error 2 "scenario JSON: " delta_fuzz --replay "$tmp/deep.json"
 expect_input_error 2 "scenario JSON: " delta_fuzz --replay "$tmp/priority.json"
 expect_input_error 1 "config line 1" delta_gen "$tmp/wide.cfg" "$tmp/gen"
+
+printf '%s\n' '{"geometry": {"pes": 1, "resources": 1}, "tasks": [' \
+    '  {"name": "t0", "pe": 0, "priority": 1, "steps": [' \
+    '    {"op": "alloc", "bytes": 64, "slot": "a"},' \
+    '    {"op": "alloc", "bytes": 18446744073709551615, "slot": "b"},' \
+    '    {"op": "free", "slot": "b"}, {"op": "free", "slot": "a"}]}]}' \
+    >"$tmp/wrap.json"
+out=$("$bin_dir/delta_fuzz" --replay "$tmp/wrap.json" --pairs heap 2>&1)
+rc=$?
+if [[ $rc -eq 1 && $out == *"HEAP: allocation failed"* &&
+      $out == *"SOCDMMU: allocation failed"* ]]; then
+  echo "ok: delta_fuzz --replay wrap.json -> exit 1, both allocators fail"
+else
+  echo "WRAPPING ALLOCATION ACCEPTED: delta_fuzz --replay wrap.json" \
+       "exited $rc: $(tr '\n' ' ' <<<"$out")" >&2
+  status=1
+fi
 exit $status

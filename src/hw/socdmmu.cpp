@@ -26,6 +26,14 @@ std::optional<std::size_t> Socdmmu::find_run(std::size_t blocks) const {
   return std::nullopt;
 }
 
+std::size_t Socdmmu::blocks_for(std::size_t bytes) const {
+  // Divide before rounding up: bytes + block_bytes - 1 wraps for sizes
+  // near 2^64 and would ask for 0 blocks. A size beyond the unit comes
+  // out larger than total_blocks, which find_run() never satisfies, so
+  // it fails like an exhausted request.
+  return bytes / cfg_.block_bytes + (bytes % cfg_.block_bytes != 0 ? 1 : 0);
+}
+
 DmmuAlloc Socdmmu::alloc(std::size_t pe, std::size_t bytes) {
   const DmmuAlloc out = alloc_impl(pe, bytes);
   note_alloc(out);
@@ -36,7 +44,7 @@ DmmuAlloc Socdmmu::alloc_impl(std::size_t pe, std::size_t bytes) {
   DmmuAlloc out;
   out.cycles = cfg_.alloc_cycles;
   if (pe >= cfg_.pe_count || bytes == 0) return out;
-  const std::size_t blocks = (bytes + cfg_.block_bytes - 1) / cfg_.block_bytes;
+  const std::size_t blocks = blocks_for(bytes);
   const auto first = find_run(blocks);
   if (!first) return out;  // command completes with an error status
   for (std::size_t b = *first; b < *first + blocks; ++b) used_[b] = 1;
@@ -96,8 +104,7 @@ DmmuAlloc Socdmmu::alloc_shared_impl(std::size_t pe, std::size_t region,
   }
   // Region does not exist: G_alloc_ro cannot create one.
   if (mode == DmmuMode::kSharedRo || bytes == 0) return out;
-  const std::size_t blocks =
-      (bytes + cfg_.block_bytes - 1) / cfg_.block_bytes;
+  const std::size_t blocks = blocks_for(bytes);
   const auto first = find_run(blocks);
   if (!first) return out;
   for (std::size_t b = *first; b < *first + blocks; ++b) used_[b] = 1;

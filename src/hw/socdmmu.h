@@ -110,6 +110,8 @@ class Socdmmu {
   std::vector<Mapping> mappings_;
   std::vector<std::uint64_t> next_vaddr_;  ///< per-PE virtual bump pointer
 
+  /// Whole blocks covering `bytes`, without overflow.
+  [[nodiscard]] std::size_t blocks_for(std::size_t bytes) const;
   /// First-fit run of `blocks` free blocks (hardware priority encoder).
   std::optional<std::size_t> find_run(std::size_t blocks) const;
 

@@ -42,6 +42,11 @@ HeapCall SoftwareHeap::malloc(std::uint64_t bytes) {
     out.cycles = settle(m);
     return out;
   }
+  // Rounding a size near 2^64 up would wrap it to a small request, so a
+  // size beyond the largest aligned payload the arena holds is caught
+  // first. It fails like an exhausted request: the same walk, charged
+  // the same.
+  const bool fits = bytes <= (size_ - kHeader) / kAlign * kAlign;
   const std::uint64_t need =
       kHeader + ((bytes + kAlign - 1) / kAlign) * kAlign;
 
@@ -52,7 +57,7 @@ HeapCall SoftwareHeap::malloc(std::uint64_t bytes) {
     m.loads += 3;
     m.branches += 1;
     m.alu += 1;
-    if (find(free_[i])->size >= need) {
+    if (fits && find(free_[i])->size >= need) {
       pick = i;
       break;
     }

@@ -38,6 +38,29 @@ TEST(Socdmmu, AllocFailsWhenExhausted) {
   EXPECT_EQ(a.cycles, small_cfg().alloc_cycles);  // deterministic even on fail
 }
 
+// Rounding a size near 2^64 up to whole blocks used to wrap to 0 blocks,
+// which "succeeded" after any earlier allocation. Such a size, and any
+// other that exceeds the unit, must fail like an exhausted request.
+TEST(Socdmmu, SizesThatWrapWhenRoundedFailLikeExhaustion) {
+  const SocdmmuConfig cfg = small_cfg();
+  Socdmmu u(cfg);
+  ASSERT_TRUE(u.alloc(0, 64).ok);
+  const std::size_t max = static_cast<std::size_t>(-1);
+  for (const std::size_t bytes :
+       {max, max - cfg.block_bytes + 2, cfg.total_blocks * cfg.block_bytes}) {
+    const DmmuAlloc a = u.alloc(0, bytes);
+    EXPECT_FALSE(a.ok) << bytes;
+    EXPECT_EQ(a.blocks, 0u) << bytes;
+    EXPECT_EQ(a.cycles, cfg.alloc_cycles) << bytes;
+    const DmmuAlloc r = u.alloc_shared(1, 7, bytes, DmmuMode::kSharedRw);
+    EXPECT_FALSE(r.ok) << bytes;
+    EXPECT_EQ(r.cycles, cfg.alloc_cycles) << bytes;
+  }
+  EXPECT_EQ(u.used_blocks(), 1u);
+  // Every block but the one in use still fits.
+  EXPECT_TRUE(u.alloc(1, (cfg.total_blocks - 1) * cfg.block_bytes).ok);
+}
+
 TEST(Socdmmu, DeallocReturnsBlocks) {
   Socdmmu u(small_cfg());
   const DmmuAlloc a = u.alloc(0, 4096);

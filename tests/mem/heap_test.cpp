@@ -66,6 +66,37 @@ TEST(SoftwareHeap, ExhaustionFailsGracefully) {
   EXPECT_TRUE(h.validate());
 }
 
+// Rounding a size near 2^64 up used to wrap: malloc(2^64 - 1) took a
+// 16-byte block with 0 live bytes, and malloc(2^64 - 16) corrupted the
+// block table. A size no block can hold must fail like any exhausted
+// request, charged the same first-fit walk.
+TEST(SoftwareHeap, SizesThatWrapWhenRoundedFailLikeExhaustion) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  for (const std::uint64_t bytes :
+       {max, max - 7, max - 8, max - 15, max - 16, kSize - 15}) {
+    SoftwareHeap h(kBase, kSize);
+    SoftwareHeap exhausted(kBase, kSize);
+    ASSERT_TRUE(h.malloc(64).ok);
+    ASSERT_TRUE(exhausted.malloc(64).ok);
+    const HeapCall c = h.malloc(bytes);
+    const HeapCall e = exhausted.malloc(kSize);  // too big for the rest
+    EXPECT_FALSE(c.ok) << bytes;
+    ASSERT_FALSE(e.ok);
+    EXPECT_EQ(c.cycles, e.cycles) << bytes;
+    EXPECT_EQ(h.total_meter().total(), exhausted.total_meter().total());
+    EXPECT_EQ(h.live_bytes(), 64u) << bytes;
+    EXPECT_EQ(h.live_blocks(), 1u) << bytes;
+    EXPECT_TRUE(h.validate()) << bytes;
+  }
+  // The largest payload a fresh arena holds still fits, exactly.
+  SoftwareHeap whole(kBase, kSize);
+  const HeapCall all = whole.malloc(kSize - 16);
+  ASSERT_TRUE(all.ok);
+  EXPECT_EQ(whole.live_bytes(), kSize - 16);
+  EXPECT_EQ(whole.free_list_length(), 0u);
+  EXPECT_TRUE(whole.validate());
+}
+
 TEST(SoftwareHeap, CoalescingRestoresFullArena) {
   SoftwareHeap h(kBase, kSize);
   std::vector<std::uint64_t> addrs;
