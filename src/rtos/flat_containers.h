@@ -144,7 +144,6 @@ class SmallVec {
 
  public:
   using value_type = T;
-  using iterator = T*;
   using const_iterator = const T*;
 
   SmallVec() = default;
@@ -177,19 +176,15 @@ class SmallVec {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  [[nodiscard]] T* data() { return size_ > N ? spill_.data() : inline_.data(); }
-  [[nodiscard]] const T* data() const {
-    return size_ > N ? spill_.data() : inline_.data();
-  }
-  [[nodiscard]] T& operator[](std::size_t i) { return data()[i]; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
-
-  [[nodiscard]] iterator begin() { return data(); }
-  [[nodiscard]] iterator end() { return data() + size_; }
   [[nodiscard]] const_iterator begin() const { return data(); }
   [[nodiscard]] const_iterator end() const { return data() + size_; }
 
  private:
+  [[nodiscard]] const T* data() const {
+    return size_ > N ? spill_.data() : inline_.data();
+  }
+
   std::array<T, N> inline_{};
   std::size_t size_ = 0;
   std::vector<T> spill_;  ///< every element once size_ > N
