@@ -266,9 +266,13 @@ RunOutcome run_scenario(const Scenario& s, const SystemUnderTest& sut,
     const rag::StateMatrix* state = k.strategy().state();
     if (state != nullptr) {
       o.state_empty = state->empty();
-      o.oracle_cycle = rag::oracle_has_cycle(*state);
-      for (rag::ProcId p : rag::deadlocked_processes(*state))
-        o.victims.push_back(static_cast<rtos::TaskId>(p));
+      // An edge-free state has no cycle and no deadlocked process, and
+      // most runs end in one: ask the oracle only when an edge is left.
+      if (!o.state_empty) {
+        o.oracle_cycle = rag::oracle_has_cycle(*state);
+        for (rag::ProcId p : rag::deadlocked_processes(*state))
+          o.victims.push_back(static_cast<rtos::TaskId>(p));
+      }
       // Kernel-vs-matrix agreement is only meaningful on a settled
       // system: a deadlock halt freezes mid-flight grants (the matrix
       // already has the edge, the task's wake event never delivers).

@@ -90,6 +90,7 @@ std::vector<std::string> Scenario::validate() const {
 
 rtos::Program Scenario::to_program(const ScenarioTask& t) {
   rtos::Program p;
+  p.reserve(t.steps.size());  // one op per step
   for (const Step& s : t.steps) {
     switch (s.kind) {
       case Step::Kind::kCompute: p.compute(s.cycles); break;

@@ -11,14 +11,16 @@
 // cycles, so steady state runs allocation-free.
 //
 // SmallVec covers the other hot-path shape: a short list built fresh per
-// event and handed along by value (ResourceEvent::grants). Its first N
+// event and handed along by value (ResourceEvent::grants), or built once
+// per op when a program is set up (op::Request/op::Release). Its first N
 // elements live inside the object, so building, moving and dropping it
-// touch no heap unless an event outgrows N.
+// touch no heap unless the list outgrows N.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -135,8 +137,9 @@ class FlatMap {
 /// Sequence whose first N elements are stored inline. Past N every
 /// element moves to a heap vector (the spill), which keeps its capacity
 /// across clear(). Drop-in for the std::vector<T> subset
-/// ResourceEvent::grants uses: emplace_back, clear, size, empty,
-/// operator[] and iteration in insertion order.
+/// ResourceEvent::grants and the op resource lists use: construction
+/// from a range, emplace_back, clear, size, empty, operator[] and
+/// iteration in insertion order.
 template <typename T, std::size_t N>
 class SmallVec {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -147,6 +150,16 @@ class SmallVec {
   using const_iterator = const T*;
 
   SmallVec() = default;
+  /// The elements of [first, last), in order: inline when they fit,
+  /// otherwise all in one spill allocation.
+  template <typename It>
+  SmallVec(It first, It last)
+      : size_(static_cast<std::size_t>(std::distance(first, last))) {
+    if (size_ > N)
+      spill_.assign(first, last);
+    else
+      std::copy(first, last, inline_.begin());
+  }
   SmallVec(const SmallVec&) = default;
   SmallVec& operator=(const SmallVec&) = default;
   SmallVec(SmallVec&& o) noexcept

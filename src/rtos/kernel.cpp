@@ -51,6 +51,13 @@ Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
   running_.assign(cfg_.pe_count, kNoTask);
   in_service_.assign(cfg_.pe_count, 0);
   ready_count_.assign(cfg_.pe_count, 0);
+  tasks_.reserve(cfg_.max_tasks);
+  waiting_lock_.reserve(cfg_.max_tasks);
+  pending_lock_grant_.reserve(cfg_.max_tasks);
+  lock_requested_at_.reserve(cfg_.max_tasks);
+  ceiling_stack_.reserve(cfg_.max_tasks);
+  held_locks_.reserve(cfg_.max_tasks);
+  queue_send_payload_.reserve(cfg_.max_tasks);
   if (cfg_.resource_names.size() < cfg_.resource_count) {
     for (std::size_t i = cfg_.resource_names.size();
          i < cfg_.resource_count; ++i)
@@ -109,17 +116,17 @@ TaskId Kernel::create_task(std::string name, PeId pe, Priority priority,
         std::to_string(tasks_.size()) +
         " exceeds configured max_tasks of " +
         std::to_string(cfg_.max_tasks) + ")");
-  auto t = std::make_unique<Task>();
-  t->id = tasks_.size();
-  t->name = std::move(name);
-  t->pe = pe;
-  t->base_priority = priority;
-  t->priority = priority;
-  t->program = std::move(program);
-  t->release_time = release_time;
-  t->order_key = t->id;
-  strategy_->set_priority(t->id, priority);
-  tasks_.push_back(std::move(t));
+  const TaskId id = tasks_.size();
+  strategy_->set_priority(id, priority);
+  Task& t = tasks_.emplace_back();  // within the reserved max_tasks
+  t.id = id;
+  t.name = std::move(name);
+  t.pe = pe;
+  t.base_priority = priority;
+  t.priority = priority;
+  t.program = std::move(program);
+  t.release_time = release_time;
+  t.order_key = id;
   // Grow the TaskId-indexed bookkeeping arrays in lockstep.
   waiting_lock_.push_back(kNoLock);
   pending_lock_grant_.push_back(kNoLock);
@@ -127,7 +134,7 @@ TaskId Kernel::create_task(std::string name, PeId pe, Priority priority,
   ceiling_stack_.emplace_back();
   held_locks_.emplace_back();
   queue_send_payload_.push_back(0);
-  return tasks_.back()->id;
+  return id;
 }
 
 TaskId Kernel::create_periodic_task(std::string name, PeId pe,
@@ -219,9 +226,9 @@ EventGroupId Kernel::create_event_group() {
 // ------------------------------------------------------------------ run --
 
 void Kernel::start() {
-  for (const auto& tp : tasks_) {
-    const TaskId id = tp->id;
-    sim_.schedule_at(tp->release_time, [this, id] {
+  for (const Task& tp : tasks_) {
+    const TaskId id = tp.id;
+    sim_.schedule_at(tp.release_time, [this, id] {
       Task& t = task(id);
       if (t.state != TaskState::kNotStarted) return;
       set_state(id, TaskState::kReady);
@@ -254,15 +261,15 @@ void Kernel::schedule_scan() {
 
 bool Kernel::all_finished() const {
   return std::all_of(tasks_.begin(), tasks_.end(),
-                     [](const auto& t) { return t->done(); });
+                     [](const Task& t) { return t.done(); });
 }
 
 std::size_t Kernel::deadline_misses() const {
   std::size_t misses = 0;
-  for (const auto& t : tasks_) {
-    if (t->period > 0)
-      misses += t->deadline_miss_count;
-    else if (t->missed_deadline())
+  for (const Task& t : tasks_) {
+    if (t.period > 0)
+      misses += t.deadline_miss_count;
+    else if (t.missed_deadline())
       ++misses;
   }
   return misses;
@@ -270,9 +277,9 @@ std::size_t Kernel::deadline_misses() const {
 
 sim::Cycles Kernel::last_finish_time() const {
   sim::Cycles last = 0;
-  for (const auto& t : tasks_)
-    if (t->finished_at != sim::kNeverCycles)
-      last = std::max(last, t->finished_at);
+  for (const Task& t : tasks_)
+    if (t.finished_at != sim::kNeverCycles)
+      last = std::max(last, t.finished_at);
   return last;
 }
 
@@ -296,15 +303,15 @@ void Kernel::reschedule(PeId pe) {
   // Highest-priority ready task pinned to this PE; stop once every ready
   // task has been seen.
   TaskId best = kNoTask;
-  for (const auto& tp : tasks_) {
-    if (tp->pe != pe || tp->state != TaskState::kReady) continue;
+  for (const Task& tp : tasks_) {
+    if (tp.pe != pe || tp.state != TaskState::kReady) continue;
     if (best == kNoTask) {
-      best = tp->id;
+      best = tp.id;
     } else {
       const Task& b = task(best);
-      if (tp->priority < b.priority ||
-          (tp->priority == b.priority && tp->order_key < b.order_key))
-        best = tp->id;
+      if (tp.priority < b.priority ||
+          (tp.priority == b.priority && tp.order_key < b.order_key))
+        best = tp.id;
     }
     if (--remaining == 0) break;
   }
@@ -348,9 +355,9 @@ void Kernel::dispatch(PeId pe, TaskId id) {
     // A higher-priority task may have arrived during the switch window;
     // yield to it before executing anything.
     if (ready_count_[pe] > 0) {
-      for (const auto& tp : tasks_) {
-        if (tp->pe == pe && tp->state == TaskState::kReady &&
-            tp->priority < t.priority) {
+      for (const Task& tp : tasks_) {
+        if (tp.pe == pe && tp.state == TaskState::kReady &&
+            tp.priority < t.priority) {
           set_state(id, TaskState::kReady);
           running_[pe] = kNoTask;
           reschedule(pe);
@@ -379,9 +386,9 @@ void Kernel::arm_time_slice(PeId pe) {
     // Rotate only when an equal-priority peer is ready.
     bool peer = false;
     if (ready_count_[pe] > 0)
-      for (const auto& tp : tasks_)
-        peer |= (tp->pe == pe && tp->state == TaskState::kReady &&
-                 tp->priority == c.priority);
+      for (const Task& tp : tasks_)
+        peer |= (tp.pe == pe && tp.state == TaskState::kReady &&
+                 tp.priority == c.priority);
     if (!peer) {
       arm_time_slice(pe);
       return;
@@ -539,9 +546,9 @@ void Kernel::record_wait_for(const Task& t, WaitKind why,
       // trace stays deterministic).
       for (const ResourceId res : t.waiting_for) {
         TaskId holder = kNoTask;
-        for (const auto& tp : tasks_) {
-          if (tp->id != t.id && tp->held.count(res) != 0) {
-            holder = tp->id;
+        for (const Task& tp : tasks_) {
+          if (tp.id != t.id && tp.held.count(res) != 0) {
+            holder = tp.id;
             break;
           }
         }
@@ -641,9 +648,8 @@ void Kernel::op_compute(Task& t, const op::Compute& c) {
 namespace {
 
 /// Comma-joined resource-name list for request/release trace lines.
-template <class Names>
-std::string join_names(const std::vector<ResourceId>& rs,
-                       const Names& name_of) {
+template <class Resources, class Names>
+std::string join_names(const Resources& rs, const Names& name_of) {
   std::string out;
   for (std::size_t i = 0; i < rs.size(); ++i) {
     if (i) out += ", ";

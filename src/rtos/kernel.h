@@ -113,11 +113,11 @@ class Kernel {
   /// deliberate — task() sits on every hot path (asserted in debug).
   [[nodiscard]] Task& task(TaskId id) {
     assert(id < tasks_.size());
-    return *tasks_[id];
+    return tasks_[id];
   }
   [[nodiscard]] const Task& task(TaskId id) const {
     assert(id < tasks_.size());
-    return *tasks_[id];
+    return tasks_[id];
   }
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
 
@@ -222,7 +222,12 @@ class Kernel {
   std::unique_ptr<MemoryBackend> memory_;
   DeviceManager devices_;
 
-  std::vector<std::unique_ptr<Task>> tasks_;
+  /// Held by value and reserved to max_tasks once, at construction.
+  /// create_task refuses a task past max_tasks, so the vector never
+  /// reallocates: create_task allocates nothing of its own, and a Task&
+  /// stays valid for the kernel's life, across later create_task calls
+  /// too.
+  std::vector<Task> tasks_;
   std::vector<TaskId> running_;      ///< per PE
   std::vector<std::uint8_t> in_service_;  ///< per PE: non-preemptible section
   sim::Cycles resmgr_lock_until_ = 0;  ///< kernel lock for resource services
@@ -232,9 +237,10 @@ class Kernel {
   std::vector<MessageQueue> queues_;
   std::vector<EventGroup> event_groups_;
 
-  // Lock bookkeeping. Indexed by TaskId (dense, grown in create_task);
-  // kNoLock / kNeverCycles mark absent entries so the hot path is an
-  // array load instead of a map walk.
+  // Lock bookkeeping. Indexed by TaskId (dense, grown in create_task
+  // within the max_tasks reserved at construction); kNoLock /
+  // kNeverCycles mark absent entries so the hot path is an array load
+  // instead of a map walk.
   static constexpr LockId kNoLock = static_cast<LockId>(-1);
   std::vector<LockId> waiting_lock_;
   /// Locks handed to a task while its acquire service was still in

@@ -10,10 +10,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "rtos/flat_containers.h"
 #include "rtos/types.h"
 #include "sim/sim_time.h"
 
@@ -29,16 +31,22 @@ struct Compute {
   sim::Cycles cycles;
 };
 
+/// The resources one Request/Release op names. Two inline entries cover
+/// every program in the repo: the paper's applications and the fuzz
+/// generator ask for one or two resources per op, so setting a task up
+/// makes no allocation per op. A longer list spills to the heap.
+using ResourceList = SmallVec<ResourceId, 2>;
+
 /// Request every resource in `resources`; the task blocks until all are
 /// granted (paper semantics: "p3 requests IDCT and WI; only WI is
 /// granted" leaves p3 blocked on the rest).
 struct Request {
-  std::vector<ResourceId> resources;
+  ResourceList resources;
 };
 
 /// Release each resource in `resources` (must be held).
 struct Release {
-  std::vector<ResourceId> resources;
+  ResourceList resources;
 };
 
 /// Run a job of `cycles` on the device behind a *held* resource. The
@@ -129,11 +137,17 @@ using Op = std::variant<Compute, Request, Release, UseDevice, Lock, Unlock,
 class Program {
  public:
   Program& compute(sim::Cycles c) { return push(op::Compute{c}); }
-  Program& request(std::vector<ResourceId> rs) {
-    return push(op::Request{std::move(rs)});
+  Program& request(std::initializer_list<ResourceId> rs) {
+    return push(op::Request{{rs.begin(), rs.end()}});
   }
-  Program& release(std::vector<ResourceId> rs) {
-    return push(op::Release{std::move(rs)});
+  Program& request(const std::vector<ResourceId>& rs) {
+    return push(op::Request{{rs.begin(), rs.end()}});
+  }
+  Program& release(std::initializer_list<ResourceId> rs) {
+    return push(op::Release{{rs.begin(), rs.end()}});
+  }
+  Program& release(const std::vector<ResourceId>& rs) {
+    return push(op::Release{{rs.begin(), rs.end()}});
   }
   Program& use_device(ResourceId r, sim::Cycles c) {
     return push(op::UseDevice{r, c});
@@ -171,6 +185,9 @@ class Program {
   [[nodiscard]] const std::vector<op::Op>& ops() const { return ops_; }
   [[nodiscard]] std::vector<op::Op>& ops() { return ops_; }
   [[nodiscard]] std::size_t size() const { return ops_.size(); }
+  /// Room for `n` ops, so a builder that knows its length grows the op
+  /// vector once.
+  void reserve(std::size_t n) { ops_.reserve(n); }
 
  private:
   std::vector<op::Op> ops_;

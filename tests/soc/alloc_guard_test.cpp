@@ -1,5 +1,5 @@
 // Allocation guard: a warm kernel service window must not touch the host
-// heap.
+// heap, and setting a run's tasks up touches it at most once per task.
 //
 // The binary replaces the global operator new and counts its calls. The
 // same periodic storm runs twice on each of RTOS1-7, with K activations
@@ -9,6 +9,10 @@
 // -> unlock -> release -> free, contended, through every service window.
 // The budget is one allocation per 1,000 dispatched events; what is left
 // is amortized growth of the sample vectors.
+//
+// Set-up is counted directly: Kernel::create_task up to max_tasks, and
+// fuzz::Scenario::install of a large-geometry scenario, whose one
+// allocation per task is the program's op vector.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +20,10 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "fuzz/scenario.h"
 #include "sim/random.h"
 #include "soc/delta_framework.h"
 #include "soc/mpsoc.h"
@@ -118,6 +125,64 @@ INSTANTIATE_TEST_SUITE_P(Presets, AllocGuard, ::testing::Range(1, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "RTOS" + std::to_string(info.param);
                          });
+
+std::uint64_t allocations_so_far() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(AllocGuardSetUp, CreateTaskAllocatesNothingUpToMaxTasks) {
+  MpsocConfig mc;
+  mc.max_tasks = 32;
+  Mpsoc soc(mc);
+  rtos::Kernel& k = soc.kernel();
+  const std::size_t n = k.config().max_tasks;
+  // Names and programs are built outside the counted window and moved
+  // in, so the window holds create_task's own allocations only.
+  std::vector<std::string> names;
+  std::vector<rtos::Program> programs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    names.push_back("t" + std::to_string(i));
+    const rtos::ResourceId res = i % mc.resources.size();
+    programs[i].compute(100).request({res}).compute(50).release({res});
+  }
+
+  const std::uint64_t before = allocations_so_far();
+  k.create_task(std::move(names[0]), 0, 1, std::move(programs[0]));
+  const rtos::Task* first = &k.task(0);
+  for (std::size_t i = 1; i < n; ++i)
+    k.create_task(std::move(names[i]),
+                  static_cast<rtos::PeId>(i % mc.pe_count),
+                  static_cast<rtos::Priority>(i + 1), std::move(programs[i]));
+  const std::uint64_t allocations = allocations_so_far() - before;
+
+  EXPECT_EQ(allocations, 0u) << "over " << n << " create_task calls";
+  EXPECT_EQ(&k.task(0), first);
+  ASSERT_EQ(k.task_count(), n);
+  soc.run();
+  EXPECT_TRUE(k.all_finished());
+}
+
+TEST(AllocGuardSetUp, ScenarioInstallAllocatesAtMostOncePerTask) {
+  fuzz::GeneratorParams params = fuzz::large_geometry_params();
+  params.min_tasks = params.max_tasks = 32;
+  sim::Rng rng(21);
+  const fuzz::Scenario s = fuzz::random_scenario(params, rng);
+  ASSERT_EQ(s.tasks.size(), 32u);
+  DeltaConfig cfg = rtos_preset(RtosPreset::kRtos2);
+  cfg.pe_count = s.pe_count;
+  cfg.task_count = s.tasks.size();
+  cfg.resource_count = s.resource_count;
+  Mpsoc soc(cfg.to_mpsoc_config());
+
+  const std::uint64_t before = allocations_so_far();
+  s.install(soc.kernel());
+  const std::uint64_t allocations = allocations_so_far() - before;
+
+  EXPECT_LE(allocations, s.tasks.size())
+      << allocations << " allocations installing " << s.tasks.size()
+      << " tasks";
+  EXPECT_EQ(soc.kernel().task_count(), s.tasks.size());
+}
 
 }  // namespace
 }  // namespace delta::soc
