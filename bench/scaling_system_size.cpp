@@ -81,8 +81,7 @@ int main() {
               "kernel lock) while the DAU's per-command cycles barely\n"
               "move — the paper's case for partitioning avoidance into\n"
               "hardware as MPSoCs grow.\n");
-  std::printf("(%zu runs on %zu threads, %.2f s)\n", report.runs.size(),
-              report.threads_used, report.wall_seconds);
+  std::printf("(%zu runs)\n", report.runs.size());
   std::printf("all workloads completed deadlock-free: %s\n",
               all_ok ? "yes" : "NO");
   return all_ok ? 0 : 1;
