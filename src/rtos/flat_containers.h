@@ -152,7 +152,7 @@ class SmallVec {
   SmallVec() = default;
   /// The elements of [first, last), in order: inline when they fit,
   /// otherwise all in one spill allocation.
-  template <typename It>
+  template <std::forward_iterator It>
   SmallVec(It first, It last)
       : size_(static_cast<std::size_t>(std::distance(first, last))) {
     if (size_ > N)
