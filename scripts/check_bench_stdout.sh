@@ -3,10 +3,9 @@
 #
 # A bench reproduces the paper in simulated cycles and metered
 # operations, so two runs of the same binary print the same bytes and
-# exit the same way. Each bench given runs twice, each time from a
-# fresh scratch directory (some benches write files), and its two
-# stdouts plus exit codes must cmp equal. A bench that prints something
-# of the host, such as a wall time or a thread count, fails here.
+# exit the same way. Each bench given runs twice, and its two stdouts
+# plus exit codes must cmp equal. A bench that prints something of the
+# host, such as a wall time or a thread count, fails here.
 #
 # usage: check_bench_stdout.sh <bench-binary>...
 set -uo pipefail
@@ -20,13 +19,12 @@ status=0
 for bin in "$@"; do
   name=$(basename "$bin")
   for run in 1 2; do
-    dir="$tmp/$name.$run"
-    mkdir -p "$dir"
-    (cd "$dir" && "$bin" > stdout 2>/dev/null; echo "exit $?" >> stdout)
+    "$bin" > "$tmp/$name.$run" 2>/dev/null
+    echo "exit $?" >> "$tmp/$name.$run"
   done
-  if ! cmp -s "$tmp/$name.1/stdout" "$tmp/$name.2/stdout"; then
+  if ! cmp -s "$tmp/$name.1" "$tmp/$name.2"; then
     echo "FAIL: $name prints different stdout on two runs:"
-    diff "$tmp/$name.1/stdout" "$tmp/$name.2/stdout" | head -20
+    diff "$tmp/$name.1" "$tmp/$name.2" | head -20
     status=1
   fi
 done
