@@ -19,6 +19,11 @@
 # large-geometry pairs (sharded DDU/DAU, Banker's, WFG recovery at up to
 # 64x64) in fuzz_large_engine.json.
 #
+# The plain-text --metrics tables are pinned too: delta_sweep's counters
+# summed over the protocol zoo, and delta_gen's smoke run of RTOS4
+# (counters, then histogram summaries). Only the table is compared; the
+# lines before it name temporary paths and host time.
+#
 # usage: check_goldens.sh <examples-bin-dir> <golden-dir>
 set -euo pipefail
 
@@ -56,6 +61,11 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
 "$bin_dir/delta_fuzz" --runs 64 --seed 1 --generator large \
     --pairs ddu-sharded,dau-sharded,bankers-vs-daa,wfg-recovery \
     --engine-stats --out "$tmp/fuzz_large_engine.json" >/dev/null
+"$bin_dir/delta_sweep" "${zoo[@]}" --quiet --metrics \
+    --out "$tmp/metrics_zoo.json" | sed -n '/^metrics (/,$p' \
+    > "$tmp/sweep_zoo_metrics.txt"
+"$bin_dir/delta_gen" --preset 4 --metrics "$tmp/gen" \
+    | sed -n '/^metrics (/,$p' > "$tmp/gen_preset4_metrics.txt"
 
 status=0
 for f in sweep_mixed sweep_zoo profile_presets fuzz_campaign; do
@@ -84,6 +94,15 @@ for pin in fuzz_campaign_engine:es_fuzz_campaign \
   else
     echo "GOLDEN MISMATCH: engine counters differ from $golden/$f.json" >&2
     cmp "$golden/$f.json" "$out" >&2 || true
+    status=1
+  fi
+done
+for f in sweep_zoo_metrics gen_preset4_metrics; do
+  if cmp -s "$golden/$f.txt" "$tmp/$f.txt"; then
+    echo "ok: $f.txt byte-identical"
+  else
+    echo "GOLDEN MISMATCH: --metrics table differs from $golden/$f.txt" >&2
+    cmp "$golden/$f.txt" "$tmp/$f.txt" >&2 || true
     status=1
   fi
 done
