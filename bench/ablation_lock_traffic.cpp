@@ -75,8 +75,8 @@ Result run(bool soclc) {
   r.data_wait = bus.stats(0).wait_cycles;
   r.makespan = kernel.last_finish_time();
   r.finished = kernel.all_finished();
-  r.spin_polls = obs.metrics.counter("lock.spins").value();
-  r.contended = obs.metrics.counter("lock.contended").value();
+  r.spin_polls = obs.metrics.counter_value("lock.spins");
+  r.contended = obs.metrics.counter_value("lock.contended");
   return r;
 }
 

@@ -112,12 +112,12 @@ int observe(const soc::DeltaConfig& cfg, bool metrics,
       const obs::MetricsSnapshot snap = soc.observer().metrics.snapshot();
       std::fprintf(log, "metrics (smoke run, workload mixed):\n");
       for (const auto& [name, value] : snap.counters)
-        std::fprintf(log, "  %-24s %llu\n", name.c_str(),
-                     static_cast<unsigned long long>(value));
+        std::fprintf(log, "  %-24.*s %llu\n", static_cast<int>(name.size()),
+                     name.data(), static_cast<unsigned long long>(value));
       for (const auto& [name, h] : snap.histograms)
-        std::fprintf(log, "  %-24s n=%llu mean=%.1f p95=%.1f\n",
-                     name.c_str(), static_cast<unsigned long long>(h.count),
-                     h.mean, h.p95);
+        std::fprintf(log, "  %-24.*s n=%llu mean=%.1f p95=%.1f\n",
+                     static_cast<int>(name.size()), name.data(),
+                     static_cast<unsigned long long>(h.count), h.mean, h.p95);
     }
     if (!trace_path.empty()) {
       obs::ProcessTrace pt;

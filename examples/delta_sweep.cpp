@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli.h"
@@ -169,15 +170,15 @@ int main(int argc, char** argv) {
   if (metrics) {
     // Sum each counter over all runs. The registry keys are sorted, so
     // this table is deterministic for any --threads value too.
-    std::map<std::string, std::uint64_t> totals;
+    std::map<std::string_view, std::uint64_t> totals;
     for (const exp::RunResult& r : report.runs)
       for (const auto& [name, value] : r.metrics.counters)
         totals[name] += value;
     std::fprintf(log, "metrics (counters summed over %zu runs):\n",
                  report.runs.size() - report.failed());
     for (const auto& [name, value] : totals)
-      std::fprintf(log, "  %-24s %llu\n", name.c_str(),
-                   static_cast<unsigned long long>(value));
+      std::fprintf(log, "  %-24.*s %llu\n", static_cast<int>(name.size()),
+                   name.data(), static_cast<unsigned long long>(value));
   }
   return report.failed() == 0 ? 0 : 1;
 }

@@ -117,10 +117,6 @@ std::vector<std::vector<rtos::ResourceId>> scenario_claims(
   return claims;
 }
 
-std::uint64_t counter_value(soc::Mpsoc& sys, const std::string& name) {
-  return sys.observer().metrics.counter(name).value();
-}
-
 /// Kernel-vs-strategy agreement: every task's held set must match the
 /// strategy matrix's grant column exactly (both directions).
 void check_consistency(rtos::Kernel& k, const rag::StateMatrix& m,
@@ -281,13 +277,14 @@ RunOutcome run_scenario(const Scenario& s, const SystemUnderTest& sut,
     } else {
       o.state_empty = true;
     }
-    o.lock_acquires = counter_value(*mpsoc, "lock.acquires");
-    o.lock_releases = counter_value(*mpsoc, "lock.releases");
-    o.dl_requests = counter_value(*mpsoc, "deadlock.requests");
-    o.dl_releases = counter_value(*mpsoc, "deadlock.releases");
-    o.allocs = counter_value(*mpsoc, "mem.allocs");
-    o.alloc_failures = counter_value(*mpsoc, "mem.alloc_failures");
-    o.frees = counter_value(*mpsoc, "mem.frees");
+    const obs::MetricsRegistry& metrics = mpsoc->observer().metrics;
+    o.lock_acquires = metrics.counter_value("lock.acquires");
+    o.lock_releases = metrics.counter_value("lock.releases");
+    o.dl_requests = metrics.counter_value("deadlock.requests");
+    o.dl_releases = metrics.counter_value("deadlock.releases");
+    o.allocs = metrics.counter_value("mem.allocs");
+    o.alloc_failures = metrics.counter_value("mem.alloc_failures");
+    o.frees = metrics.counter_value("mem.frees");
     if (engine_stats) o.engine = mpsoc->engine_report();
     o.ok = true;
   } catch (const std::exception& e) {

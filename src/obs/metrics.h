@@ -3,18 +3,22 @@
 //
 // One MetricsRegistry lives per Mpsoc (inside obs::Observer), never in a
 // global — sweeps run many simulations concurrently and per-run state is
-// what keeps reports byte-identical at any thread count. Registration
-// returns stable references (std::map nodes do not move), so hot paths
-// resolve a name once and bump a cached pointer afterwards.
+// what keeps reports byte-identical at any thread count. Names are
+// string literals (MetricName's constructor is consteval), so the
+// registry and every snapshot refer to a name instead of copying it, and
+// a snapshot stays valid after its registry is gone. Registration
+// returns stable references (entries never move), so hot paths resolve a
+// name once and bump a cached pointer afterwards.
 //
 // Naming convention (see docs/OBSERVABILITY.md): dot-separated
 // "<unit>.<metric>", lower_snake_case leaves, e.g. "bus.wait_cycles",
 // "lock.acquires", "ddu.runs", "mem.alloc_latency".
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +36,20 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
+/// A metric name with static storage. The constructor is consteval, so
+/// only a constant converts: a string literal, or a `static constexpr`
+/// character array. A name built at run time is a compile error, not a
+/// view that dangles once its buffer is gone.
+class MetricName {
+ public:
+  // Implicit, so that counter("bus.words") reads as before.
+  consteval MetricName(const char* name) : name_(name) {}  // NOLINT
+  [[nodiscard]] constexpr std::string_view view() const { return name_; }
+
+ private:
+  std::string_view name_;
+};
+
 /// Fixed-shape summary of a histogram, detached from its sample storage.
 struct HistogramSummary {
   std::uint64_t count = 0;
@@ -42,10 +60,11 @@ struct HistogramSummary {
   double p95 = 0.0;
 };
 
-/// Point-in-time copy of every registered metric, sorted by name.
+/// Point-in-time copy of every registered metric, sorted by name. The
+/// names view the registered literals, which live as long as the program.
 struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, HistogramSummary>> histograms;
+  std::vector<std::pair<std::string_view, std::uint64_t>> counters;
+  std::vector<std::pair<std::string_view, HistogramSummary>> histograms;
 };
 
 /// Registry of named counters and histograms. counter()/histogram()
@@ -53,19 +72,72 @@ struct MetricsSnapshot {
 /// callers may cache the reference across the whole simulation.
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  sim::SampleSet& histogram(const std::string& name) {
-    return histograms_[name];
+  MetricsRegistry() = default;
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  Counter& counter(MetricName name) { return counters_.get(name.view()); }
+  sim::SampleSet& histogram(MetricName name) {
+    return histograms_.get(name.view());
+  }
+
+  /// The value of counter `name`, or 0 if nobody registered it. Unlike
+  /// counter(), a read never adds the name to the registry.
+  [[nodiscard]] std::uint64_t counter_value(std::string_view name) const {
+    const Counter* c = counters_.find(name);
+    return c ? c->value() : 0;
   }
 
   /// Deterministic (name-sorted) copy of the current values.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  // std::map: sorted iteration for deterministic snapshots, and node
-  // stability so the references handed out above never dangle.
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, sim::SampleSet> histograms_;
+  /// Entries in registration order, in blocks of N: the first block is
+  /// part of the table, later ones are allocated one at a time. No entry
+  /// ever moves, and there is no cap on the number of names.
+  template <typename T, std::size_t N>
+  class Table {
+   public:
+    struct Entry {
+      std::string_view name;
+      T value;
+    };
+
+    T& get(std::string_view name) {
+      for (std::size_t i = 0; i < size_; ++i)
+        if (at(i).name == name) return at(i).value;
+      if (size_ >= N * (1 + spill_.size()))
+        spill_.push_back(std::make_unique<Block>());
+      Entry& e = at(size_++);
+      e.name = name;
+      return e.value;
+    }
+    [[nodiscard]] const T* find(std::string_view name) const {
+      for (std::size_t i = 0; i < size_; ++i)
+        if (at(i).name == name) return &at(i).value;
+      return nullptr;
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] Entry& at(std::size_t i) {
+      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
+    }
+    [[nodiscard]] const Entry& at(std::size_t i) const {
+      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
+    }
+
+   private:
+    using Block = std::array<Entry, N>;
+
+    Block first_{};
+    std::vector<std::unique_ptr<Block>> spill_;
+    std::size_t size_ = 0;
+  };
+
+  // An RTOS1-7 Mpsoc registers 17-20 counters (one more when it traces)
+  // and 3 histograms, so its registry fits in the first blocks and
+  // allocates nothing.
+  Table<Counter, 32> counters_;
+  Table<sim::SampleSet, 4> histograms_;
 };
 
 }  // namespace delta::obs

@@ -149,7 +149,6 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
   std::uint64_t prev_bus_busy = 0;
   std::uint64_t prev_bus_words = 0;
   std::uint64_t prev_spins = 0;
-  const obs::Counter& spins = obs_.metrics.counter("lock.spins");
   const auto take_sample = [&](sim::Cycles t) {
     std::vector<std::uint64_t> v(cfg_.pe_count, 0);
     std::uint64_t bus_busy = 0;
@@ -162,8 +161,9 @@ sim::Cycles Mpsoc::run(sim::Cycles limit) {
     prev_bus_busy = bus_busy;
     v.push_back(bus_words - prev_bus_words);
     prev_bus_words = bus_words;
-    v.push_back(spins.value() - prev_spins);
-    prev_spins = spins.value();
+    const std::uint64_t spins = obs_.metrics.counter_value("lock.spins");
+    v.push_back(spins - prev_spins);
+    prev_spins = spins;
     std::uint64_t ready = 0;
     for (rtos::TaskId id = 0; id < kernel_->task_count(); ++id)
       if (kernel_->task(id).state == rtos::TaskState::kReady) ++ready;

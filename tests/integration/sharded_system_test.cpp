@@ -84,7 +84,7 @@ CostSplit cost_split(Mpsoc& soc, const std::string& unit) {
   rtos::DeadlockStrategy& s = soc.kernel().strategy();
   return {soc.kernel().last_finish_time(), s.invocations(),
           s.algorithm_times().summary().sum(),
-          soc.observer().metrics.counter(unit + ".escalations").value()};
+          soc.observer().metrics.counter_value(unit + ".escalations")};
 }
 
 void expect_cost_split(Mpsoc& soc, const std::string& unit,

@@ -2,8 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <utility>
+
 namespace delta::obs {
 namespace {
+
+/// "m.extra0" .. "m.extra99", spelled out at compile time. A registry
+/// keeps views of its names, so they must outlive it: these have static
+/// storage, as a string literal does.
+constexpr std::size_t kExtras = 100;
+constexpr auto kExtraChars = [] {
+  std::array<std::array<char, 12>, kExtras> names{};
+  for (std::size_t i = 0; i < kExtras; ++i) {
+    std::size_t len = 0;
+    for (const char c : std::string_view("m.extra")) names[i][len++] = c;
+    if (i >= 10) names[i][len++] = static_cast<char>('0' + i / 10);
+    names[i][len] = static_cast<char>('0' + i % 10);
+  }
+  return names;
+}();
+constexpr auto kExtraNames = []<std::size_t... I>(std::index_sequence<I...>) {
+  return std::array<MetricName, kExtras>{MetricName(kExtraChars[I].data())...};
+}(std::make_index_sequence<kExtras>{});
 
 TEST(MetricsRegistry, CounterCreatesOnFirstUseAndAccumulates) {
   MetricsRegistry reg;
@@ -26,13 +48,27 @@ TEST(MetricsRegistry, SameNameReturnsSameObject) {
 
 TEST(MetricsRegistry, ReferencesStayValidAcrossInsertions) {
   // Hot paths cache Counter*/SampleSet* at attach time; later
-  // registrations must never invalidate them (std::map node stability).
+  // registrations must never invalidate them (entries never move).
   MetricsRegistry reg;
   Counter& first = reg.counter("m.a");
-  for (int i = 0; i < 100; ++i)
-    reg.counter("m.extra" + std::to_string(i)).add();
+  for (const MetricName& name : kExtraNames) reg.counter(name).add();
   first.add(7);
   EXPECT_EQ(reg.counter("m.a").value(), 7u);
+}
+
+TEST(MetricsRegistry, ReadingAnUnregisteredNameAddsNothing) {
+  MetricsRegistry reg;
+  reg.counter("lock.acquires").add(3);
+  reg.histogram("lock.latency").add(1.0);
+  const MetricsSnapshot before = reg.snapshot();
+  EXPECT_EQ(reg.counter_value("lock.acquires"), 3u);
+  EXPECT_EQ(reg.counter_value(std::string("lock.") + "acquires"), 3u);
+  EXPECT_EQ(reg.counter_value("lock.acquire"), 0u);  // misspelt
+  EXPECT_EQ(reg.counter_value("lock.latency"), 0u);  // not a counter
+  const MetricsSnapshot after = reg.snapshot();
+  EXPECT_EQ(after.counters, before.counters);
+  ASSERT_EQ(after.histograms.size(), 1u);
+  EXPECT_EQ(after.histograms[0].first, "lock.latency");
 }
 
 TEST(MetricsRegistry, SnapshotIsNameSorted) {
@@ -65,6 +101,21 @@ TEST(MetricsRegistry, SnapshotSummarizesHistograms) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   EXPECT_DOUBLE_EQ(s.p95, 95.0);
   EXPECT_GT(s.stddev, 0.0);
+}
+
+TEST(MetricsRegistry, SnapshotOutlivesItsRegistry) {
+  MetricsSnapshot snap;
+  {
+    MetricsRegistry reg;
+    reg.counter("bus.words").add(5);
+    reg.histogram("mem.alloc_latency").add(2.0);
+    snap = reg.snapshot();
+  }
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].first, "bus.words");
+  EXPECT_EQ(snap.counters[0].second, 5u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].first, "mem.alloc_latency");
 }
 
 TEST(MetricsRegistry, SnapshotIsDetachedCopy) {

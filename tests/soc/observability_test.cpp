@@ -120,8 +120,8 @@ TEST(Observability, KernelRegistersOnlyInTheObserverItIsGiven) {
   // lock backend's two, each once, in the given registry.
   std::vector<std::string> names;
   const obs::MetricsSnapshot at_start = given.metrics.snapshot();
-  for (const auto& [n, v] : at_start.counters) names.push_back(n);
-  for (const auto& [n, h] : at_start.histograms) names.push_back(n);
+  for (const auto& [n, v] : at_start.counters) names.emplace_back(n);
+  for (const auto& [n, h] : at_start.histograms) names.emplace_back(n);
   EXPECT_EQ(names, (std::vector<std::string>{
                        "deadlock.releases", "deadlock.requests",
                        "kernel.context_switches", "kernel.preemptions",
