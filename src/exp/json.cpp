@@ -472,8 +472,16 @@ std::string report_to_json(const SweepSpec& spec,
   w.end_object();
 
   w.key("runs").begin_array();
-  for (const RunResult& r : report.runs)
-    write_run(w, r, spec.engine_host_times);
+  const std::size_t n = report.runs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = w.str().size();
+    write_run(w, report.runs[i], spec.engine_host_times);
+    // Size the document from the first run: every run again, plus an
+    // eighth for runs that print longer and for the aggregates. The
+    // buffer then grows once instead of doubling a dozen times into
+    // fresh pages.
+    if (i == 0) w.reserve(start + (w.str().size() - start) * (n + n / 8 + 1));
+  }
   w.end_array();
 
   // Aggregates across seeds, keyed by (config, workload) in expansion

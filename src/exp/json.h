@@ -34,6 +34,9 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
 
   [[nodiscard]] const std::string& str() const { return out_; }
+  /// Room for `bytes` of document in all, so that a writer that knows
+  /// its size grows the buffer once.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
   /// The finished document plus a trailing newline, moved out (the
   /// writer is left empty).
   [[nodiscard]] std::string finish();

@@ -12,7 +12,10 @@
 //
 // Set-up is counted directly: Kernel::create_task up to max_tasks, and
 // fuzz::Scenario::install of a large-geometry scenario, whose one
-// allocation per task is the program's op vector.
+// allocation per task is the program's op vector. So is a run's
+// bookkeeping: registering an Mpsoc's metrics and snapshotting them
+// make no allocation per name, and report_to_json grows its document
+// once, whatever the number of runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,9 +23,13 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "exp/json.h"
+#include "exp/sweep.h"
+#include "exp/workloads.h"
 #include "fuzz/scenario.h"
 #include "sim/random.h"
 #include "soc/delta_framework.h"
@@ -182,6 +189,96 @@ TEST(AllocGuardSetUp, ScenarioInstallAllocatesAtMostOncePerTask) {
       << allocations << " allocations installing " << s.tasks.size()
       << " tasks";
   EXPECT_EQ(soc.kernel().task_count(), s.tasks.size());
+}
+
+/// Every metric name an RTOS1-7 Mpsoc registers, as the constants a
+/// registry takes. A name missing here fails the test below by name.
+constexpr obs::MetricName kMpsocMetricNames[] = {
+    "bus.busy_cycles",     "bus.transactions",   "bus.wait_cycles",
+    "bus.words",           "dau.commands",       "dau.ddu_probes",
+    "ddu.iterations",      "ddu.runs",           "deadlock.releases",
+    "deadlock.requests",   "kernel.context_switches",
+    "kernel.preemptions",  "lock.acquires",      "lock.contended",
+    "lock.releases",       "lock.spins",         "lock.sw.acquires",
+    "lock.sw.enqueues",    "mem.alloc_failures", "mem.allocs",
+    "mem.frees",           "socdmmu.alloc_failures",
+    "socdmmu.allocs",      "socdmmu.deallocs",   "soclc.acquires",
+    "soclc.grants",        "soclc.handoffs",     "soclc.queued",
+    "lock.delay",          "lock.latency",       "mem.alloc_latency"};
+
+const obs::MetricName* find_metric_name(std::string_view name) {
+  for (const obs::MetricName& n : kMpsocMetricNames)
+    if (n.view() == name) return &n;
+  return nullptr;
+}
+
+TEST(AllocGuardSetUp, MetricsRegistryAllocatesNothingPerName) {
+  for (const RtosPreset preset : kAllRtosPresets) {
+    Mpsoc soc(rtos_preset(preset).to_mpsoc_config());
+    const obs::MetricsRegistry& metrics = soc.observer().metrics;
+    std::vector<const obs::MetricName*> counters;
+    std::vector<const obs::MetricName*> histograms;
+    {
+      const obs::MetricsSnapshot snap = metrics.snapshot();
+      for (const auto& [name, value] : snap.counters) {
+        counters.push_back(find_metric_name(name));
+        ASSERT_NE(counters.back(), nullptr) << name;
+      }
+      for (const auto& [name, h] : snap.histograms) {
+        histograms.push_back(find_metric_name(name));
+        ASSERT_NE(histograms.back(), nullptr) << name;
+      }
+    }
+    const std::size_t names = counters.size() + histograms.size();
+
+    // The same names registered again into a fresh registry, then two
+    // snapshots of the Mpsoc's own: each snapshot is its two vectors.
+    std::uint64_t before = allocations_so_far();
+    {
+      obs::MetricsRegistry reg;
+      for (const obs::MetricName* n : counters) reg.counter(*n).add();
+      for (const obs::MetricName* n : histograms) reg.histogram(*n);
+    }
+    const std::uint64_t registering = allocations_so_far() - before;
+    before = allocations_so_far();
+    {
+      const obs::MetricsSnapshot a = metrics.snapshot();
+      const obs::MetricsSnapshot b = metrics.snapshot();
+    }
+    const std::uint64_t snapshots = allocations_so_far() - before;
+
+    EXPECT_EQ(registering, 0u) << to_string(preset) << ": " << names
+                               << " names";
+    EXPECT_LE(snapshots, 4u) << to_string(preset) << ": " << names
+                             << " names";
+  }
+}
+
+TEST(AllocGuardSetUp, ReportToJsonAllocatesAlikeFor100And800Runs) {
+  exp::SweepSpec spec;
+  spec.configs = exp::all_preset_points();
+  spec.workloads = {exp::mixed_workload()};
+  spec.seeds.clear();
+  const std::size_t seeds = 800 / spec.configs.size() + 1;
+  for (std::uint64_t s = 0; s < seeds; ++s) spec.seeds.push_back(s);
+  const std::vector<exp::RunSpec> cells = exp::expand(spec);
+  // Seed by seed across the seven presets, so that both reports hold
+  // the same seven aggregates.
+  std::vector<exp::RunResult> runs;
+  for (std::size_t s = 0; s < seeds; ++s)
+    for (std::size_t c = 0; c < spec.configs.size(); ++c)
+      runs.push_back(exp::execute_run(cells[c * seeds + s], spec));
+
+  const auto report_allocations = [&](std::size_t n) {
+    exp::SweepReport report;
+    report.runs.assign(runs.begin(), runs.begin() + n);
+    const std::uint64_t before = allocations_so_far();
+    const std::size_t bytes = exp::report_to_json(spec, report).size();
+    const std::uint64_t allocations = allocations_so_far() - before;
+    EXPECT_GT(bytes, n * 1000);
+    return allocations;
+  };
+  EXPECT_EQ(report_allocations(100), report_allocations(800));
 }
 
 }  // namespace
