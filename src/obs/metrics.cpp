@@ -1,31 +1,15 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 namespace delta::obs {
-
-namespace {
-
-/// Names are unique within a table, so ordering by name alone is total.
-template <typename Pair>
-void sort_by_name(std::vector<Pair>& v) {
-  std::sort(v.begin(), v.end(),
-            [](const Pair& a, const Pair& b) { return a.first < b.first; });
-}
-
-}  // namespace
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    const auto& [name, c] = counters_.at(i);
+  counters_.for_each([&](std::string_view name, const Counter& c) {
     snap.counters.emplace_back(name, c.value());
-  }
-  sort_by_name(snap.counters);
+  });
   snap.histograms.reserve(histograms_.size());
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    const auto& [name, h] = histograms_.at(i);
+  histograms_.for_each([&](std::string_view name, const sim::SampleSet& h) {
     HistogramSummary s;
     s.count = h.count();
     s.mean = h.mean();
@@ -34,8 +18,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     s.stddev = h.stddev();
     s.p95 = h.percentile(0.95);
     snap.histograms.emplace_back(name, s);
-  }
-  sort_by_name(snap.histograms);
+  });
   return snap;
 }
 

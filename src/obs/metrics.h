@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -43,7 +44,7 @@ class Counter {
 class MetricName {
  public:
   // Implicit, so that counter("bus.words") reads as before.
-  consteval MetricName(const char* name) : name_(name) {}  // NOLINT
+  consteval MetricName(const char* name) : name_(name) {}
   [[nodiscard]] constexpr std::string_view view() const { return name_; }
 
  private:
@@ -72,6 +73,8 @@ struct MetricsSnapshot {
 /// callers may cache the reference across the whole simulation.
 class MetricsRegistry {
  public:
+  // The references handed out point into the registry itself, so it is
+  // neither copied nor moved.
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -92,44 +95,65 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  /// Entries in registration order, in blocks of N: the first block is
-  /// part of the table, later ones are allocated one at a time. No entry
-  /// ever moves, and there is no cap on the number of names.
+  /// Entries in blocks of N that never move: the first block is part of
+  /// the table, later ones are allocated one at a time, so there is no
+  /// cap on the number of names. Each entry links to the next name in
+  /// sorted order, so registration sorts each name in once and a
+  /// snapshot walks the links instead of sorting.
   template <typename T, std::size_t N>
   class Table {
    public:
-    struct Entry {
-      std::string_view name;
-      T value;
-    };
-
     T& get(std::string_view name) {
-      for (std::size_t i = 0; i < size_; ++i)
-        if (at(i).name == name) return at(i).value;
-      if (size_ >= N * (1 + spill_.size()))
+      std::size_t* link = &head_;
+      for (; *link != kEnd; link = &at(*link).next) {
+        Entry& e = at(*link);
+        const int order = e.name.compare(name);
+        if (order == 0) return e.value;
+        if (order > 0) break;
+      }
+      if (size_ == N * (1 + spill_.size()))
         spill_.push_back(std::make_unique<Block>());
-      Entry& e = at(size_++);
+      Entry& e = at(size_);
       e.name = name;
+      e.next = *link;
+      *link = size_++;
       return e.value;
     }
     [[nodiscard]] const T* find(std::string_view name) const {
-      for (std::size_t i = 0; i < size_; ++i)
-        if (at(i).name == name) return &at(i).value;
+      for (std::size_t i = head_; i != kEnd; i = at(i).next) {
+        const int order = at(i).name.compare(name);
+        if (order == 0) return &at(i).value;
+        if (order > 0) break;
+      }
       return nullptr;
     }
+    /// Calls f(name, value) for every entry, in name order.
+    template <typename F>
+    void for_each(F&& f) const {
+      for (std::size_t i = head_; i != kEnd; i = at(i).next)
+        f(at(i).name, at(i).value);
+    }
     [[nodiscard]] std::size_t size() const { return size_; }
-    [[nodiscard]] Entry& at(std::size_t i) {
-      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
-    }
-    [[nodiscard]] const Entry& at(std::size_t i) const {
-      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
-    }
 
    private:
+    static constexpr std::size_t kEnd = SIZE_MAX;
+    struct Entry {
+      std::string_view name;
+      T value;
+      std::size_t next = kEnd;  ///< the entry with the next name
+    };
     using Block = std::array<Entry, N>;
+
+    Entry& at(std::size_t i) {
+      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
+    }
+    const Entry& at(std::size_t i) const {
+      return i < N ? first_[i] : (*spill_[i / N - 1])[i % N];
+    }
 
     Block first_{};
     std::vector<std::unique_ptr<Block>> spill_;
+    std::size_t head_ = kEnd;  ///< the entry with the first name
     std::size_t size_ = 0;
   };
 
