@@ -406,7 +406,7 @@ void write_run(JsonWriter& w, const RunResult& r, bool host_times) {
   w.key("calls").value(r.mgmt_calls);
   w.end_object();
   // The full registry snapshot. Keys are already name-sorted
-  // (obs::MetricsRegistry iterates a std::map), so the bytes stay
+  // (obs::MetricsRegistry keeps its names in order), so the bytes stay
   // deterministic across thread counts.
   w.key("metrics").begin_object();
   w.key("counters").begin_object();

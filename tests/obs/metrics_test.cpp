@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <utility>
@@ -54,6 +55,10 @@ TEST(MetricsRegistry, ReferencesStayValidAcrossInsertions) {
   for (const MetricName& name : kExtraNames) reg.counter(name).add();
   first.add(7);
   EXPECT_EQ(reg.counter("m.a").value(), 7u);
+  // Past the first block, names still come out in order.
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), kExtras + 1);
+  EXPECT_TRUE(std::is_sorted(snap.counters.begin(), snap.counters.end()));
 }
 
 TEST(MetricsRegistry, ReadingAnUnregisteredNameAddsNothing) {
