@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rag/oracle.h"
 #include "sim/random.h"
 
@@ -153,6 +158,95 @@ TEST(AvoidanceStrategies, SafetyUnderRandomWorkload) {
       }
       ASSERT_FALSE(rag::oracle_has_cycle(*s->state()))
           << s->name() << " step " << step;
+    }
+  }
+}
+
+// Every field of two events but their cycle costs.
+testing::AssertionResult same_decision(const ResourceEvent& a,
+                                       const ResourceEvent& b) {
+  if (a.granted == b.granted && a.deadlock_detected == b.deadlock_detected &&
+      std::equal(a.grants.begin(), a.grants.end(), b.grants.begin(),
+                 b.grants.end()) &&
+      a.asked == b.asked && a.ask_give_up == b.ask_give_up &&
+      a.r_dl == b.r_dl && a.g_dl == b.g_dl && a.livelock == b.livelock)
+    return testing::AssertionSuccess();
+  const auto show = [](const ResourceEvent& e) {
+    std::string s = "granted=" + std::to_string(e.granted) +
+                    " grants=" + std::to_string(e.grants.size()) +
+                    " asked=" + std::to_string(e.asked) + " give_up=[";
+    for (ResourceId r : e.ask_give_up) s += std::to_string(r) + ",";
+    return s + "] r_dl=" + std::to_string(e.r_dl) +
+           " g_dl=" + std::to_string(e.g_dl) +
+           " livelock=" + std::to_string(e.livelock);
+  };
+  return testing::AssertionFailure() << show(a) << " vs " << show(b);
+}
+
+// The software DAA, the DAU and the two-cluster DAU run one DaaEngine, so
+// one seeded request/release stream must get the same decisions from all
+// three, reported the same way. Give-up asks are obeyed only some of the
+// time, as a slow victim would: livelock-idled resources then take fresh
+// requests that re-run arbitration on the request path.
+TEST(AvoidanceStrategies, DaaAndBothDauShapesReportEqualEvents) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    sim::Rng rng(seed);
+    const std::size_t m = 3 + rng.below(5), n = 3 + rng.below(5);
+    std::unique_ptr<DeadlockStrategy> s[] = {
+        make_strategy(DeadlockComponent::kDaaSoftware, m, n, ServiceCosts{}),
+        make_strategy(DeadlockComponent::kDau, m, n, ServiceCosts{}),
+        make_strategy(DeadlockComponent::kDau, m, n, ServiceCosts{}, nullptr,
+                      1, 2)};
+    std::vector<ResourceId> starved;
+    std::vector<std::pair<TaskId, std::vector<ResourceId>>> asks;
+    // One call on all three; the software DAA's event steers the stream.
+    const auto step = [&](const auto& call, ResourceId res) {
+      const ResourceEvent ev = call(*s[0]);
+      for (int i = 1; i < 3; ++i) {
+        testing::AssertionResult same = same_decision(ev, call(*s[i]));
+        if (!same)
+          return same << " (" << s[i]->name() << ", seed " << seed << ")";
+      }
+      if (ev.livelock &&
+          std::find(starved.begin(), starved.end(), res) == starved.end())
+        starved.push_back(res);
+      if (ev.asked != kNoTask && !ev.ask_give_up.empty() && rng.chance(0.3))
+        asks.emplace_back(ev.asked, ev.ask_give_up);
+      return testing::AssertionSuccess();
+    };
+    for (int op = 0; op < 400; ++op) {
+      const TaskId p = rng.below(n);
+      const ResourceId q = rng.below(m);
+      if (rng.chance(0.45)) {
+        if (s[0]->owner(q) != p) continue;
+        ASSERT_TRUE(step([&](DeadlockStrategy& x) { return x.release(p, q, 0); },
+                         q));
+      } else {
+        if (s[0]->state()->at(q, p) != rag::Edge::kNone) continue;
+        ASSERT_TRUE(step([&](DeadlockStrategy& x) { return x.request(p, q, 0); },
+                         q));
+      }
+      // Obey the asks the kernel's give-up would: release, re-request,
+      // then retry every livelock-idled resource.
+      for (int budget = 0; budget < 8 && !asks.empty(); ++budget) {
+        const auto [victim, give] = asks.back();
+        asks.pop_back();
+        std::vector<ResourceId> released;
+        for (ResourceId r : give) {
+          if (s[0]->owner(r) != victim) continue;
+          ASSERT_TRUE(step(
+              [&](DeadlockStrategy& x) { return x.release(victim, r, 0); }, r));
+          released.push_back(r);
+        }
+        for (ResourceId r : released)
+          ASSERT_TRUE(step(
+              [&](DeadlockStrategy& x) { return x.request(victim, r, 0); }, r));
+        const std::vector<ResourceId> retry = std::exchange(starved, {});
+        for (ResourceId r : retry)
+          ASSERT_TRUE(
+              step([&](DeadlockStrategy& x) { return x.retry(r, 0); }, r));
+      }
+      asks.clear();
     }
   }
 }
