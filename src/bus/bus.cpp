@@ -62,4 +62,15 @@ std::uint64_t SharedBus::total_transactions() const {
   return n;
 }
 
+sim::Cycles unit_round_trip(SharedBus* bus, MasterId master, sim::Cycles now,
+                            sim::Cycles unit, sim::Cycles& unit_busy_until,
+                            sim::Cycles pe_residue) {
+  if (bus == nullptr) return 3 + unit + pe_residue + 3;
+  sim::Cycles done = bus->transfer(master, now, 1).complete;  // command
+  done = std::max(done + unit, unit_busy_until);
+  unit_busy_until = done;
+  done += pe_residue;
+  return bus->transfer(master, done, 1).complete - now;  // status read
+}
+
 }  // namespace delta::bus

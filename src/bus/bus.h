@@ -80,12 +80,23 @@ class SharedBus {
   std::vector<MasterStats> stats_;
 
   obs::Observer* obs_ = nullptr;
-  // Counters resolved once at attach time: std::map node stability makes
-  // the pointers safe to cache for the registry's lifetime.
+  // Counters resolved once at attach time: registry entries never move,
+  // so the pointers are safe to cache for the registry's lifetime.
   obs::Counter* ctr_transactions_ = nullptr;
   obs::Counter* ctr_words_ = nullptr;
   obs::Counter* ctr_wait_cycles_ = nullptr;
   obs::Counter* ctr_busy_cycles_ = nullptr;
 };
+
+/// One command to a memory-mapped hardware unit (DAU, SoCDMMU) from
+/// `master` at `now`: a one-word command write, the unit's `unit` cycles
+/// (the unit serializes commands: it starts no earlier than
+/// `unit_busy_until`, which moves to its end), `pe_residue` cycles the
+/// commanding PE then runs in software, and a one-word status read. With
+/// no bus each word costs 3 cycles and the unit is not serialized.
+/// Returns the cycles from `now` until the status read completes.
+sim::Cycles unit_round_trip(SharedBus* bus, MasterId master, sim::Cycles now,
+                            sim::Cycles unit, sim::Cycles& unit_busy_until,
+                            sim::Cycles pe_residue = 0);
 
 }  // namespace delta::bus

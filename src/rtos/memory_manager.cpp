@@ -99,16 +99,9 @@ MemResult SocdmmuBackend::alloc(PeId pe, std::uint64_t bytes,
   MemResult out;
   out.ok = a.ok;
   out.addr = a.virtual_addr;
-  sim::Cycles done = now;
-  if (bus_ != nullptr) {
-    done = bus_->transfer(pe, done, 1).complete;        // command write
-    done = std::max(done + a.cycles, unit_busy_until_); // unit executes
-    unit_busy_until_ = done;
-    done = bus_->transfer(pe, done, 1).complete;        // result read
-  } else {
-    done = now + 3 + a.cycles + 3;
-  }
-  const sim::Cycles body = costs_.mem_wrapper_hw + (done - now);
+  const sim::Cycles body =
+      costs_.mem_wrapper_hw +
+      bus::unit_round_trip(bus_, pe, now, a.cycles, unit_busy_until_);
   out.pe_cycles = body;
   total_ += body;
   ++calls_;
@@ -124,16 +117,9 @@ MemResult SocdmmuBackend::alloc_shared(PeId pe, std::size_t region,
   MemResult out;
   out.ok = a.ok;
   out.addr = a.virtual_addr;
-  sim::Cycles done = now;
-  if (bus_ != nullptr) {
-    done = bus_->transfer(pe, done, 1).complete;
-    done = std::max(done + a.cycles, unit_busy_until_);
-    unit_busy_until_ = done;
-    done = bus_->transfer(pe, done, 1).complete;
-  } else {
-    done = now + 3 + a.cycles + 3;
-  }
-  const sim::Cycles body = costs_.mem_wrapper_hw + (done - now);
+  const sim::Cycles body =
+      costs_.mem_wrapper_hw +
+      bus::unit_round_trip(bus_, pe, now, a.cycles, unit_busy_until_);
   out.pe_cycles = body;
   total_ += body;
   ++calls_;
@@ -145,16 +131,9 @@ MemResult SocdmmuBackend::free(PeId pe, std::uint64_t addr, sim::Cycles now) {
   MemResult out;
   out.ok = cycles.has_value();
   const sim::Cycles unit = cycles.value_or(dmmu_.config().dealloc_cycles);
-  sim::Cycles done = now;
-  if (bus_ != nullptr) {
-    done = bus_->transfer(pe, done, 1).complete;
-    done = std::max(done + unit, unit_busy_until_);
-    unit_busy_until_ = done;
-    done = bus_->transfer(pe, done, 1).complete;
-  } else {
-    done = now + 3 + unit + 3;
-  }
-  const sim::Cycles body = costs_.mem_wrapper_hw + (done - now);
+  const sim::Cycles body =
+      costs_.mem_wrapper_hw +
+      bus::unit_round_trip(bus_, pe, now, unit, unit_busy_until_);
   out.pe_cycles = body;
   total_ += body;
   ++calls_;

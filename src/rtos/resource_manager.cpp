@@ -599,28 +599,18 @@ class DauStrategy final : public DeadlockStrategy {
   }
 
   void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
-    // Command write (1 word) + unit busy + (escalated residue in
-    // software) + status read (1 word). The PE waits for the status
-    // because the outcome gates its next action. An escalation
-    // interposes before the final status is valid: the resolver raises
-    // "escalate", the PE runs the residue PDDA and writes the verdict
-    // back, then the FSM completes.
-    const std::size_t master = who % pe_count_;
+    // Command write + unit busy + (escalated residue in software) +
+    // status read. The PE waits for the status because the outcome gates
+    // its next action. An escalation interposes before the final status
+    // is valid: the resolver raises "escalate", the PE runs the residue
+    // PDDA and writes the verdict back, then the FSM completes.
     const sim::Cycles unit = dau_.last_cycles();
     const sim::Cycles residue = residue_cycles(dau_);
     algo_times_.add(static_cast<double>(unit + residue));
     ev.unit_cycles = unit;
-    sim::Cycles done = now;
-    if (bus_ != nullptr) {
-      done = bus_->transfer(master, done, 1).complete;  // command write
-      done = std::max(done + unit, unit_busy_until_);
-      unit_busy_until_ = done;
-      done += residue;  // software residue on the commanding PE
-      done = bus_->transfer(master, done, 1).complete;  // status read
-    } else {
-      done = now + 3 + unit + residue + 3;
-    }
-    ev.pe_cycles = costs_.resource_service + (done - now);
+    ev.pe_cycles = costs_.resource_service +
+                   bus::unit_round_trip(bus_, who % pe_count_, now, unit,
+                                        unit_busy_until_, residue);
   }
 };
 
