@@ -69,6 +69,8 @@ struct RequestResult {
   /// matrix, so the caller must learn who won (kGranted covers only the
   /// requester itself): kNoProc when nothing was handed out.
   rag::ProcId grantee = rag::kNoProc;
+
+  bool operator==(const RequestResult&) const = default;
 };
 
 /// Result of DaaEngine::release().
@@ -78,6 +80,8 @@ struct ReleaseResult {
   rag::ProcId grantee = rag::kNoProc;
   rag::ProcId asked = rag::kNoProc;///< livelock victim, if any
   std::vector<rag::ResId> asked_resources;
+
+  bool operator==(const ReleaseResult&) const = default;
 };
 
 /// Live DAA engine over one m x n system.

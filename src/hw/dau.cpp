@@ -19,97 +19,33 @@ void Dau::set_priority(rag::ProcId p, int priority) {
   engine_->set_priority(p, priority);
 }
 
-DauStatus dau_status_from_request(const deadlock::RequestResult& r,
-                                  rag::ResId q) {
-  using deadlock::RequestOutcome;
-  DauStatus st;
-  st.done = true;
-  st.r_dl = r.r_dl;
-  st.which_resource = q;
-  if (r.grantee != rag::kNoProc && r.outcome != RequestOutcome::kGranted)
-    st.granted_to = r.grantee;
-  switch (r.outcome) {
-    case RequestOutcome::kGranted:
-      st.successful = true;
-      break;
-    case RequestOutcome::kPending:
-      st.pending = true;
-      break;
-    case RequestOutcome::kOwnerAsked:
-      st.pending = true;
-      st.give_up = true;
-      st.which_process = r.asked;
-      break;
-    case RequestOutcome::kGiveUpAsked:
-      st.pending = true;
-      st.give_up = true;
-      st.which_process = r.asked;
-      break;
-    case RequestOutcome::kDenied:  // variant policies only; the DAU
-    case RequestOutcome::kError:   // proper always runs Algorithm 3
-      st.done = true;  // command completed, unsuccessfully
-      break;
-  }
-  return st;
-}
-
-DauStatus dau_status_from_release(const deadlock::ReleaseResult& r,
-                                  rag::ResId q) {
-  using deadlock::ReleaseOutcome;
-  DauStatus st;
-  st.done = true;
-  st.g_dl = r.g_dl;
-  st.which_resource = q;
-  switch (r.outcome) {
-    case ReleaseOutcome::kIdle:
-      st.successful = true;
-      break;
-    case ReleaseOutcome::kGrantedHighest:
-    case ReleaseOutcome::kGrantedLower:
-      st.successful = true;
-      st.which_process = r.grantee;
-      break;
-    case ReleaseOutcome::kLivelockResolved:
-      st.livelock = true;
-      st.give_up = true;
-      st.which_process = r.asked;
-      break;
-    case ReleaseOutcome::kError:
-      break;
-  }
-  return st;
-}
-
-DauStatus Dau::request(rag::ProcId p, rag::ResId q) {
+deadlock::RequestResult Dau::request(rag::ProcId p, rag::ResId q) {
   probe_cycles_ = 0;
-  const deadlock::RequestResult r = engine_->request(p, q);
+  deadlock::RequestResult r = engine_->request(p, q);
   last_probes_ = engine_->last_detect_calls();
   last_cycles_ = kRequestFsmSteps + probe_cycles_;
-  asked_resources_ = r.asked_resources;
   note_command();
-  return dau_status_from_request(r, q);
+  return r;
 }
 
-DauStatus Dau::release(rag::ProcId p, rag::ResId q) {
+deadlock::ReleaseResult Dau::release(rag::ProcId p, rag::ResId q) {
   probe_cycles_ = 0;
-  const deadlock::ReleaseResult r = engine_->release(p, q);
+  deadlock::ReleaseResult r = engine_->release(p, q);
   last_probes_ = engine_->last_detect_calls();
   // The simple no-waiter path does not engage the queue-walk stages.
   const sim::Cycles fsm = last_probes_ == 0 ? kRequestFsmSteps : kReleaseFsmSteps;
   last_cycles_ = fsm + probe_cycles_;
-  asked_resources_ = r.asked_resources;
   note_command();
-  return dau_status_from_release(r, q);
+  return r;
 }
 
-DauStatus Dau::retry_grant(rag::ResId q) {
+deadlock::ReleaseResult Dau::retry_grant(rag::ResId q) {
   probe_cycles_ = 0;
-  const deadlock::ReleaseResult r = engine_->retry_grant(q);
+  deadlock::ReleaseResult r = engine_->retry_grant(q);
   last_probes_ = engine_->last_detect_calls();
   last_cycles_ = kReleaseFsmSteps + probe_cycles_;
-  asked_resources_ = r.asked_resources;
   note_command();
-  return dau_status_from_release(r, q);
+  return r;
 }
 
 void Dau::cancel_request(rag::ProcId p, rag::ResId q) {

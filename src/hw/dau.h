@@ -1,14 +1,15 @@
 // Deadlock Avoidance Unit (DAU) — hardware model (paper §4.3.2-4.3.3).
 //
 // Architecture per Fig. 14: command registers (request/release commands
-// from each PE), status registers (done / busy / successful / pending /
-// give-up / which-process / which-resource / livelock / G-dl / R-dl), an
-// embedded DDU, and the DAA finite state machine (Algorithm 3).
-//
-// Decision logic is the shared DaaEngine (src/deadlock/daa.h) driven by
-// the DDU hardware detector; this file adds the FSM cycle accounting that
-// Table 2 quotes: worst case = 8 FSM steps + (#probes x DDU steps), e.g.
-// 6*5 + 8 = 38 for a 5x5 unit.
+// from each PE), status registers, an embedded DDU, and the DAA finite
+// state machine (Algorithm 3). The status-register layout (done / busy /
+// successful / pending / give-up / which-process / which-resource /
+// livelock / G-dl / R-dl) lives in the generated Verilog
+// (hw/verilog_gen.h). This model returns the decision itself: the shared
+// DaaEngine's RequestResult/ReleaseResult (src/deadlock/daa.h), driven by
+// the DDU hardware detector. What it adds is the FSM cycle accounting
+// that Table 2 quotes: worst case = 8 FSM steps + (#probes x DDU steps),
+// e.g. 6*5 + 8 = 38 for a 5x5 unit.
 #pragma once
 
 #include <cstdint>
@@ -20,25 +21,6 @@
 #include "sim/sim_time.h"
 
 namespace delta::hw {
-
-/// Status-register snapshot after an event, mirroring Fig. 14's fields.
-struct DauStatus {
-  bool done = false;
-  bool successful = false;  ///< granted (request) / handed over (release)
-  bool pending = false;
-  bool give_up = false;     ///< a process was asked to release resource(s)
-  bool r_dl = false;
-  bool g_dl = false;
-  bool livelock = false;
-  rag::ProcId which_process = rag::kNoProc;  ///< grantee or asked process
-  rag::ResId which_resource = rag::kNoRes;
-  /// Request command only: a request to a free resource with queued
-  /// waiters re-arbitrates, and the resource can be handed to an
-  /// already-queued waiter instead of the requester. The status register
-  /// reports that grantee so the OS can unblock it (kNoProc otherwise;
-  /// `successful` still means "the requester itself was granted").
-  rag::ProcId granted_to = rag::kNoProc;
-};
 
 /// Hardware DAU for a fixed m x n system.
 class Dau {
@@ -53,14 +35,14 @@ class Dau {
   static constexpr sim::Cycles kReleaseFsmSteps = 8;
 
   /// Process p writes a REQUEST(q) command register.
-  DauStatus request(rag::ProcId p, rag::ResId q);
+  deadlock::RequestResult request(rag::ProcId p, rag::ResId q);
 
   /// Process p writes a RELEASE(q) command register.
-  DauStatus release(rag::ProcId p, rag::ResId q);
+  deadlock::ReleaseResult release(rag::ProcId p, rag::ResId q);
 
   /// Give-up-complete command: after a livelock victim released its
   /// holdings, the FSM re-runs grant arbitration on the idle resource.
-  DauStatus retry_grant(rag::ResId q);
+  deadlock::ReleaseResult retry_grant(rag::ResId q);
 
   /// Withdraw a pending request (the RTOS aborts/restarts a task).
   void cancel_request(rag::ProcId p, rag::ResId q);
@@ -73,14 +55,6 @@ class Dau {
 
   /// DDU probes issued by the most recent command.
   [[nodiscard]] std::size_t last_probes() const { return last_probes_; }
-
-  /// Resources the asked process must give up (give_up status), matching
-  /// the RequestResult/ReleaseResult from the decision engine.
-  /// NOTE: the reference is invalidated by the next command — copy it
-  /// before issuing the compliance releases.
-  [[nodiscard]] const std::vector<rag::ResId>& asked_resources() const {
-    return asked_resources_;
-  }
 
   /// Internal tracked state (grants + pending requests).
   [[nodiscard]] const rag::StateMatrix& state() const {
@@ -114,18 +88,9 @@ class Dau {
   sim::Cycles last_cycles_ = 0;
   sim::Cycles probe_cycles_ = 0;  // accumulated DDU time per event
   std::size_t last_probes_ = 0;
-  std::vector<rag::ResId> asked_resources_;
   bool grant_fault_ = false;
   obs::Counter* ctr_commands_ = nullptr;
   obs::Counter* ctr_probes_ = nullptr;
 };
-
-/// Map the decision engine's results onto the DauStatus register layout.
-/// Shared with the sharded DAU (hw/sharded_dau.h) so both units present
-/// identical status words for identical decisions.
-DauStatus dau_status_from_request(const deadlock::RequestResult& r,
-                                  rag::ResId q);
-DauStatus dau_status_from_release(const deadlock::ReleaseResult& r,
-                                  rag::ResId q);
 
 }  // namespace delta::hw

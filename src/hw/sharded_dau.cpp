@@ -47,19 +47,17 @@ void ShardedDau::begin_command(rag::ResId q) {
   escalations_ = 0;
 }
 
-void ShardedDau::end_command(const std::vector<rag::ResId>& asked,
-                             sim::Cycles fsm) {
+void ShardedDau::end_command(sim::Cycles fsm) {
   last_cycles_ = fsm + probe_cycles_;
   last_escalation_cycles_ = escalation_cycles_;
   last_probes_ = probes_;
   last_escalations_ = escalations_;
-  asked_resources_ = asked;
   note_command();
 }
 
-DauStatus ShardedDau::request(rag::ProcId p, rag::ResId q) {
+deadlock::RequestResult ShardedDau::request(rag::ProcId p, rag::ResId q) {
   begin_command(q);
-  const deadlock::RequestResult r = engine_->request(p, q);
+  deadlock::RequestResult r = engine_->request(p, q);
   // Commit-log bookkeeping for the detect_event precondition. R-dl parks
   // a cycle in the committed state. Otherwise, when arbitration probed at
   // all and did not end in livelock resolution, the state the engine
@@ -69,13 +67,13 @@ DauStatus ShardedDau::request(rag::ProcId p, rag::ResId q) {
   // as-is.
   if (r.r_dl) clean_ = false;
   else if (probes_ > 0 && !r.livelock) clean_ = true;
-  end_command(r.asked_resources, Dau::kRequestFsmSteps);
-  return dau_status_from_request(r, q);
+  end_command(Dau::kRequestFsmSteps);
+  return r;
 }
 
-DauStatus ShardedDau::release(rag::ProcId p, rag::ResId q) {
+deadlock::ReleaseResult ShardedDau::release(rag::ProcId p, rag::ResId q) {
   begin_command(q);
-  const deadlock::ReleaseResult r = engine_->release(p, q);
+  deadlock::ReleaseResult r = engine_->release(p, q);
   // A committed grant was probed safe on the committed state itself.
   // kIdle / livelock resolution only remove edges: they may or may not
   // dissolve a parked cycle, so a dirty flag stays (conservatively) set.
@@ -86,18 +84,18 @@ DauStatus ShardedDau::release(rag::ProcId p, rag::ResId q) {
   // queue-walk stages.
   const sim::Cycles fsm =
       probes_ == 0 ? Dau::kRequestFsmSteps : Dau::kReleaseFsmSteps;
-  end_command(r.asked_resources, fsm);
-  return dau_status_from_release(r, q);
+  end_command(fsm);
+  return r;
 }
 
-DauStatus ShardedDau::retry_grant(rag::ResId q) {
+deadlock::ReleaseResult ShardedDau::retry_grant(rag::ResId q) {
   begin_command(q);
-  const deadlock::ReleaseResult r = engine_->retry_grant(q);
+  deadlock::ReleaseResult r = engine_->retry_grant(q);
   if (r.outcome == deadlock::ReleaseOutcome::kGrantedHighest ||
       r.outcome == deadlock::ReleaseOutcome::kGrantedLower)
     clean_ = true;
-  end_command(r.asked_resources, Dau::kReleaseFsmSteps);
-  return dau_status_from_release(r, q);
+  end_command(Dau::kReleaseFsmSteps);
+  return r;
 }
 
 void ShardedDau::cancel_request(rag::ProcId p, rag::ResId q) {

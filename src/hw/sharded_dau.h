@@ -1,10 +1,11 @@
 // Sharded Deadlock Avoidance Unit: the DAU's Algorithm-3 FSM driven by
 // the hierarchical detector instead of one monolithic embedded DDU.
 //
-// The decision engine is the same DaaEngine as hw/dau.h, so every
-// grant/pend/give-up decision is bit-identical to the monolithic DAU
-// (the hierarchical detector returns the monolithic verdict on every
-// probe — deadlock/hierarchical.h). What changes is the probe cost
+// The decision engine is the same DaaEngine as hw/dau.h, and both units
+// return its RequestResult/ReleaseResult, so every grant/pend/give-up
+// decision is identical to the monolithic DAU's (the hierarchical
+// detector returns the monolithic verdict on every probe —
+// deadlock/hierarchical.h). What changes is the probe cost
 // split: each probe pays the event cluster's small DDU (unit cycles,
 // bounded by the cluster iteration bound) and, when the event cluster
 // has incident cross-cluster edges, a software residue charge that the
@@ -23,7 +24,7 @@
 namespace delta::hw {
 
 /// Hardware sharded DAU for a fixed m x n x C system. Mirrors hw::Dau's
-/// command API and reuses its DauStatus register layout.
+/// command API.
 class ShardedDau {
  public:
   ShardedDau(std::size_t resources, std::size_t processes,
@@ -33,9 +34,9 @@ class ShardedDau {
     return det_.map();
   }
 
-  DauStatus request(rag::ProcId p, rag::ResId q);
-  DauStatus release(rag::ProcId p, rag::ResId q);
-  DauStatus retry_grant(rag::ResId q);
+  deadlock::RequestResult request(rag::ProcId p, rag::ResId q);
+  deadlock::ReleaseResult release(rag::ProcId p, rag::ResId q);
+  deadlock::ReleaseResult retry_grant(rag::ResId q);
   void cancel_request(rag::ProcId p, rag::ResId q);
   void set_priority(rag::ProcId p, int priority);
 
@@ -56,9 +57,6 @@ class ShardedDau {
     return last_escalations_;
   }
 
-  [[nodiscard]] const std::vector<rag::ResId>& asked_resources() const {
-    return asked_resources_;
-  }
   [[nodiscard]] const rag::StateMatrix& state() const {
     return engine_->state();
   }
@@ -80,7 +78,7 @@ class ShardedDau {
 
  private:
   void begin_command(rag::ResId q);
-  void end_command(const std::vector<rag::ResId>& asked, sim::Cycles fsm);
+  void end_command(sim::Cycles fsm);
   void note_command();
 
   deadlock::HierarchicalDetector det_;
@@ -93,7 +91,6 @@ class ShardedDau {
   sim::Cycles last_cycles_ = 0;
   sim::Cycles last_escalation_cycles_ = 0;
   std::size_t last_probes_ = 0, last_escalations_ = 0;
-  std::vector<rag::ResId> asked_resources_;
   /// The committed engine state is provably deadlock-free. Cleared when
   /// Algorithm 3 parks an R-dl (the cycle stays in the matrix while the
   /// asked process unwinds); re-set once a command commits a state that

@@ -501,10 +501,12 @@ std::string unit_name(const hw::ShardedDau& dau) {
 }
 
 // RTOS4: the DAU; commands and status cross the bus, Algorithm 3 runs in
-// the unit. The sharded DAU makes the same decisions (shared DaaEngine +
-// hierarchical detector with monolithic-equivalent verdicts), but probes
-// pay the event cluster's small unit, and escalated residues run as
-// software on the commanding PE before it can read the final status.
+// the unit. The unit returns the DaaEngine's results, so its events are
+// mapped exactly as the software DAA's are. The sharded DAU makes the
+// same decisions (shared DaaEngine + hierarchical detector with
+// monolithic-equivalent verdicts), but probes pay the event cluster's
+// small unit, and escalated residues run as software on the commanding
+// PE before it can read the final status.
 template <class Unit>
 class DauStrategy final : public DeadlockStrategy {
  public:
@@ -545,30 +547,22 @@ class DauStrategy final : public DeadlockStrategy {
   }
 
   ResourceEvent request(TaskId who, ResourceId res, sim::Cycles now) override {
-    const hw::DauStatus st = dau_.request(who, res);
-    ResourceEvent ev;
-    ev.granted = st.successful;
-    ev.r_dl = st.r_dl;
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.granted_to != rag::kNoProc && !ev.granted)
-      ev.grants.emplace_back(static_cast<TaskId>(st.granted_to), res);
-    if (st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-    }
+    ResourceEvent ev = map_request(dau_.request(who, res), res);
     charge(ev, who, now);
     return ev;
   }
 
   ResourceEvent release(TaskId who, ResourceId res, sim::Cycles now) override {
-    return hand_over(dau_.release(who, res), res, who, now);
+    ResourceEvent ev = map_release(dau_.release(who, res), res);
+    charge(ev, who, now);
+    return ev;
   }
 
   ResourceEvent retry(ResourceId res, sim::Cycles now) override {
     // Give-up-complete command: the FSM re-runs grant arbitration.
-    return hand_over(dau_.retry_grant(res), res, 0, now);
+    ResourceEvent ev = map_release(dau_.retry_grant(res), res);
+    charge(ev, 0, now);
+    return ev;
   }
 
  private:
@@ -577,26 +571,6 @@ class DauStrategy final : public DeadlockStrategy {
   bus::SharedBus* bus_;
   std::size_t pe_count_;
   sim::Cycles unit_busy_until_ = 0;
-
-  /// Status of a release or retry command: the resource goes to
-  /// `which_process`, unless a livelock makes the unit ask that process
-  /// to give up instead.
-  ResourceEvent hand_over(const hw::DauStatus& st, ResourceId res,
-                          TaskId who, sim::Cycles now) {
-    ResourceEvent ev;
-    if (st.successful && st.which_process != rag::kNoProc)
-      ev.grants.emplace_back(static_cast<TaskId>(st.which_process), res);
-    ev.g_dl = st.g_dl;
-    ev.livelock = st.livelock;
-    if (st.livelock && st.give_up && st.which_process != rag::kNoProc) {
-      ev.asked = static_cast<TaskId>(st.which_process);
-      ev.ask_give_up.assign(dau_.asked_resources().begin(),
-                            dau_.asked_resources().end());
-      ev.grants.clear();
-    }
-    charge(ev, who, now);
-    return ev;
-  }
 
   void charge(ResourceEvent& ev, TaskId who, sim::Cycles now) {
     // Command write + unit busy + (escalated residue in software) +

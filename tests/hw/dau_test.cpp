@@ -2,18 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "hw/verilog_gen.h"
 #include "rag/oracle.h"
 #include "sim/random.h"
 
 namespace delta::hw {
 namespace {
 
+using deadlock::ReleaseOutcome;
+using deadlock::ReleaseResult;
+using deadlock::RequestOutcome;
+using deadlock::RequestResult;
+
 TEST(Dau, GrantsFreeResourceQuickly) {
   Dau dau(5, 5);
-  const DauStatus st = dau.request(0, 0);
-  EXPECT_TRUE(st.done);
-  EXPECT_TRUE(st.successful);
-  EXPECT_FALSE(st.pending);
+  EXPECT_EQ(dau.request(0, 0),
+            (RequestResult{.outcome = RequestOutcome::kGranted,
+                           .asked_resources = {}}));
   EXPECT_EQ(dau.owner(0), 0u);
   EXPECT_EQ(dau.last_cycles(), Dau::kRequestFsmSteps);
   EXPECT_EQ(dau.last_probes(), 0u);
@@ -22,9 +29,9 @@ TEST(Dau, GrantsFreeResourceQuickly) {
 TEST(Dau, PendingRequestProbesOnce) {
   Dau dau(5, 5);
   dau.request(0, 0);
-  const DauStatus st = dau.request(1, 0);
-  EXPECT_TRUE(st.pending);
-  EXPECT_FALSE(st.successful);
+  EXPECT_EQ(dau.request(1, 0),
+            (RequestResult{.outcome = RequestOutcome::kPending,
+                           .asked_resources = {}}));
   EXPECT_EQ(dau.last_probes(), 1u);
   EXPECT_GT(dau.last_cycles(), Dau::kRequestFsmSteps);
 }
@@ -39,10 +46,12 @@ TEST(Dau, GrantDeadlockScenarioTable6) {
   dau.request(1, 1);
   dau.request(1, 3);
   dau.release(0, 0);
-  const DauStatus st = dau.release(0, 1);  // t5: the G-dl moment
-  EXPECT_TRUE(st.successful);
-  EXPECT_TRUE(st.g_dl);
-  EXPECT_EQ(st.which_process, 2u);  // granted to lower-priority p3
+  // t5, the G-dl moment: q2 goes to the lower-priority p3.
+  EXPECT_EQ(dau.release(0, 1),
+            (ReleaseResult{.outcome = ReleaseOutcome::kGrantedLower,
+                           .g_dl = true,
+                           .grantee = 2,
+                           .asked_resources = {}}));
   EXPECT_FALSE(rag::oracle_has_cycle(dau.state()));
 }
 
@@ -53,15 +62,17 @@ TEST(Dau, RequestDeadlockScenarioTable8) {
   dau.request(2, 2);
   dau.request(1, 2);
   dau.request(2, 0);
-  const DauStatus st = dau.request(0, 1);  // t6: the R-dl moment
-  EXPECT_TRUE(st.r_dl);
-  EXPECT_TRUE(st.give_up);
-  EXPECT_EQ(st.which_process, 1u);  // p2 asked to give up
-  EXPECT_EQ(dau.asked_resources(), (std::vector<rag::ResId>{1}));
+  // t6, the R-dl moment: p2 is asked to give up q2.
+  EXPECT_EQ(dau.request(0, 1),
+            (RequestResult{.outcome = RequestOutcome::kOwnerAsked,
+                           .r_dl = true,
+                           .asked = 1,
+                           .asked_resources = {1}}));
   // p2 complies; q2 goes to p1.
-  const DauStatus rel = dau.release(1, 1);
-  EXPECT_TRUE(rel.successful);
-  EXPECT_EQ(rel.which_process, 0u);
+  EXPECT_EQ(dau.release(1, 1),
+            (ReleaseResult{.outcome = ReleaseOutcome::kGrantedHighest,
+                           .grantee = 0,
+                           .asked_resources = {}}));
 }
 
 TEST(Dau, ReleaseWithNoWaitersIsCheap) {
@@ -90,11 +101,8 @@ TEST(Dau, ObservedCyclesNeverExceedWorstCase) {
     } else {
       const rag::ResId q = rng.below(5);
       if (dau.state().at(q, p) != rag::Edge::kNone) continue;
-      const DauStatus st = dau.request(p, q);
-      if (st.give_up) {
-        const std::vector<rag::ResId> give_list = dau.asked_resources();
-        for (rag::ResId give : give_list) dau.release(st.which_process, give);
-      }
+      const RequestResult r = dau.request(p, q);
+      for (rag::ResId give : r.asked_resources) dau.release(r.asked, give);
     }
     EXPECT_LE(dau.last_cycles(), dau.worst_case_cycles());
   }
@@ -108,14 +116,20 @@ TEST(Dau, PriorityOverrideChangesArbitration) {
   dau.request(0, 0);
   dau.request(1, 0);
   dau.request(4, 0);
-  const DauStatus st = dau.release(0, 0);
-  EXPECT_EQ(st.which_process, 4u);  // p4 now wins the hand-off
+  // p4 now wins the hand-off.
+  EXPECT_EQ(dau.release(0, 0),
+            (ReleaseResult{.outcome = ReleaseOutcome::kGrantedHighest,
+                           .grantee = 4,
+                           .asked_resources = {}}));
 }
 
 TEST(Dau, StatusReportsResource) {
-  Dau dau(5, 5);
-  const DauStatus st = dau.request(2, 3);
-  EXPECT_EQ(st.which_resource, 3u);
+  // The model returns the engine's decision; the status-register layout,
+  // which-resource field included, lives in the generated unit.
+  const std::string v = generate_dau_verilog(5, 5, 1);
+  for (const char* field : {"which_res_q", "which_proc_q", "giveup_q",
+                            "livelock_q", "gdl_q", "rdl_q"})
+    EXPECT_NE(v.find(field), std::string::npos) << field;
 }
 
 }  // namespace

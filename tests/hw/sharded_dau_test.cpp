@@ -1,6 +1,6 @@
-// Sharded DAU: every command's status register must be bit-identical to
-// the monolithic DAU's on the same stream (the decision engine is the
-// same Algorithm 3; only the probe cost model differs).
+// Sharded DAU: every command's result must equal the monolithic DAU's on
+// the same stream (the decision engine is the same Algorithm 3; only the
+// probe cost model differs).
 #include <gtest/gtest.h>
 
 #include "hw/dau.h"
@@ -11,17 +11,8 @@
 namespace delta::hw {
 namespace {
 
-void expect_same_status(const DauStatus& a, const DauStatus& b, int step) {
-  ASSERT_EQ(a.done, b.done) << "step " << step;
-  ASSERT_EQ(a.successful, b.successful) << "step " << step;
-  ASSERT_EQ(a.pending, b.pending) << "step " << step;
-  ASSERT_EQ(a.give_up, b.give_up) << "step " << step;
-  ASSERT_EQ(a.r_dl, b.r_dl) << "step " << step;
-  ASSERT_EQ(a.g_dl, b.g_dl) << "step " << step;
-  ASSERT_EQ(a.livelock, b.livelock) << "step " << step;
-  ASSERT_EQ(a.which_process, b.which_process) << "step " << step;
-  ASSERT_EQ(a.which_resource, b.which_resource) << "step " << step;
-}
+using deadlock::RequestOutcome;
+using deadlock::RequestResult;
 
 TEST(ShardedDau, LockstepWithMonolithicDauAt64x64) {
   Dau mono(64, 64);
@@ -33,20 +24,14 @@ TEST(ShardedDau, LockstepWithMonolithicDauAt64x64) {
     const rag::ResId q = rng.below(64);
     if (rng.chance(0.45)) {
       if (mono.state().at(q, p) == rag::Edge::kGrant) {
-        expect_same_status(mono.release(p, q), shard.release(p, q), step);
+        ASSERT_EQ(mono.release(p, q), shard.release(p, q)) << "step " << step;
       }
     } else if (mono.state().at(q, p) == rag::Edge::kNone) {
-      const DauStatus ms = mono.request(p, q);
-      const DauStatus ss = shard.request(p, q);
-      expect_same_status(ms, ss, step);
-      if (ms.give_up && ms.which_process != rag::kNoProc) {
-        // Copy: release() rewrites the asked-resource register.
-        const std::vector<rag::ResId> give_list = mono.asked_resources();
-        ASSERT_EQ(give_list, shard.asked_resources());
-        for (rag::ResId give : give_list) {
-          expect_same_status(mono.release(ms.which_process, give),
-                             shard.release(ms.which_process, give), step);
-        }
+      const RequestResult r = mono.request(p, q);
+      ASSERT_EQ(r, shard.request(p, q)) << "step " << step;
+      for (rag::ResId give : r.asked_resources) {
+        ASSERT_EQ(mono.release(r.asked, give), shard.release(r.asked, give))
+            << "step " << step;
       }
     }
     ASSERT_TRUE(mono.state() == shard.state()) << "step " << step;
@@ -69,14 +54,15 @@ TEST(ShardedDau, GrantFaultInjectionMirrorsDau) {
   shard.inject_grant_fault(true);
   EXPECT_TRUE(shard.grant_fault());
   // Build the two-process cross wait that the fault would mis-grant.
-  EXPECT_TRUE(shard.request(0, 0).successful);
-  EXPECT_TRUE(shard.request(1, 1).successful);
-  EXPECT_TRUE(shard.request(1, 0).pending);
+  EXPECT_EQ(shard.request(0, 0).outcome, RequestOutcome::kGranted);
+  EXPECT_EQ(shard.request(1, 1).outcome, RequestOutcome::kGranted);
+  EXPECT_EQ(shard.request(1, 0).outcome, RequestOutcome::kPending);
   // With the fault masking detection the crossing request pends with no
   // give-up ask, leaving a cycle the oracle can see — the same unsafe
   // shape Dau::inject_grant_fault produces.
-  const DauStatus st = shard.request(0, 1);
-  EXPECT_FALSE(st.give_up);
+  EXPECT_EQ(shard.request(0, 1),
+            (RequestResult{.outcome = RequestOutcome::kPending,
+                           .asked_resources = {}}));
   EXPECT_TRUE(rag::oracle_has_cycle(shard.state()));
 }
 

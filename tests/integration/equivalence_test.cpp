@@ -16,7 +16,6 @@ namespace delta {
 namespace {
 
 using deadlock::DaaEngine;
-using deadlock::ReleaseResult;
 using deadlock::RequestResult;
 using rag::ProcId;
 using rag::ResId;
@@ -37,35 +36,15 @@ TEST_P(DauEquivalenceTest, DauMatchesReferenceEngineDecisionForDecision) {
     const ResId q = rng.below(k);
     if (rng.chance(0.45)) {
       if (dau.state().at(q, p) != rag::Edge::kGrant) continue;
-      const hw::DauStatus st = dau.release(p, q);
-      const ReleaseResult rr = ref.release(p, q);
-      // Same grantee (or same non-grant outcome).
-      const ProcId hw_grantee =
-          st.successful && st.which_process != rag::kNoProc
-              ? static_cast<ProcId>(st.which_process)
-              : rag::kNoProc;
-      EXPECT_EQ(hw_grantee, rr.grantee) << "step " << step;
-      EXPECT_EQ(st.g_dl, rr.g_dl) << "step " << step;
+      EXPECT_EQ(dau.release(p, q), ref.release(p, q)) << "step " << step;
     } else {
       if (dau.state().at(q, p) != rag::Edge::kNone) continue;
-      const hw::DauStatus st = dau.request(p, q);
       const RequestResult rr = ref.request(p, q);
-      EXPECT_EQ(st.successful,
-                rr.outcome == deadlock::RequestOutcome::kGranted)
-          << "step " << step;
-      EXPECT_EQ(st.r_dl, rr.r_dl) << "step " << step;
-      if (st.give_up) {
-        EXPECT_EQ(static_cast<ProcId>(st.which_process), rr.asked)
-            << "step " << step;
-        EXPECT_EQ(dau.asked_resources(), rr.asked_resources)
-            << "step " << step;
-      }
+      EXPECT_EQ(dau.request(p, q), rr) << "step " << step;
       // Comply with asks identically on both sides to stay in lockstep.
-      if (rr.asked != rag::kNoProc) {
-        for (ResId give : rr.asked_resources) {
-          dau.release(rr.asked, give);
-          ref.release(rr.asked, give);
-        }
+      for (ResId give : rr.asked_resources) {
+        dau.release(rr.asked, give);
+        ref.release(rr.asked, give);
       }
     }
     ASSERT_EQ(dau.state(), ref.state()) << "diverged at step " << step;

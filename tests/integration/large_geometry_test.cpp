@@ -49,12 +49,8 @@ TEST(LargeGeometry, DauOnA64x64System) {
     if (rng.chance(0.45)) {
       if (dau.state().at(q, p) == rag::Edge::kGrant) dau.release(p, q);
     } else if (dau.state().at(q, p) == rag::Edge::kNone) {
-      const hw::DauStatus st = dau.request(p, q);
-      if (st.give_up && st.which_process != rag::kNoProc) {
-        const std::vector<rag::ResId> give_list = dau.asked_resources();
-        for (rag::ResId give : give_list)
-          dau.release(st.which_process, give);
-      }
+      const deadlock::RequestResult r = dau.request(p, q);
+      for (rag::ResId give : r.asked_resources) dau.release(r.asked, give);
     }
     ASSERT_FALSE(rag::oracle_has_cycle(dau.state())) << "step " << step;
     ASSERT_LE(dau.last_cycles(), dau.worst_case_cycles());
@@ -74,20 +70,16 @@ TEST(LargeGeometry, DauRetryGrantCommand) {
   dau.request(2, 1);  // p2 also waits q1 (held by p1) -- R-dl ask fires
   // Regardless of the ask outcome above, exercise retry on a free
   // resource with waiters after a release.
-  const hw::DauStatus rel = dau.release(0, 0);
-  if (rel.livelock) {
-    // Victim complies, then the give-up-complete command re-arbitrates.
-    const std::vector<rag::ResId> give_list = dau.asked_resources();
-    for (rag::ResId give : give_list)
-      dau.release(rel.which_process, give);
-    const hw::DauStatus retry = dau.retry_grant(0);
-    EXPECT_TRUE(retry.done);
+  const deadlock::ReleaseResult rel = dau.release(0, 0);
+  if (rel.outcome == deadlock::ReleaseOutcome::kLivelockResolved) {
+    // Victim complies, then the give-up-complete command re-arbitrates
+    // the still-idle q0.
+    for (rag::ResId give : rel.asked_resources) dau.release(rel.asked, give);
+    EXPECT_NE(dau.retry_grant(0).outcome, deadlock::ReleaseOutcome::kError);
   }
   EXPECT_FALSE(rag::oracle_has_cycle(dau.state()));
   // retry_grant on an owned or waiter-free resource reports an error.
-  const hw::DauStatus bad = dau.retry_grant(4);
-  EXPECT_FALSE(bad.successful);
-  EXPECT_FALSE(bad.livelock);
+  EXPECT_EQ(dau.retry_grant(4), deadlock::ReleaseResult{});
 }
 
 }  // namespace
