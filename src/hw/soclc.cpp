@@ -52,7 +52,6 @@ LockOwnerTag Soclc::release(LockId id, LockOwnerTag who) {
   lk.queue.erase(best);
   lk.owner = next;
   if (ctr_handoffs_ != nullptr) ctr_handoffs_->add();
-  if (on_grant) on_grant(id, next, lk.ceiling);
   return next;
 }
 

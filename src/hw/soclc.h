@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -70,9 +69,9 @@ class Soclc {
   SoclcGrant acquire(LockId id, LockOwnerTag who, int priority);
 
   /// One bus transaction: release. If waiters exist the lock is handed to
-  /// the highest-priority one and `on_grant` fires after the interrupt
-  /// latency (the RTOS hooks this to wake the blocked task).
-  /// Returns the new owner tag (kNoOwner if none).
+  /// the highest-priority one, whose PE the wake-up interrupt reaches
+  /// after the interrupt latency. Returns the new owner tag (kNoOwner if
+  /// none); the RTOS wakes that task at the lock's ceiling().
   LockOwnerTag release(LockId id, LockOwnerTag who);
 
   /// Remove a queued waiter (task killed / timed out).
@@ -80,9 +79,8 @@ class Soclc {
 
   [[nodiscard]] LockOwnerTag owner(LockId id) const;
   [[nodiscard]] std::size_t waiter_count(LockId id) const;
-
-  /// Wake-up hook: (lock, new owner tag, ceiling).
-  std::function<void(LockId, LockOwnerTag, int)> on_grant;
+  /// The lock's IPCP ceiling register.
+  [[nodiscard]] int ceiling(LockId id) const { return locks_.at(id).ceiling; }
 
   /// Register "soclc.*" counters (acquires/grants/queued/handoffs).
   void attach_metrics(obs::MetricsRegistry& m);

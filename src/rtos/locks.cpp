@@ -89,10 +89,6 @@ SoclcLockBackend::SoclcLockBackend(hw::SoclcConfig cfg,
     : soclc_(cfg), costs_(costs) {
   for (std::size_t i = 0; i < soclc_.lock_count(); ++i)
     soclc_.set_ceiling(i, i < ceilings.size() ? ceilings[i] : 0);
-  soclc_.on_grant = [this](hw::LockId, hw::LockOwnerTag who, int ceiling) {
-    pending_grant_ = static_cast<TaskId>(who);
-    pending_ceiling_ = ceiling;
-  };
 }
 
 LockAcquire SoclcLockBackend::acquire(LockId lock, TaskId who,
@@ -107,14 +103,13 @@ LockAcquire SoclcLockBackend::acquire(LockId lock, TaskId who,
 }
 
 LockRelease SoclcLockBackend::release(LockId lock, TaskId who) {
-  pending_grant_ = kNoTask;
   const hw::LockOwnerTag next =
       soclc_.release(lock, static_cast<hw::LockOwnerTag>(who));
   LockRelease out;
   out.cycles = costs_.hw_lock_release + soclc_.config().access_cycles;
   if (next != hw::kNoOwner) {
     out.next = static_cast<TaskId>(next);
-    out.ceiling = pending_ceiling_;
+    out.ceiling = soclc_.ceiling(lock);
     out.cycles += soclc_.config().interrupt_latency;
   }
   return out;

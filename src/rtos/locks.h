@@ -147,8 +147,6 @@ class SoclcLockBackend final : public LockBackend {
  private:
   hw::Soclc soclc_;
   ServiceCosts costs_;
-  TaskId pending_grant_ = kNoTask;  ///< set by the on_grant hook
-  Priority pending_ceiling_ = 0;
 };
 
 }  // namespace delta::rtos

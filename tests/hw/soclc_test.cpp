@@ -61,20 +61,14 @@ TEST(Soclc, EqualPrioritiesAreFifo) {
   EXPECT_EQ(lc.release(0, 11), 12u);
 }
 
-TEST(Soclc, OnGrantCallbackFires) {
+TEST(Soclc, HandOffReportsNewOwnerAndCeiling) {
   Soclc lc(small_cfg());
   lc.set_ceiling(2, 1);
-  std::vector<std::tuple<LockId, LockOwnerTag, int>> grants;
-  lc.on_grant = [&](LockId l, LockOwnerTag w, int c) {
-    grants.emplace_back(l, w, c);
-  };
   lc.acquire(2, 1, 3);
   lc.acquire(2, 5, 2);
-  lc.release(2, 1);
-  ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(std::get<0>(grants[0]), 2u);
-  EXPECT_EQ(std::get<1>(grants[0]), 5u);
-  EXPECT_EQ(std::get<2>(grants[0]), 1);  // IPCP ceiling reported
+  EXPECT_EQ(lc.release(2, 1), 5u);
+  EXPECT_EQ(lc.owner(2), 5u);
+  EXPECT_EQ(lc.ceiling(2), 1);  // the IPCP ceiling the new owner runs at
 }
 
 TEST(Soclc, ReleaseByNonOwnerThrows) {
