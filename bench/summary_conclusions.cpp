@@ -81,7 +81,7 @@ int main() {
                                    soc::RtosPreset::kRtos6,
                                    exp::robot_workload());
     const double lock_pct =
-        sim::speedup_percent(s.lock_latency.mean(), h.lock_latency.mean());
+        sim::speedup_percent(s.lock_latency.mean, h.lock_latency.mean);
     const double overall_pct =
         sim::speedup_percent(static_cast<double>(s.last_finish),
                              static_cast<double>(h.last_finish));

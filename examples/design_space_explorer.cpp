@@ -39,7 +39,7 @@ int main() {
     std::printf("%-7s %-52s %10llu %8.0f %7s\n", r.config.c_str(),
                 soc::rtos_preset_description(p).substr(0, 52).c_str(),
                 static_cast<unsigned long long>(r.last_finish),
-                r.lock_latency.mean(), r.all_finished ? "yes" : "NO");
+                r.lock_latency.mean, r.all_finished ? "yes" : "NO");
   }
   std::printf("(%zu runs on %zu threads, %.2f s)\n", report.runs.size(),
               report.threads_used, report.wall_seconds);

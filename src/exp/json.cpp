@@ -178,14 +178,14 @@ std::string format_double(double v) {
 
 namespace {
 
-void write_sample_set(JsonWriter& w, const sim::SampleSet& s) {
+void write_histogram(JsonWriter& w, const obs::HistogramSummary& h) {
   w.begin_object();
-  w.key("count").value(s.count());
-  w.key("mean").value(s.mean());
-  w.key("min").value(s.min());
-  w.key("max").value(s.max());
-  w.key("stddev").value(s.stddev());
-  w.key("p95").value(s.percentile(0.95));
+  w.key("count").value(h.count);
+  w.key("mean").value(h.mean);
+  w.key("min").value(h.min);
+  w.key("max").value(h.max);
+  w.key("stddev").value(h.stddev);
+  w.key("p95").value(h.p95);
   w.end_object();
 }
 
@@ -396,11 +396,11 @@ void write_run(JsonWriter& w, const RunResult& r, bool host_times) {
   w.key("avg_cycles").value(r.algorithm_avg);
   w.end_object();
   w.key("lock_latency");
-  write_sample_set(w, r.lock_latency);
+  write_histogram(w, r.lock_latency);
   w.key("lock_delay");
-  write_sample_set(w, r.lock_delay);
+  write_histogram(w, r.lock_delay);
   w.key("alloc_latency");
-  write_sample_set(w, r.alloc_latency);
+  write_histogram(w, r.alloc_latency);
   w.key("memory").begin_object();
   w.key("mgmt_cycles").value(static_cast<std::uint64_t>(r.mgmt_cycles));
   w.key("calls").value(r.mgmt_calls);
@@ -415,14 +415,8 @@ void write_run(JsonWriter& w, const RunResult& r, bool host_times) {
   w.end_object();
   w.key("histograms").begin_object();
   for (const auto& [name, h] : r.metrics.histograms) {
-    w.key(name).begin_object();
-    w.key("count").value(h.count);
-    w.key("mean").value(h.mean);
-    w.key("min").value(h.min);
-    w.key("max").value(h.max);
-    w.key("stddev").value(h.stddev);
-    w.key("p95").value(h.p95);
-    w.end_object();
+    w.key(name);
+    write_histogram(w, h);
   }
   w.end_object();
   w.end_object();
@@ -510,7 +504,7 @@ std::string report_to_json(const SweepSpec& spec,
     ++agg->runs;
     agg->last_finish.add(static_cast<double>(r.last_finish));
     agg->app_run_time.add(static_cast<double>(r.app_run_time));
-    agg->lock_latency_mean.add(r.lock_latency.mean());
+    agg->lock_latency_mean.add(r.lock_latency.mean);
     agg->algorithm_avg.add(r.algorithm_avg);
     agg->finished += r.all_finished ? 1 : 0;
     agg->deadlocked += r.deadlock_detected ? 1 : 0;

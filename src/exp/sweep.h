@@ -141,9 +141,9 @@ struct RunResult {
   double algorithm_avg = 0.0;  ///< deadlock-strategy mean cycles
   std::uint64_t algorithm_invocations = 0;
 
-  sim::SampleSet lock_latency;   ///< uncontended acquire service time
-  sim::SampleSet lock_delay;     ///< contended request-to-grant time
-  sim::SampleSet alloc_latency;  ///< allocator per-call PE cycles
+  obs::HistogramSummary lock_latency;   ///< uncontended acquire service time
+  obs::HistogramSummary lock_delay;     ///< contended request-to-grant time
+  obs::HistogramSummary alloc_latency;  ///< allocator per-call PE cycles
 
   sim::Cycles mgmt_cycles = 0;   ///< total memory-management time
   std::uint64_t mgmt_calls = 0;

@@ -10,14 +10,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   });
   snap.histograms.reserve(histograms_.size());
   histograms_.for_each([&](std::string_view name, const sim::SampleSet& h) {
-    HistogramSummary s;
-    s.count = h.count();
-    s.mean = h.mean();
-    s.min = h.min();
-    s.max = h.max();
-    s.stddev = h.stddev();
-    s.p95 = h.percentile(0.95);
-    snap.histograms.emplace_back(name, s);
+    snap.histograms.emplace_back(name, h);
   });
   return snap;
 }

@@ -53,6 +53,16 @@ class MetricName {
 
 /// Fixed-shape summary of a histogram, detached from its sample storage.
 struct HistogramSummary {
+  HistogramSummary() = default;
+  // Implicit, so that a SampleSet assigns straight to a summary field.
+  HistogramSummary(const sim::SampleSet& s)
+      : count(s.count()),
+        mean(s.mean()),
+        min(s.min()),
+        max(s.max()),
+        stddev(s.stddev()),
+        p95(s.percentile(0.95)) {}
+
   std::uint64_t count = 0;
   double mean = 0.0;
   double min = 0.0;
