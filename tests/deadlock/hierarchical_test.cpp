@@ -125,11 +125,33 @@ TEST(Hierarchical, ChainStateStaysDeadlockFree) {
 }
 
 // Incremental walk: grow a well-formed state one single-row event at a
-// time (exactly how the resource manager drives detection), run
-// detect_event on the touched row after each event, and cross-check the
-// verdict against the monolithic oracle. Deadlocking events are undone
-// so the pre-event state stays deadlock-free, as the equivalence
-// argument requires.
+// time (exactly how the resource manager drives detection) and call
+// `detect(s, q)` on the touched row after each edge-adding event. An
+// event it finds deadlocking is undone, so the pre-event state stays
+// deadlock-free, as the equivalence argument requires.
+template <class Detect>
+void incremental_walk(rag::StateMatrix& s, sim::Rng& rng, int steps,
+                      Detect detect) {
+  for (int step = 0; step < steps; ++step) {
+    const rag::ResId q = rng.below(s.resources());
+    const rag::ProcId p = rng.below(s.processes());
+    const rag::Edge cur = s.at(q, p);
+    if (cur == rag::Edge::kGrant) {
+      s.set(q, p, rag::Edge::kNone);  // release: cannot create a cycle
+      continue;
+    }
+    if (cur == rag::Edge::kRequest && s.owner(q) == rag::kNoProc) {
+      s.set(q, p, rag::Edge::kGrant);  // grant the free resource
+    } else if (cur == rag::Edge::kNone) {
+      s.set(q, p, rag::Edge::kRequest);
+    } else {
+      continue;
+    }
+    if (detect(s, q, step)) s.set(q, p, cur);  // roll back
+  }
+}
+
+// The walk cross-checks every verdict against the monolithic oracle.
 TEST(Hierarchical, DetectEventMatchesOracleOnIncrementalWalks) {
   sim::Rng rng(31337);
   const struct { std::size_t m, n, c; } geoms[] = {
@@ -138,30 +160,111 @@ TEST(Hierarchical, DetectEventMatchesOracleOnIncrementalWalks) {
     HierarchicalDetector det(ClusterMap(g.m, g.n, g.c));
     rag::StateMatrix s(g.m, g.n);
     std::size_t deadlocks_seen = 0;
-    for (int step = 0; step < 3000; ++step) {
-      const rag::ResId q = rng.below(g.m);
-      const rag::ProcId p = rng.below(g.n);
-      const rag::Edge cur = s.at(q, p);
-      if (cur == rag::Edge::kGrant) {
-        s.set(q, p, rag::Edge::kNone);  // release: cannot create a cycle
-        continue;
-      }
-      if (cur == rag::Edge::kRequest && s.owner(q) == rag::kNoProc) {
-        s.set(q, p, rag::Edge::kGrant);  // grant the free resource
-      } else if (cur == rag::Edge::kNone) {
-        s.set(q, p, rag::Edge::kRequest);
-      } else {
-        continue;
-      }
-      const HierOutcome o = det.detect_event(s, q);
-      ASSERT_EQ(o.deadlock, rag::oracle_has_cycle(s))
-          << g.m << "x" << g.n << " C=" << g.c << " step " << step;
-      if (o.deadlock) {
-        ++deadlocks_seen;
-        s.set(q, p, cur);  // roll back; keep the walk deadlock-free
-      }
-    }
+    incremental_walk(s, rng, 3000,
+                     [&](const rag::StateMatrix& st, rag::ResId q, int step) {
+                       const HierOutcome o = det.detect_event(st, q);
+                       EXPECT_EQ(o.deadlock, rag::oracle_has_cycle(st))
+                           << g.m << "x" << g.n << " C=" << g.c << " step "
+                           << step;
+                       deadlocks_seen += o.deadlock ? 1 : 0;
+                       return o.deadlock;
+                     });
     EXPECT_GT(deadlocks_seen, 0u) << "walk never exercised a deadlock";
+  }
+}
+
+// The outcome's cost fields are the sharded units' simulated cost (unit
+// cycles, escalations, residue size and software cycles), so each is
+// pinned exactly, summed over the incremental walk above and over
+// detect_all on random states. At 80x130 a row has three bitset words
+// and cluster column blocks straddle word boundaries.
+struct HierSums {
+  std::uint64_t deadlock = 0, escalated = 0, local_units = 0,
+                local_iterations = 0, local_unit_cycles = 0,
+                residue_clusters = 0, residue_resources = 0,
+                residue_processes = 0, residue_sw_cycles = 0;
+
+  void add(const HierOutcome& o) {
+    deadlock += o.deadlock ? 1 : 0;
+    escalated += o.escalated ? 1 : 0;
+    local_units += o.local_units;
+    local_iterations += o.local_iterations;
+    local_unit_cycles += o.local_unit_cycles;
+    residue_clusters += o.residue_clusters;
+    residue_resources += o.residue_resources;
+    residue_processes += o.residue_processes;
+    residue_sw_cycles += o.residue_sw_cycles;
+  }
+};
+
+struct HierPin {
+  std::size_t m, n, c;
+  HierSums walk;  // detect_event over a 3000-step walk
+  HierSums all;   // detect_all over 20 + 20 random states
+};
+
+/// Random well-formed state whose edges stay inside their row's cluster
+/// but for about one in 48, so a few remote edges join some clusters
+/// into components and leave the others alone.
+rag::StateMatrix clustered_state(const ClusterMap& map, sim::Rng& rng) {
+  rag::StateMatrix s(map.resources(), map.processes());
+  const auto pick = [&](rag::ResId q) -> rag::ProcId {
+    if (rng.below(48) == 0) return rng.below(map.processes());
+    const std::size_t c = map.resource_cluster(q);
+    return map.process_begin(c) + rng.below(map.process_count(c));
+  };
+  for (rag::ResId q = 0; q < map.resources(); ++q)
+    if (rng.chance(0.5)) s.add_grant(q, pick(q));
+  for (rag::ResId q = 0; q < map.resources(); ++q)
+    for (int k = 0; k < 2; ++k) {
+      const rag::ProcId t = pick(q);
+      if (s.at(q, t) == rag::Edge::kNone) s.add_request(t, q);
+    }
+  return s;
+}
+
+TEST(Hierarchical, CostsArePinnedOnRandomWalks) {
+  const HierPin pins[] = {
+      {16, 16, 4,
+       {1213, 1672, 1674, 2280, 2283, 6685, 26740, 26740, 46057023},
+       {28, 29, 160, 79, 79, 99, 396, 396, 651457}},
+      {64, 64, 8,
+       {471, 2620, 2621, 3242, 3300, 20931, 167448, 167448, 2644424881},
+       {37, 40, 320, 116, 116, 246, 1968, 1968, 15217965}},
+      {80, 130, 9,
+       {233, 2840, 2841, 3519, 3600, 25521, 226852, 368637, 8021361106},
+       {32, 40, 360, 113, 113, 283, 2516, 4094, 43443222}},
+  };
+  for (const HierPin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << pin.m << "x" << pin.n << " C="
+                                    << pin.c);
+    sim::Rng rng(0x41e5 + pin.m);
+    HierarchicalDetector det(ClusterMap(pin.m, pin.n, pin.c));
+    HierPin got{pin.m, pin.n, pin.c, {}, {}};
+    rag::StateMatrix s(pin.m, pin.n);
+    incremental_walk(s, rng, 3000,
+                     [&](const rag::StateMatrix& st, rag::ResId q, int) {
+                       const HierOutcome o = det.detect_event(st, q);
+                       got.walk.add(o);
+                       return o.deadlock;
+                     });
+    for (int i = 0; i < 20; ++i) {
+      got.all.add(det.detect_all(
+          rag::random_state(pin.m, pin.n, rng, 0.5, 4.0 / double(pin.m))));
+      got.all.add(det.detect_all(clustered_state(det.map(), rng)));
+    }
+    for (const auto& [want, have] :
+         {std::pair{pin.walk, got.walk}, std::pair{pin.all, got.all}}) {
+      EXPECT_EQ(have.deadlock, want.deadlock);
+      EXPECT_EQ(have.escalated, want.escalated);
+      EXPECT_EQ(have.local_units, want.local_units);
+      EXPECT_EQ(have.local_iterations, want.local_iterations);
+      EXPECT_EQ(have.local_unit_cycles, want.local_unit_cycles);
+      EXPECT_EQ(have.residue_clusters, want.residue_clusters);
+      EXPECT_EQ(have.residue_resources, want.residue_resources);
+      EXPECT_EQ(have.residue_processes, want.residue_processes);
+      EXPECT_EQ(have.residue_sw_cycles, want.residue_sw_cycles);
+    }
   }
 }
 

@@ -87,6 +87,54 @@ TEST_P(PddaPropertyTest, AgreesWithOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PddaPropertyTest,
                          ::testing::Values(11, 12, 13, 14, 15, 16));
 
+// The meter is the simulated cost of software detection (RTOS1 and the
+// sharded units' residue), so its counts are pinned exactly on
+// fixed-seed states: 5x5 (the paper's geometry), 64x64 and 80x130,
+// whose rows take three bitset words. The large states hold about one
+// request per row, so some deadlock and some reduce away.
+struct PddaPin {
+  std::size_t m, n;
+  std::uint64_t seed;
+  int states;
+  OpMeter meter;  // last_meter() summed over every detect()
+  std::uint64_t iterations;
+  std::uint64_t deadlocks;
+};
+
+PddaPin drive_pdda(std::size_t m, std::size_t n, std::uint64_t seed,
+                   int states) {
+  sim::Rng rng(seed);
+  SoftwarePdda pdda;
+  PddaPin out{m, n, seed, states, {}, 0, 0};
+  for (int i = 0; i < states; ++i) {
+    const StateMatrix s =
+        m <= 8 ? rag::random_state(m, n, rng)
+               : rag::random_state(m, n, rng, 0.5, 1.5 / double(n));
+    out.deadlocks += pdda.detect(s) ? 1 : 0;
+    out.meter += pdda.last_meter();
+    out.iterations += pdda.last_iterations();
+  }
+  return out;
+}
+
+TEST(SoftwarePdda, MeterIsPinnedOnRandomStates) {
+  const PddaPin pins[] = {
+      {5, 5, 0x9dda05, 400, {77437, 33510, 217947, 101977}, 630, 21},
+      {64, 64, 0x9dda40, 60, {3591732, 689856, 10515188, 4036208}, 320, 18},
+      {80, 130, 0x9dda50, 60, {8508397, 1618550, 24616347, 9503295}, 288, 6},
+  };
+  for (const PddaPin& pin : pins) {
+    const PddaPin got = drive_pdda(pin.m, pin.n, pin.seed, pin.states);
+    SCOPED_TRACE(testing::Message() << pin.m << "x" << pin.n);
+    EXPECT_EQ(got.meter.loads, pin.meter.loads);
+    EXPECT_EQ(got.meter.stores, pin.meter.stores);
+    EXPECT_EQ(got.meter.alu, pin.meter.alu);
+    EXPECT_EQ(got.meter.branches, pin.meter.branches);
+    EXPECT_EQ(got.iterations, pin.iterations);
+    EXPECT_EQ(got.deadlocks, pin.deadlocks);
+  }
+}
+
 TEST(SoftwarePdda, ExhaustiveTinyAgreement) {
   SoftwarePdda pdda;
   rag::for_each_small_state(3, 3, [&](const StateMatrix& s) {

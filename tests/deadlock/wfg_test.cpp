@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "deadlock/wfg.h"
+#include "rag/generators.h"
 #include "rag/oracle.h"
 #include "rag/reduction.h"
 #include "sim/random.h"
@@ -118,6 +119,52 @@ TEST(Wfg, RandomStatesAgreeWithOracle) {
     const WfgScan s = scan_wait_for_graph(m);
     EXPECT_EQ(s.deadlock, rag::oracle_has_cycle(m)) << "round " << round;
     EXPECT_EQ(s.deadlock, !s.deadlocked.empty()) << "round " << round;
+  }
+}
+
+// The scan's meter is the simulated cost of a WFG detection period, so
+// its counts are pinned exactly on fixed-seed states at 5x5, 64x64 and
+// 80x130 (three bitset words per row).
+struct WfgPin {
+  std::size_t m, n;
+  std::uint64_t seed;
+  int states;
+  OpMeter meter;  // WfgScan::meter summed over every scan
+  std::uint64_t deadlocks;
+  std::uint64_t residue;  // processes in the trim residues
+};
+
+WfgPin drive_wfg(std::size_t m, std::size_t n, std::uint64_t seed,
+                 int states) {
+  sim::Rng rng(seed);
+  WfgPin out{m, n, seed, states, {}, 0, 0};
+  for (int i = 0; i < states; ++i) {
+    const StateMatrix s =
+        m <= 8 ? rag::random_state(m, n, rng)
+               : rag::random_state(m, n, rng, 0.5, 1.5 / double(n));
+    const WfgScan scan = scan_wait_for_graph(s);
+    out.meter += scan.meter;
+    out.deadlocks += scan.deadlock ? 1 : 0;
+    out.residue += scan.deadlocked.size();
+  }
+  return out;
+}
+
+TEST(Wfg, MeterIsPinnedOnRandomStates) {
+  const WfgPin pins[] = {
+      {5, 5, 0x3f6505, 400, {11292, 3387, 0, 6943}, 17, 37},
+      {64, 64, 0x3f6540, 60, {44967, 16311, 0, 27223}, 18, 67},
+      {80, 130, 0x3f6550, 60, {60840, 21012, 0, 36048}, 8, 19},
+  };
+  for (const WfgPin& pin : pins) {
+    const WfgPin got = drive_wfg(pin.m, pin.n, pin.seed, pin.states);
+    SCOPED_TRACE(testing::Message() << pin.m << "x" << pin.n);
+    EXPECT_EQ(got.meter.loads, pin.meter.loads);
+    EXPECT_EQ(got.meter.stores, pin.meter.stores);
+    EXPECT_EQ(got.meter.alu, pin.meter.alu);
+    EXPECT_EQ(got.meter.branches, pin.meter.branches);
+    EXPECT_EQ(got.deadlocks, pin.deadlocks);
+    EXPECT_EQ(got.residue, pin.residue);
   }
 }
 
