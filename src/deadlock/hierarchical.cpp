@@ -46,15 +46,23 @@ HierarchicalDetector::HierarchicalDetector(ClusterMap map,
                                            SoftwareCostModel model)
     : map_(std::move(map)),
       pdda_(model),
-      comp_mask_((map_.processes() + 63) / 64),
-      col_of_(map_.processes()) {
-  const std::size_t words = comp_mask_.size();
-  proc_mask_.assign(map_.clusters() * words, 0);
+      res_mask_(map_.clusters() * ((map_.resources() + 63) / 64), 0),
+      proc_mask_(map_.clusters() * ((map_.processes() + 63) / 64), 0),
+      uf_(map_.clusters()),
+      incident_(map_.clusters()),
+      done_(map_.clusters()),
+      comp_rows_((map_.resources() + 63) / 64),
+      comp_cols_((map_.processes() + 63) / 64) {
+  const std::size_t rw = comp_rows_.size(), cw = comp_cols_.size();
   for (std::size_t c = 0; c < map_.clusters(); ++c) {
-    const std::size_t b = map_.process_begin(c);
-    const std::size_t e = b + map_.process_count(c);
-    for (std::size_t t = b; t < e; ++t)
-      proc_mask_[c * words + t / 64] |= std::uint64_t{1} << (t % 64);
+    for (std::size_t j = 0; j < map_.resource_count(c); ++j) {
+      const std::size_t s = map_.resource_begin(c) + j;
+      res_mask_[c * rw + s / 64] |= std::uint64_t{1} << (s % 64);
+    }
+    for (std::size_t j = 0; j < map_.process_count(c); ++j) {
+      const std::size_t t = map_.process_begin(c) + j;
+      proc_mask_[c * cw + t / 64] |= std::uint64_t{1} << (t % 64);
+    }
   }
 }
 
@@ -73,11 +81,9 @@ void HierarchicalDetector::unite(std::size_t a, std::size_t b) {
 }
 
 bool HierarchicalDetector::scan_remote(const rag::StateMatrix& full) {
-  const std::size_t c = map_.clusters();
   const std::size_t words = full.words_per_row();
-  uf_.resize(c);
-  for (std::size_t i = 0; i < c; ++i) uf_[i] = i;
-  incident_.assign(c, 0);
+  for (std::size_t i = 0; i < uf_.size(); ++i) uf_[i] = i;
+  std::fill(incident_.begin(), incident_.end(), 0);
 
   bool any = false;
   for (ResId s = 0; s < full.resources(); ++s) {
@@ -101,33 +107,10 @@ bool HierarchicalDetector::scan_remote(const rag::StateMatrix& full) {
   return any;
 }
 
-void HierarchicalDetector::copy_rows(const rag::StateMatrix& full,
-                                     std::size_t rb, std::size_t count,
-                                     std::size_t row0,
-                                     const std::uint64_t* mask) {
-  const std::size_t words = full.words_per_row();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t* req = full.row_request_bits(rb + i);
-    const std::uint64_t* gnt = full.row_grant_bits(rb + i);
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t b = req[w] & mask[w]; b != 0; b &= b - 1)
-        sub_.add_request(col_of_[w * 64 + std::countr_zero(b)], row0 + i);
-      for (std::uint64_t b = gnt[w] & mask[w]; b != 0; b &= b - 1)
-        sub_.add_grant(row0 + i, col_of_[w * 64 + std::countr_zero(b)]);
-    }
-  }
-}
-
 void HierarchicalDetector::run_local(const rag::StateMatrix& full,
                                      std::size_t c, HierOutcome& out) {
-  const std::size_t rc = map_.resource_count(c);
-  const std::size_t pb = map_.process_begin(c);
-  const std::size_t pc = map_.process_count(c);
-  for (std::size_t j = 0; j < pc; ++j) col_of_[pb + j] = j;
-  sub_.reset(rc, pc);
-  copy_rows(full, map_.resource_begin(c), rc, 0,
-            &proc_mask_[c * comp_mask_.size()]);
-  const bool dl = pdda_.detect(sub_);
+  const bool dl = pdda_.detect(full, &res_mask_[c * comp_rows_.size()],
+                               &proc_mask_[c * comp_cols_.size()]);
   out.deadlock |= dl;
   out.local_units += 1;
   out.local_iterations = std::max(out.local_iterations,
@@ -143,34 +126,26 @@ void HierarchicalDetector::run_local(const rag::StateMatrix& full,
 void HierarchicalDetector::run_residue(const rag::StateMatrix& full,
                                        std::size_t k, HierOutcome& out) {
   const std::size_t root = find(k);
-  const std::size_t words = comp_mask_.size();
+  const std::size_t rw = comp_rows_.size(), cw = comp_cols_.size();
 
-  // The component submatrix keeps the member clusters' rows and columns
-  // in ascending order (clusters are contiguous index blocks). The
+  // The component selects its member clusters' rows and columns. The
   // component is closed (every edge incident to its rows/columns stays
   // inside it), so the reduction residue over it matches the full
   // matrix restricted to it.
   std::size_t members = 0, rows = 0, cols = 0;
-  std::fill(comp_mask_.begin(), comp_mask_.end(), 0);
+  std::fill(comp_rows_.begin(), comp_rows_.end(), 0);
+  std::fill(comp_cols_.begin(), comp_cols_.end(), 0);
   for (std::size_t c = 0; c < map_.clusters(); ++c) {
     if (find(c) != root) continue;
     ++members;
     rows += map_.resource_count(c);
-    for (std::size_t j = 0; j < map_.process_count(c); ++j)
-      col_of_[map_.process_begin(c) + j] = cols++;
-    for (std::size_t w = 0; w < words; ++w)
-      comp_mask_[w] |= proc_mask_[c * words + w];
-  }
-  sub_.reset(rows, cols);
-  std::size_t row0 = 0;
-  for (std::size_t c = 0; c < map_.clusters(); ++c) {
-    if (find(c) != root) continue;
-    copy_rows(full, map_.resource_begin(c), map_.resource_count(c), row0,
-              comp_mask_.data());
-    row0 += map_.resource_count(c);
+    cols += map_.process_count(c);
+    for (std::size_t w = 0; w < rw; ++w) comp_rows_[w] |= res_mask_[c * rw + w];
+    for (std::size_t w = 0; w < cw; ++w)
+      comp_cols_[w] |= proc_mask_[c * cw + w];
   }
 
-  out.deadlock |= pdda_.detect(sub_);
+  out.deadlock |= pdda_.detect(full, comp_rows_.data(), comp_cols_.data());
   out.escalated = true;
   out.residue_clusters += members;
   out.residue_resources += rows;
@@ -197,7 +172,7 @@ HierOutcome HierarchicalDetector::detect_all(const rag::StateMatrix& full) {
   HierOutcome out;
   for (std::size_t c = 0; c < map_.clusters(); ++c) run_local(full, c, out);
   if (scan_remote(full)) {
-    done_.assign(map_.clusters(), 0);
+    std::fill(done_.begin(), done_.end(), 0);
     for (std::size_t c = 0; c < map_.clusters(); ++c) {
       const std::size_t root = find(c);
       if (incident_[c] == 0 || done_[root] != 0) continue;

@@ -126,25 +126,25 @@ class HierarchicalDetector {
  private:
   ClusterMap map_;
   SoftwarePdda pdda_;
-  std::vector<std::uint64_t> proc_mask_; // per-cluster column masks
+  // Per-cluster selections of the full matrix: cluster c's rows are
+  // bits [c * row_words, +row_words) of res_mask_, its columns bits
+  // [c * col_words, +col_words) of proc_mask_. A cluster unit reduces
+  // its selection of the caller's matrix in place.
+  std::vector<std::uint64_t> res_mask_;
+  std::vector<std::uint64_t> proc_mask_;
   // Scratch reused across calls (detection runs on every event), so a
-  // warm detector never allocates.
-  std::vector<std::size_t> uf_;          // union-find over clusters
+  // warm detector never allocates: the union-find over clusters and its
+  // remote-edge flags, detect_all's handled-component flags, and the
+  // residue component's row and column selection.
+  std::vector<std::size_t> uf_;
   std::vector<std::uint8_t> incident_;   // cluster has a remote edge
   std::vector<std::uint8_t> done_;       // detect_all: component handled
-  std::vector<std::uint64_t> comp_mask_; // residue component's columns
-  std::vector<std::size_t> col_of_;      // full column -> sub_ column
-  rag::StateMatrix sub_;                 // cluster / component submatrix
+  std::vector<std::uint64_t> comp_rows_, comp_cols_;
 
   std::size_t find(std::size_t c);
   void unite(std::size_t a, std::size_t b);
   /// Scan remote edges: fills uf_/incident_. Returns true if any exist.
   bool scan_remote(const rag::StateMatrix& full);
-  /// Copy the edges of rows [rb, rb + count) of `full` in the columns
-  /// of `mask` into sub_ from row `row0` on; column t lands at col_of_[t].
-  void copy_rows(const rag::StateMatrix& full, std::size_t rb,
-                 std::size_t count, std::size_t row0,
-                 const std::uint64_t* mask);
   /// Local unit evaluation for one cluster; merges into `out`.
   void run_local(const rag::StateMatrix& full, std::size_t c,
                  HierOutcome& out);

@@ -2,30 +2,70 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace delta::deadlock {
 
+namespace {
+
+std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
+
+/// Ones in bitset `bits` of `words` words.
+std::size_t popcount(const std::uint64_t* bits, std::size_t words) {
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < words; ++k)
+    count += static_cast<std::size_t>(std::popcount(bits[k]));
+  return count;
+}
+
+/// Ones in bitset `bits` below bit `i`: the rank of bit i.
+std::size_t rank(const std::uint64_t* bits, std::size_t i) {
+  const std::uint64_t below = (std::uint64_t{1} << (i % 64)) - 1;
+  return popcount(bits, i / 64) +
+         static_cast<std::size_t>(std::popcount(bits[i / 64] & below));
+}
+
+/// Set bits [0, count) of the `words` words at `bits`, clear the rest.
+void fill_ones(std::uint64_t* bits, std::size_t words, std::size_t count) {
+  std::fill(bits, bits + words, ~std::uint64_t{0});
+  if (count % 64 != 0) bits[words - 1] = (std::uint64_t{1} << (count % 64)) - 1;
+}
+
+}  // namespace
+
 ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
-  const std::size_t m = state.resources();
+  const std::size_t rw = words_for(state.resources());
   const std::size_t w = state.words_per_row();
-  req_.resize(m * w);
-  gnt_.resize(m * w);
-  col_or_.resize(2 * w);
-  std::memcpy(req_.data(), state.row_request_bits(0), m * w * 8);
-  std::memcpy(gnt_.data(), state.row_grant_bits(0), m * w * 8);
-  std::uint64_t* const or_req = col_or_.data();
-  std::uint64_t* const or_gnt = col_or_.data() + w;
-  // Only rows that still hold an edge take part: an empty row is never
-  // terminal and adds nothing to the column ORs. The list stays in
-  // ascending order.
+  all_.resize(rw + w);
+  fill_ones(all_.data(), rw, state.resources());
+  fill_ones(all_.data() + rw, w, state.processes());
+  return run(state, all_.data(), all_.data() + rw);
+}
+
+ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
+                                        const std::uint64_t* rows,
+                                        const std::uint64_t* cols) {
+  const std::size_t w = state.words_per_row();
+  col_.resize(3 * w);
+  std::uint64_t* const mask = col_.data();  // columns not yet reduced
+  std::uint64_t* const or_req = mask + w;
+  std::uint64_t* const or_gnt = mask + 2 * w;
+  std::copy(cols, cols + w, mask);
+  // Only selected rows that hold an edge in the selected columns take
+  // part: an empty row is never terminal and adds nothing to the column
+  // ORs. The list stays in ascending order.
   live_.clear();
-  for (std::size_t s = 0; s < m; ++s)
-    for (std::size_t k = 0; k < w; ++k)
-      if ((req_[s * w + k] | gnt_[s * w + k]) != 0) {
-        live_.push_back(s);
-        break;
-      }
+  live_.reserve(state.resources());
+  for (std::size_t j = 0; j < words_for(state.resources()); ++j)
+    for (std::uint64_t b = rows[j]; b != 0; b &= b - 1) {
+      const std::size_t s = j * 64 + std::countr_zero(b);
+      const std::uint64_t* req = state.row_request_bits(s);
+      const std::uint64_t* gnt = state.row_grant_bits(s);
+      for (std::size_t k = 0; k < w; ++k)
+        if (((req[k] | gnt[k]) & mask[k]) != 0) {
+          live_.push_back(s);
+          break;
+        }
+    }
 
   ReductionSummary out;
   while (true) {
@@ -33,21 +73,23 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
     // iff it has requests or grants but not both; column t likewise,
     // from bit t of the OR of all request rows and of all grant rows.
     // Every cell of a terminal row clears (lines 8-9 of Algorithm 1), so
-    // the row simply leaves the live list; its words are never read again.
-    std::fill(col_or_.begin(), col_or_.end(), 0);
+    // the row simply leaves the live list, as does a row the last
+    // round's terminal columns emptied.
+    std::fill(or_req, or_req + 2 * w, 0);
     std::size_t term_rows = 0, kept = 0;
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      const std::size_t s = live_[i];
-      bool has_r = false, has_g = false;
+    for (const std::size_t s : live_) {
+      const std::uint64_t* req = state.row_request_bits(s);
+      const std::uint64_t* gnt = state.row_grant_bits(s);
+      std::uint64_t any_r = 0, any_g = 0;
       for (std::size_t k = 0; k < w; ++k) {
-        const std::uint64_t r = req_[s * w + k], g = gnt_[s * w + k];
-        has_r |= r != 0;
-        has_g |= g != 0;
+        const std::uint64_t r = req[k] & mask[k], g = gnt[k] & mask[k];
+        any_r |= r;
+        any_g |= g;
         or_req[k] |= r;
         or_gnt[k] |= g;
       }
-      if (has_r != has_g) ++term_rows;
-      else live_[kept++] = s;
+      if ((any_r != 0) != (any_g != 0)) ++term_rows;
+      else if (any_r != 0) live_[kept++] = s;
     }
     live_.resize(kept);
     std::size_t term_cols = 0;
@@ -60,33 +102,24 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
     ++out.iterations;
     out.terminal_rows += term_rows;
     out.terminal_cols += term_cols;
-
-    // Lines 8-9: terminal columns clear in the rows that stay; rows left
-    // empty drop out of the live list.
-    kept = 0;
-    for (const std::size_t s : live_) {
-      std::uint64_t left = 0;
-      for (std::size_t k = 0; k < w; ++k) {
-        req_[s * w + k] &= ~or_req[k];
-        gnt_[s * w + k] &= ~or_req[k];
-        left |= req_[s * w + k] | gnt_[s * w + k];
-      }
-      if (left != 0) live_[kept++] = s;
-    }
-    live_.resize(kept);
+    // Lines 8-9: terminal columns clear in every row.
+    for (std::size_t k = 0; k < w; ++k) mask[k] &= ~or_req[k];
   }
 
   // Algorithm 2: deadlock iff edges remain; note the first one (the
-  // live rows are exactly the non-empty ones, in ascending order).
+  // live rows are exactly the non-empty ones, in ascending order) by
+  // its rank in the selection.
   if (!live_.empty()) {
     const std::size_t s = live_.front();
+    const std::uint64_t* req = state.row_request_bits(s);
+    const std::uint64_t* gnt = state.row_grant_bits(s);
     out.edges_remain = true;
-    out.first_row = s;
+    out.first_row = rank(rows, s);
     for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t word = req_[s * w + k] | gnt_[s * w + k];
+      const std::uint64_t word = (req[k] | gnt[k]) & mask[k];
       if (word == 0) continue;
       out.first_col =
-          k * 64 + static_cast<std::size_t>(std::countr_zero(word));
+          rank(cols, k * 64 + static_cast<std::size_t>(std::countr_zero(word)));
       break;
     }
   }
@@ -146,6 +179,16 @@ bool SoftwarePdda::detect(const rag::StateMatrix& state) {
   const ReductionSummary r = reduce_.run(state);
   iterations_ = r.iterations;
   meter_ = reference_meter(state.resources(), state.processes(), r);
+  return r.edges_remain;
+}
+
+bool SoftwarePdda::detect(const rag::StateMatrix& state,
+                          const std::uint64_t* rows,
+                          const std::uint64_t* cols) {
+  const ReductionSummary r = reduce_.run(state, rows, cols);
+  iterations_ = r.iterations;
+  meter_ = reference_meter(popcount(rows, words_for(state.resources())),
+                           popcount(cols, state.words_per_row()), r);
   return r.edges_remain;
 }
 

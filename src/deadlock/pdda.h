@@ -20,7 +20,7 @@ namespace delta::deadlock {
 
 /// What one terminal reduction sequence (Algorithm 1) did. The software
 /// PDDA's meter and the DDU's cycle count are functions of these values
-/// plus the geometry.
+/// plus the geometry. Positions count within the reduced selection.
 struct ReductionSummary {
   std::size_t iterations = 0;     ///< rounds that removed edges (k of xi)
   std::size_t terminal_rows = 0;  ///< terminal rows, summed over rounds
@@ -30,21 +30,33 @@ struct ReductionSummary {
   rag::ProcId first_col = 0;      ///< order (valid when edges_remain)
 };
 
-/// Algorithm 1 evaluated word-parallel on a copy of a state's
-/// request/grant bit-planes: per round, one pass computes the row
-/// aggregates and ORs the rows into the column aggregates (Eqs. 3-4),
-/// a second clears terminal rows and masks terminal columns. This is
-/// the one reduction loop behind the software PDDA, the DDU model and
-/// the DAU's embedded DDU. The working planes are members reused across
-/// calls, so a warm reducer never allocates.
+/// Algorithm 1 evaluated word-parallel, in place, on a selection of a
+/// state's request/grant bit-planes. A selection is a row bitset (one
+/// bit per resource, (m + 63) / 64 words) and a column bitset (the
+/// state's words_per_row() words); it stands for the matrix of the
+/// selected rows and columns in ascending order, so ReductionSummary's
+/// first cell is its rank among them. Per round, one pass over the rows
+/// that still hold an edge computes each row's terminal test and ORs
+/// the row into the column aggregates (Eqs. 3-4); terminal rows leave
+/// the row list and terminal columns leave the column mask, so the
+/// state itself is never written or copied. This is the one reduction
+/// loop behind the software PDDA, the DDU model, the DAU's embedded DDU
+/// and the hierarchical detector's cluster units and residues. The row
+/// list and masks are members reused across calls, so a warm reducer
+/// never allocates.
 class TerminalReduction {
  public:
+  /// Reduce every row and column of `state`.
   ReductionSummary run(const rag::StateMatrix& state);
 
+  /// Reduce the selection `rows` x `cols` of `state`.
+  ReductionSummary run(const rag::StateMatrix& state,
+                       const std::uint64_t* rows, const std::uint64_t* cols);
+
  private:
-  std::vector<std::uint64_t> req_, gnt_;  // m * words, row-major
-  std::vector<std::uint64_t> col_or_;     // request ORs, then grant ORs
-  std::vector<std::size_t> live_;         // rows that still hold an edge
+  std::vector<std::uint64_t> all_;     // run(state): all-ones selection
+  std::vector<std::uint64_t> col_;     // live column mask, then ORs
+  std::vector<std::size_t> live_;      // rows that still hold an edge
 };
 
 /// Serial, instrumented PDDA.
@@ -54,6 +66,12 @@ class SoftwarePdda {
 
   /// Run Algorithm 2 on `state`. Returns true iff deadlock exists.
   bool detect(const rag::StateMatrix& state);
+
+  /// Run Algorithm 2 on the selection `rows` x `cols` of `state` (see
+  /// TerminalReduction), metered as the popcount(rows) x popcount(cols)
+  /// matrix it stands for.
+  bool detect(const rag::StateMatrix& state, const std::uint64_t* rows,
+              const std::uint64_t* cols);
 
   /// Counters/cost of the most recent detect() call.
   [[nodiscard]] const OpMeter& last_meter() const { return meter_; }

@@ -7,44 +7,12 @@
 
 namespace delta::rag {
 
-StateMatrix::StateMatrix(std::size_t resources, std::size_t processes) {
-  reset(resources, processes);
-}
-
-void StateMatrix::reset(std::size_t resources, std::size_t processes) {
+StateMatrix::StateMatrix(std::size_t resources, std::size_t processes)
+    : m_(resources), n_(processes), words_((processes + 63) / 64) {
   if (resources == 0 || processes == 0)
     throw std::invalid_argument("StateMatrix: dimensions must be positive");
-  m_ = resources;
-  n_ = processes;
-  words_ = (processes + 63) / 64;
   req_.assign(m_ * words_, 0);
   gnt_.assign(m_ * words_, 0);
-}
-
-std::size_t StateMatrix::word_index(ResId s, ProcId t) const {
-  assert(s < m_ && t < n_);
-  return s * words_ + t / 64;
-}
-
-std::uint64_t StateMatrix::bit_mask(ProcId t) const {
-  return 1ULL << (t % 64);
-}
-
-Edge StateMatrix::at(ResId s, ProcId t) const {
-  const std::size_t w = word_index(s, t);
-  const std::uint64_t mask = bit_mask(t);
-  if (req_[w] & mask) return Edge::kRequest;
-  if (gnt_[w] & mask) return Edge::kGrant;
-  return Edge::kNone;
-}
-
-void StateMatrix::set(ResId s, ProcId t, Edge e) {
-  const std::size_t w = word_index(s, t);
-  const std::uint64_t mask = bit_mask(t);
-  req_[w] &= ~mask;
-  gnt_[w] &= ~mask;
-  if (e == Edge::kRequest) req_[w] |= mask;
-  if (e == Edge::kGrant) gnt_[w] |= mask;
 }
 
 std::size_t StateMatrix::edge_count() const {
@@ -53,18 +21,6 @@ std::size_t StateMatrix::edge_count() const {
     count += static_cast<std::size_t>(std::popcount(req_[i])) +
              static_cast<std::size_t>(std::popcount(gnt_[i]));
   return count;
-}
-
-bool StateMatrix::row_has_request(ResId s) const {
-  for (std::size_t w = 0; w < words_; ++w)
-    if (req_[s * words_ + w]) return true;
-  return false;
-}
-
-bool StateMatrix::row_has_grant(ResId s) const {
-  for (std::size_t w = 0; w < words_; ++w)
-    if (gnt_[s * words_ + w]) return true;
-  return false;
 }
 
 bool StateMatrix::col_has_request(ProcId t) const {
@@ -100,16 +56,6 @@ void StateMatrix::clear_col(ProcId t) {
   }
 }
 
-ProcId StateMatrix::owner(ResId s) const {
-  for (std::size_t w = 0; w < words_; ++w) {
-    const std::uint64_t bits = gnt_[s * words_ + w];
-    if (bits) {
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-    }
-  }
-  return kNoProc;
-}
-
 std::vector<ResId> StateMatrix::held_by(ProcId t) const {
   std::vector<ResId> out;
   for (ResId s = 0; s < m_; ++s)
@@ -129,16 +75,6 @@ std::vector<ProcId> StateMatrix::waiters(ResId s) const {
   for (ProcId t = 0; t < n_; ++t)
     if (at(s, t) == Edge::kRequest) out.push_back(t);
   return out;
-}
-
-const std::uint64_t* StateMatrix::row_request_bits(ResId s) const {
-  assert(s < m_);
-  return req_.data() + s * words_;
-}
-
-const std::uint64_t* StateMatrix::row_grant_bits(ResId s) const {
-  assert(s < m_);
-  return gnt_.data() + s * words_;
 }
 
 std::string StateMatrix::to_string() const {

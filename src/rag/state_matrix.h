@@ -8,6 +8,8 @@
 // with word-parallel operations.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -25,16 +27,26 @@ class StateMatrix {
   /// Construct an all-zero matrix for `resources` rows x `processes` cols.
   StateMatrix(std::size_t resources, std::size_t processes);
 
-  /// Become an all-zero `resources` x `processes` matrix, keeping the
-  /// storage when it is large enough (scratch matrices reshape per call).
-  void reset(std::size_t resources, std::size_t processes);
-
   [[nodiscard]] std::size_t resources() const { return m_; }  ///< rows (m)
   [[nodiscard]] std::size_t processes() const { return n_; }  ///< cols (n)
 
-  /// Entry accessors.
-  [[nodiscard]] Edge at(ResId s, ProcId t) const;
-  void set(ResId s, ProcId t, Edge e);
+  /// Entry accessors. They sit on every deadlock probe's path, so they
+  /// are defined here, where callers can inline them.
+  [[nodiscard]] Edge at(ResId s, ProcId t) const {
+    const std::size_t w = word_index(s, t);
+    const std::uint64_t mask = bit_mask(t);
+    if (req_[w] & mask) return Edge::kRequest;
+    if (gnt_[w] & mask) return Edge::kGrant;
+    return Edge::kNone;
+  }
+  void set(ResId s, ProcId t, Edge e) {
+    const std::size_t w = word_index(s, t);
+    const std::uint64_t mask = bit_mask(t);
+    req_[w] &= ~mask;
+    gnt_[w] &= ~mask;
+    if (e == Edge::kRequest) req_[w] |= mask;
+    if (e == Edge::kGrant) gnt_[w] |= mask;
+  }
   void clear(ResId s, ProcId t) { set(s, t, Edge::kNone); }
 
   /// Convenience edge mutators matching the paper's vocabulary.
@@ -48,8 +60,12 @@ class StateMatrix {
   [[nodiscard]] bool empty() const { return edge_count() == 0; }
 
   /// Row aggregates over resource s: (any request bit, any grant bit).
-  [[nodiscard]] bool row_has_request(ResId s) const;
-  [[nodiscard]] bool row_has_grant(ResId s) const;
+  [[nodiscard]] bool row_has_request(ResId s) const {
+    return any_bit(row_request_bits(s));
+  }
+  [[nodiscard]] bool row_has_grant(ResId s) const {
+    return any_bit(row_grant_bits(s));
+  }
 
   /// Column aggregates over process t.
   [[nodiscard]] bool col_has_request(ProcId t) const;
@@ -62,7 +78,13 @@ class StateMatrix {
   /// Owner of resource s (the unique grant in row s), or kNoProc.
   /// Single-unit resources: at most one grant per row is expected; if the
   /// matrix (illegally) holds several, the lowest process index is returned.
-  [[nodiscard]] ProcId owner(ResId s) const;
+  [[nodiscard]] ProcId owner(ResId s) const {
+    const std::uint64_t* gnt = row_grant_bits(s);
+    for (std::size_t w = 0; w < words_; ++w)
+      if (gnt[w] != 0)
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(gnt[w]));
+    return kNoProc;
+  }
 
   /// All resources currently granted to process t.
   [[nodiscard]] std::vector<ResId> held_by(ProcId t) const;
@@ -80,8 +102,14 @@ class StateMatrix {
 
   /// Raw 64-bit words of the request/grant planes for row s. The DDU model
   /// uses these to evaluate Eq. 3 word-parallel. Bits >= n are zero.
-  [[nodiscard]] const std::uint64_t* row_request_bits(ResId s) const;
-  [[nodiscard]] const std::uint64_t* row_grant_bits(ResId s) const;
+  [[nodiscard]] const std::uint64_t* row_request_bits(ResId s) const {
+    assert(s < m_);
+    return req_.data() + s * words_;
+  }
+  [[nodiscard]] const std::uint64_t* row_grant_bits(ResId s) const {
+    assert(s < m_);
+    return gnt_.data() + s * words_;
+  }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
 
  private:
@@ -89,8 +117,18 @@ class StateMatrix {
   std::vector<std::uint64_t> req_;  // m_ * words_ bits, row-major
   std::vector<std::uint64_t> gnt_;
 
-  [[nodiscard]] std::size_t word_index(ResId s, ProcId t) const;
-  [[nodiscard]] std::uint64_t bit_mask(ProcId t) const;
+  [[nodiscard]] std::size_t word_index(ResId s, ProcId t) const {
+    assert(s < m_ && t < n_);
+    return s * words_ + t / 64;
+  }
+  [[nodiscard]] static std::uint64_t bit_mask(ProcId t) {
+    return std::uint64_t{1} << (t % 64);
+  }
+  [[nodiscard]] bool any_bit(const std::uint64_t* row) const {
+    for (std::size_t w = 0; w < words_; ++w)
+      if (row[w] != 0) return true;
+    return false;
+  }
 };
 
 std::ostream& operator<<(std::ostream& os, const StateMatrix& m);
