@@ -14,16 +14,26 @@ namespace {
 
 std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << (i % 64); }
 
+/// Set bits [0, count) of `bits`, clear the rest.
+void fill_ones(std::vector<std::uint64_t>& bits, std::size_t count) {
+  std::fill(bits.begin(), bits.end(), ~std::uint64_t{0});
+  if (count % 64 != 0) bits.back() = bit(count) - 1;
+}
+
 }  // namespace
 
 BankersEngine::BankersEngine(std::size_t resources, std::size_t processes)
     : state_(resources, processes),
       words_((resources + 63) / 64),
+      proc_words_((processes + 63) / 64),
       claims_(processes * words_, 0),
       priority_(processes, 0),
       held_(processes * words_, 0),
-      freed_(words_, 0),
-      done_(processes, 0) {
+      free_(words_),
+      freed_(words_),
+      running_(proc_words_),
+      open_(words_) {
+  fill_ones(free_, resources);
   // Default priorities: p1 highest, i.e. priority == index (DaaEngine).
   for (ProcId p = 0; p < processes; ++p) {
     priority_[p] = static_cast<int>(p);
@@ -55,6 +65,18 @@ bool BankersEngine::claimed(ProcId p, ResId q) const {
   return (claims_[p * words_ + q / 64] & bit(q)) != 0;
 }
 
+void BankersEngine::grant(ResId q, ProcId p) {
+  state_.add_grant(q, p);
+  held_[p * words_ + q / 64] |= bit(q);
+  free_[q / 64] &= ~bit(q);
+}
+
+void BankersEngine::ungrant(ResId q, ProcId p) {
+  state_.clear(q, p);
+  held_[p * words_ + q / 64] &= ~bit(q);
+  free_[q / 64] |= bit(q);
+}
+
 // The meter counts what the reference serial check does: per resource
 // one load and store to initialise `freed`; per process tested in a
 // sweep, a done-flag load and test, then per resource visited three
@@ -62,65 +84,54 @@ bool BankersEngine::claimed(ProcId p, ResId q) const {
 // resource that is neither held nor free (or all m), and the can-finish
 // test; per finishing process a store, then one load and test per
 // resource and one store per resource it releases. The host evaluates
-// the same decisions on resource bitsets.
+// the same decisions on resource bitsets, starting from the holdings
+// and free set grant() and ungrant() keep, and tests only the processes
+// that have not finished.
 bool BankersEngine::is_safe() {
   const std::size_t m = state_.resources();
   const std::size_t n = state_.processes();
-  // Transpose the grant plane once: held_ is each process's holdings,
-  // and a resource nobody holds starts out free.
-  std::fill(held_.begin(), held_.end(), 0);
-  std::fill(freed_.begin(), freed_.end(), 0);
-  for (ResId s = 0; s < m; ++s) {
-    const std::uint64_t* gnt = state_.row_grant_bits(s);
-    bool owned = false;
-    for (std::size_t k = 0; k < state_.words_per_row(); ++k)
-      for (std::uint64_t b = gnt[k]; b != 0; b &= b - 1) {
-        const ProcId t = k * 64 + std::countr_zero(b);
-        held_[t * words_ + s / 64] |= bit(s);
-        owned = true;
-      }
-    if (!owned) freed_[s / 64] |= bit(s);
-  }
+  std::copy(free_.begin(), free_.end(), freed_.begin());
   meter_.loads += m;
   meter_.stores += m;
   // A process can finish if every *claimed but not yet held* resource is
   // currently free; finishing releases its holdings. Safe iff all finish.
-  std::fill(done_.begin(), done_.end(), 0);
-  std::size_t finished = 0;
+  fill_ones(running_, n);
   bool progress = true;
   while (progress) {
     progress = false;
-    for (ProcId t = 0; t < n; ++t) {
-      meter_.loads += 1;
-      meter_.branches += 1;
-      if (done_[t]) continue;
-      const std::uint64_t* claim = &claims_[t * words_];
-      const std::uint64_t* held = &held_[t * words_];
-      bool blocked = false;
-      std::size_t visited = m;
-      for (std::size_t k = 0; k < words_ && !blocked; ++k) {
-        const std::uint64_t need = claim[k] & ~held[k] & ~freed_[k];
-        if (need == 0) continue;
-        blocked = true;
-        visited = k * 64 + std::countr_zero(need) + 1;
+    // The reference sweep loads and tests every process's done flag.
+    meter_.loads += n;
+    meter_.branches += n;
+    for (std::size_t j = 0; j < proc_words_; ++j)
+      for (std::uint64_t b = running_[j]; b != 0; b &= b - 1) {
+        const ProcId t = j * 64 + std::countr_zero(b);
+        const std::uint64_t* claim = &claims_[t * words_];
+        const std::uint64_t* held = &held_[t * words_];
+        bool blocked = false;
+        std::size_t visited = m;
+        for (std::size_t k = 0; k < words_ && !blocked; ++k) {
+          const std::uint64_t need = claim[k] & ~held[k] & ~freed_[k];
+          if (need == 0) continue;
+          blocked = true;
+          visited = k * 64 + std::countr_zero(need) + 1;
+        }
+        meter_.loads += 3 * visited;
+        meter_.branches += 2 * visited + 1;
+        if (blocked) continue;
+        running_[j] &= ~bit(t);
+        progress = true;
+        std::size_t released = 0;
+        for (std::size_t k = 0; k < words_; ++k) {
+          freed_[k] |= held[k];
+          released += static_cast<std::size_t>(std::popcount(held[k]));
+        }
+        meter_.loads += m;
+        meter_.branches += m;
+        meter_.stores += 1 + released;
       }
-      meter_.loads += 3 * visited;
-      meter_.branches += 2 * visited + 1;
-      if (blocked) continue;
-      done_[t] = 1;
-      ++finished;
-      progress = true;
-      std::size_t released = 0;
-      for (std::size_t k = 0; k < words_; ++k) {
-        freed_[k] |= held[k];
-        released += static_cast<std::size_t>(std::popcount(held[k]));
-      }
-      meter_.loads += m;
-      meter_.branches += m;
-      meter_.stores += 1 + released;
-    }
   }
-  return finished == n;
+  return std::all_of(running_.begin(), running_.end(),
+                     [](std::uint64_t w) { return w == 0; });
 }
 
 BankersEngine::Result BankersEngine::request(ProcId p, ResId q) {
@@ -160,14 +171,14 @@ BankersEngine::Result BankersEngine::request(ProcId p, ResId q) {
   // resource were all refused-unsafe at the last arbitration and nothing
   // has been released since, so they cannot have become grantable; only
   // the newcomer needs a probe.
-  state_.add_grant(q, p);
+  grant(q, p);
   meter_.stores += 1;
   meter_.branches += 1;
   if (force_unsafe_ || is_safe()) {
     res.outcome = Outcome::kGranted;
     return res;
   }
-  state_.clear(q, p);
+  ungrant(q, p);
   state_.add_request(p, q);
   meter_.stores += 2;
   ++unsafe_refusals_;
@@ -184,7 +195,7 @@ BankersEngine::Result BankersEngine::release(ProcId p, ResId q) {
   meter_.branches += 1;
   if (state_.at(q, p) != Edge::kGrant) return res;  // not the owner
 
-  state_.clear(q, p);
+  ungrant(q, p);
   meter_.stores += 1;
   drain(res);
   return res;
@@ -195,46 +206,55 @@ void BankersEngine::drain(Result& res) {
   // waiter's probe succeed (its safe sequence may need the new grantee
   // to finish first), so sweep until a full pass commits nothing.
   const std::size_t m = state_.resources();
+  const std::size_t n = state_.processes();
   bool committed = true;
   while (committed) {
     committed = false;
-    for (ResId s = 0; s < m; ++s) {
-      meter_.loads += 1;
-      meter_.branches += 1;
-      if (state_.owner(s) != rag::kNoProc) continue;
-      waiters_.clear();
-      const std::uint64_t* req = state_.row_request_bits(s);
-      for (std::size_t k = 0; k < state_.words_per_row(); ++k)
-        for (std::uint64_t b = req[k]; b != 0; b &= b - 1)
-          waiters_.push_back(k * 64 + std::countr_zero(b));
-      meter_.loads += state_.processes();
-      meter_.branches += state_.processes();
-      // Stable by priority (smaller value = higher priority): the waiters
-      // were collected in process order, so breaking ties on the index
-      // gives the stable order without a merge buffer.
-      std::sort(waiters_.begin(), waiters_.end(), [this](ProcId a, ProcId b) {
-        return priority_[a] != priority_[b] ? priority_[a] < priority_[b]
-                                            : a < b;
-      });
-      meter_.alu += 2 * waiters_.size();
-      meter_.loads += 2 * waiters_.size();
-      for (ProcId cand : waiters_) {
-        state_.clear(s, cand);
-        state_.add_grant(s, cand);
-        meter_.stores += 2;
-        meter_.branches += 1;
-        if (is_safe()) {
-          res.grants.emplace_back(cand, s);
-          committed = true;
-          break;  // resource now busy
+    // The reference sweep tests every resource's owner and scans the
+    // column of each free one for waiters. A commit makes only its own
+    // resource busy, so the resources free at the sweep's start are the
+    // ones it visits.
+    std::copy(free_.begin(), free_.end(), open_.begin());
+    std::size_t free_count = 0;
+    for (const std::uint64_t w : open_)
+      free_count += static_cast<std::size_t>(std::popcount(w));
+    meter_.loads += m + free_count * n;
+    meter_.branches += m + free_count * n;
+    for (std::size_t j = 0; j < words_; ++j)
+      for (std::uint64_t open = open_[j]; open != 0; open &= open - 1) {
+        const ResId s = j * 64 + std::countr_zero(open);
+        waiters_.clear();
+        const std::uint64_t* req = state_.row_request_bits(s);
+        for (std::size_t k = 0; k < state_.words_per_row(); ++k)
+          for (std::uint64_t b = req[k]; b != 0; b &= b - 1)
+            waiters_.push_back(k * 64 + std::countr_zero(b));
+        // Stable by priority (smaller value = higher priority): the
+        // waiters were collected in process order, so breaking ties on
+        // the index gives the stable order without a merge buffer.
+        std::sort(waiters_.begin(), waiters_.end(),
+                  [this](ProcId a, ProcId b) {
+                    return priority_[a] != priority_[b]
+                               ? priority_[a] < priority_[b]
+                               : a < b;
+                  });
+        meter_.alu += 2 * waiters_.size();
+        meter_.loads += 2 * waiters_.size();
+        for (ProcId cand : waiters_) {
+          grant(s, cand);
+          meter_.stores += 2;
+          meter_.branches += 1;
+          if (is_safe()) {
+            res.grants.emplace_back(cand, s);
+            committed = true;
+            break;  // resource now busy
+          }
+          ungrant(s, cand);
+          state_.add_request(cand, s);
+          meter_.stores += 2;
+          ++unsafe_refusals_;
+          res.unsafe_refusal = true;
         }
-        state_.clear(s, cand);
-        state_.add_request(cand, s);
-        meter_.stores += 2;
-        ++unsafe_refusals_;
-        res.unsafe_refusal = true;
       }
-    }
   }
 }
 

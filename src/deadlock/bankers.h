@@ -85,6 +85,7 @@ class BankersEngine {
  private:
   rag::StateMatrix state_;  // grants = holdings, requests = parked waiters
   std::size_t words_;       // 64-bit words per resource bitset
+  std::size_t proc_words_;  // 64-bit words per process bitset
   // Claims of process p: resource bitset words [p * words_, +words_).
   // No declaration (claim everything) is the all-ones set.
   std::vector<std::uint64_t> claims_;
@@ -92,13 +93,22 @@ class BankersEngine {
   OpMeter meter_;
   bool force_unsafe_ = false;
   std::uint64_t unsafe_refusals_ = 0;
-  // Scratch reused across calls, so a warm safety check never allocates.
-  std::vector<std::uint64_t> held_;   // resources each process holds
-  std::vector<std::uint64_t> freed_;  // resources free in the check
-  std::vector<std::uint8_t> done_;    // process can finish
-  std::vector<rag::ProcId> waiters_;  // drain(): one resource's waiters
+  // Kept up to date with the grant plane by grant() and ungrant(), the
+  // only code that adds or clears a grant: the resources each process
+  // holds (bitset words [p * words_, +words_)) and the resources nobody
+  // holds.
+  std::vector<std::uint64_t> held_;
+  std::vector<std::uint64_t> free_;
+  // Scratch reused across calls, so a warm probe never allocates.
+  std::vector<std::uint64_t> freed_;   // is_safe(): free in the check
+  std::vector<std::uint64_t> running_; // is_safe(): processes not finished
+  std::vector<std::uint64_t> open_;    // drain(): free at the sweep start
+  std::vector<rag::ProcId> waiters_;   // drain(): one resource's waiters
 
   [[nodiscard]] bool claimed(rag::ProcId p, rag::ResId q) const;
+  /// Record q's grant to p, or clear it.
+  void grant(rag::ResId q, rag::ProcId p);
+  void ungrant(rag::ResId q, rag::ProcId p);
   /// Grant every safe (resource, waiter) pair until no more commit.
   void drain(Result& res);
 };
