@@ -1,71 +1,84 @@
 #include "deadlock/wfg.h"
 
-#include <algorithm>
+#include <bit>
 
 namespace delta::deadlock {
 
 using rag::ProcId;
 using rag::ResId;
 
-WfgScan scan_wait_for_graph(const rag::StateMatrix& state) {
-  WfgScan scan;
+const WfgScan& WfgScanner::scan(const rag::StateMatrix& state) {
   const std::size_t m = state.resources();
   const std::size_t n = state.processes();
+  OpMeter& meter = scan_.meter;
+  meter.reset();
 
   // Build the wait-for edge list: p -> owner(q) for every request edge
-  // (p, q) whose resource is held. AND-wait semantics: p can proceed
-  // only once *every* edge is gone.
-  std::vector<std::pair<ProcId, ProcId>> edges;  // (waiter, holder)
+  // (p, q) whose resource is held, from the held row's request bits.
+  // AND-wait semantics: p can proceed only once *every* edge is gone.
+  edges_.clear();
   for (ResId s = 0; s < m; ++s) {
     const ProcId own = state.owner(s);
-    scan.meter.loads += 1;
-    scan.meter.branches += 1;
+    meter.loads += 1;
+    meter.branches += 1;
     if (own == rag::kNoProc) continue;
-    for (ProcId w : state.waiters(s)) {
-      scan.meter.loads += 1;
-      scan.meter.branches += 1;
-      if (w == own) continue;
-      edges.emplace_back(w, own);
-      scan.meter.stores += 1;
-    }
+    const std::uint64_t* req = state.row_request_bits(s);
+    for (std::size_t k = 0; k < state.words_per_row(); ++k)
+      for (std::uint64_t b = req[k]; b != 0; b &= b - 1) {
+        const ProcId w = k * 64 + static_cast<std::size_t>(std::countr_zero(b));
+        meter.loads += 1;
+        meter.branches += 1;
+        if (w == own) continue;
+        edges_.emplace_back(w, own);
+        meter.stores += 1;
+      }
   }
 
-  std::vector<std::size_t> outdeg(n, 0), indeg(n, 0);
-  for (const auto& [w, h] : edges) {
-    ++outdeg[w];
-    ++indeg[h];
-    scan.meter.loads += 2;
-    scan.meter.stores += 2;
+  const std::size_t total = edges_.size();
+  outdeg_.assign(n, 0);
+  indeg_.assign(n, 0);
+  for (const auto& [w, h] : edges_) {
+    ++outdeg_[w];
+    ++indeg_[h];
   }
+  meter.loads += 2 * total;
+  meter.stores += 2 * total;
 
-  // Iteratively trim nodes with out-degree 0 (can finish: releasing its
-  // holdings removes every edge into it) or in-degree 0 (nobody waits on
-  // it: it cannot close a cycle). Worklist over the live edge set.
-  std::vector<std::uint8_t> dead_edge(edges.size(), 0);
+  // Iteratively trim edges into a node with out-degree 0 (can finish:
+  // releasing its holdings removes every edge into it) or out of a node
+  // with in-degree 0 (nobody waits on it: it cannot close a cycle). The
+  // reference loop sweeps every edge, dead or not; the list keeps only
+  // the live ones, in order, so each sweep decides the same.
   bool progress = true;
   while (progress) {
     progress = false;
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      scan.meter.loads += 3;
-      scan.meter.branches += 2;
-      if (dead_edge[e]) continue;
-      const auto [w, h] = edges[e];
-      if (outdeg[h] != 0 && indeg[w] != 0) continue;
-      dead_edge[e] = 1;
-      --outdeg[w];
-      --indeg[h];
-      scan.meter.stores += 3;
+    meter.loads += 3 * total;
+    meter.branches += 2 * total;
+    std::size_t kept = 0;
+    for (const auto& [w, h] : edges_) {
+      if (outdeg_[h] != 0 && indeg_[w] != 0) {
+        edges_[kept++] = {w, h};
+        continue;
+      }
+      --outdeg_[w];
+      --indeg_[h];
+      meter.stores += 3;
       progress = true;
     }
+    edges_.resize(kept);
   }
 
-  for (ProcId p = 0; p < n; ++p) {
-    scan.meter.loads += 2;
-    scan.meter.branches += 1;
-    if (outdeg[p] != 0 || indeg[p] != 0) scan.deadlocked.push_back(p);
-  }
-  scan.deadlock = !scan.deadlocked.empty();
-  return scan;
+  scan_.deadlocked.clear();
+  for (ProcId p = 0; p < n; ++p)
+    if (outdeg_[p] != 0 || indeg_[p] != 0) scan_.deadlocked.push_back(p);
+  meter.loads += 2 * n;
+  meter.branches += n;
+  scan_.deadlock = !scan_.deadlocked.empty();
+  return scan_;
+}
+
+WfgScan scan_wait_for_graph(const rag::StateMatrix& state) {
+  return WfgScanner().scan(state);
 }
 
 }  // namespace delta::deadlock

@@ -9,6 +9,7 @@
 // victim-candidate set for detection-and-recovery.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "deadlock/meter.h"
@@ -27,7 +28,22 @@ struct WfgScan {
   OpMeter meter;
 };
 
-/// Scan the current state matrix. Pure function of the matrix.
+/// The scan with its working set kept across calls: the wait-for edge
+/// list, the degree vectors and the returned WfgScan. A warm scanner
+/// allocates nothing.
+class WfgScanner {
+ public:
+  /// Scan `state`. The result is a pure function of the matrix and stays
+  /// valid until the next scan.
+  const WfgScan& scan(const rag::StateMatrix& state);
+
+ private:
+  WfgScan scan_;
+  std::vector<std::pair<rag::ProcId, rag::ProcId>> edges_;  // (waiter, holder)
+  std::vector<std::size_t> outdeg_, indeg_;
+};
+
+/// Scan the current state matrix with a fresh scanner.
 [[nodiscard]] WfgScan scan_wait_for_graph(const rag::StateMatrix& state);
 
 }  // namespace delta::deadlock

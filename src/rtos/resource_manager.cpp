@@ -284,7 +284,7 @@ class WfgStrategy final : public GrantingManagerBase {
 
   ResourceEvent scan(sim::Cycles) override {
     ResourceEvent ev;
-    const deadlock::WfgScan s = deadlock::scan_wait_for_graph(state_);
+    const deadlock::WfgScan& s = scanner_.scan(state_);
     const sim::Cycles algo = costs_.software.cycles(s.meter);
     algo_times_.add(static_cast<double>(algo));
     ev.pe_cycles = algo;
@@ -299,6 +299,7 @@ class WfgStrategy final : public GrantingManagerBase {
   }
 
  private:
+  deadlock::WfgScanner scanner_;
   bool miss_ = false;  ///< fault injection: scans never report a cycle
 
   void run_detection(ResourceEvent&, sim::Cycles) override {}
