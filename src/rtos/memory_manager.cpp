@@ -11,19 +11,24 @@ SoftwareHeapBackend::SoftwareHeapBackend(std::uint64_t base,
                                          const ServiceCosts& costs)
     : heap_(base, size, costs.software), costs_(costs) {}
 
+sim::Cycles SoftwareHeapBackend::locked_call(sim::Cycles now,
+                                             sim::Cycles work) {
+  // The shared heap serializes callers behind its lock.
+  const sim::Cycles start = std::max(now, heap_lock_until_);
+  const sim::Cycles body = costs_.mem_wrapper_sw + work;
+  heap_lock_until_ = start + body;
+  total_ += body;
+  ++calls_;
+  return (start - now) + body;
+}
+
 MemResult SoftwareHeapBackend::alloc(PeId, std::uint64_t bytes,
                                      sim::Cycles now) {
   const mem::HeapCall c = heap_.malloc(bytes);
   MemResult out;
   out.ok = c.ok;
   out.addr = c.addr;
-  // The shared heap serializes callers behind its lock.
-  const sim::Cycles start = std::max(now, heap_lock_until_);
-  const sim::Cycles body = costs_.mem_wrapper_sw + c.cycles;
-  heap_lock_until_ = start + body;
-  out.pe_cycles = (start - now) + body;
-  total_ += body;
-  ++calls_;
+  out.pe_cycles = locked_call(now, c.cycles);
   return out;
 }
 
@@ -36,12 +41,7 @@ MemResult SoftwareHeapBackend::free(PeId, std::uint64_t addr,
     if (--reg.refs > 0) {
       MemResult out;
       out.ok = true;
-      const sim::Cycles start = std::max(now, heap_lock_until_);
-      const sim::Cycles body = costs_.mem_wrapper_sw + 30;
-      heap_lock_until_ = start + body;
-      out.pe_cycles = (start - now) + body;
-      total_ += body;
-      ++calls_;
+      out.pe_cycles = locked_call(now, 30);
       return out;
     }
     regions_.erase(rit->second);
@@ -50,12 +50,7 @@ MemResult SoftwareHeapBackend::free(PeId, std::uint64_t addr,
   const mem::HeapCall c = heap_.free(addr);
   MemResult out;
   out.ok = c.ok;
-  const sim::Cycles start = std::max(now, heap_lock_until_);
-  const sim::Cycles body = costs_.mem_wrapper_sw + c.cycles;
-  heap_lock_until_ = start + body;
-  out.pe_cycles = (start - now) + body;
-  total_ += body;
-  ++calls_;
+  out.pe_cycles = locked_call(now, c.cycles);
   return out;
 }
 
@@ -70,12 +65,7 @@ MemResult SoftwareHeapBackend::alloc_shared(PeId pe, std::size_t region,
     out.ok = true;
     out.addr = it->second.addr;
     // Attach is a table lookup under the heap lock.
-    const sim::Cycles start = std::max(now, heap_lock_until_);
-    const sim::Cycles body = costs_.mem_wrapper_sw + 40;
-    heap_lock_until_ = start + body;
-    out.pe_cycles = (start - now) + body;
-    total_ += body;
-    ++calls_;
+    out.pe_cycles = locked_call(now, 40);
     return out;
   }
   MemResult out = alloc(pe, bytes, now);

@@ -90,6 +90,12 @@ class SoftwareHeapBackend final : public MemoryBackend {
   };
   std::map<std::size_t, Region> regions_;
   std::map<std::uint64_t, std::size_t> region_of_addr_;
+
+  /// One call under the heap lock: wait for the lock from `now`, hold it
+  /// for the wrapper plus `work`, and charge both to the PE and the
+  /// backend's totals (the software twin of bus::unit_round_trip).
+  /// Returns the PE's cycles.
+  sim::Cycles locked_call(sim::Cycles now, sim::Cycles work);
 };
 
 /// SoCDMMU-backed allocation (Table 12).
