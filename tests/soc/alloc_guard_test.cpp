@@ -15,7 +15,9 @@
 // allocation per task is the program's op vector. So is a run's
 // bookkeeping: registering an Mpsoc's metrics and snapshotting them
 // make no allocation per name, and report_to_json grows its document
-// once, whatever the number of runs.
+// once, whatever the number of runs. So are the deadlock probes: once
+// warm, the hierarchical detector and the WFG scan read the matrix in
+// place and allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,10 +29,13 @@
 #include <utility>
 #include <vector>
 
+#include "deadlock/hierarchical.h"
 #include "exp/json.h"
 #include "exp/sweep.h"
 #include "exp/workloads.h"
 #include "fuzz/scenario.h"
+#include "rag/state_matrix.h"
+#include "rtos/resource_manager.h"
 #include "sim/random.h"
 #include "soc/delta_framework.h"
 #include "soc/mpsoc.h"
@@ -279,6 +284,72 @@ TEST(AllocGuardSetUp, ReportToJsonAllocatesAlikeFor100And800Runs) {
     return allocations;
   };
   EXPECT_EQ(report_allocations(100), report_allocations(800));
+}
+
+// The probes run on every deadlock-strategy event, so once warm they
+// must not allocate: after one warm-up call, 1,000 detect_event calls
+// along a fixed-seed walk and 100 detect_all calls on a 64x64 C=8
+// detector, and 100 periodic scans of the WFG strategy on a state that
+// holds a cycle. Each scan adds one sample to the strategy's algorithm
+// times, so the scans may allocate exactly what a vector of doubles
+// allocates growing by the same 100 samples.
+TEST(AllocGuardProbes, WarmDeadlockProbesAllocateNothing) {
+  constexpr std::size_t kSize = 64;
+  deadlock::HierarchicalDetector det(deadlock::ClusterMap(kSize, kSize, 8));
+  rag::StateMatrix s(kSize, kSize);
+  sim::Rng rng(0xa110c);
+  std::size_t deadlocks = 0;
+  // One single-row event of the walk: a grant of a free resource or a
+  // new request, undone when it deadlocks.
+  const auto step = [&] {
+    while (true) {
+      const rag::ResId q = rng.below(kSize);
+      const rag::ProcId p = rng.below(kSize);
+      const rag::Edge cur = s.at(q, p);
+      if (cur == rag::Edge::kGrant) {
+        s.set(q, p, rag::Edge::kNone);
+        continue;
+      }
+      if (cur == rag::Edge::kRequest && s.owner(q) != rag::kNoProc) continue;
+      s.set(q, p,
+            cur == rag::Edge::kNone ? rag::Edge::kRequest : rag::Edge::kGrant);
+      if (det.detect_event(s, q).deadlock) {
+        ++deadlocks;
+        s.set(q, p, cur);
+      }
+      return;
+    }
+  };
+  step();
+  std::uint64_t before = allocations_so_far();
+  for (int i = 0; i < 1000; ++i) step();
+  const std::uint64_t event_allocations = allocations_so_far() - before;
+  before = allocations_so_far();
+  std::size_t all_deadlocks = 0;
+  for (int i = 0; i < 100; ++i) all_deadlocks += det.detect_all(s).deadlock;
+  const std::uint64_t all_allocations = allocations_so_far() - before;
+  EXPECT_EQ(event_allocations, 0u);
+  EXPECT_EQ(all_allocations, 0u);
+  EXPECT_GT(deadlocks, 0u) << "the walk never probed a deadlock";
+  EXPECT_EQ(all_deadlocks, 0u);
+
+  const rtos::ServiceCosts costs;
+  const auto wfg = rtos::make_strategy(rtos::DeadlockComponent::kWfgRecovery,
+                                       kSize, kSize, costs);
+  for (rtos::TaskId t = 0; t < 4; ++t) (void)wfg->request(t, t, 0);
+  for (rtos::TaskId t = 0; t < 4; ++t) (void)wfg->request(t, (t + 1) % 4, 0);
+  ASSERT_TRUE(wfg->scan(0).deadlock_detected);
+  std::vector<double> samples(1);
+  before = allocations_so_far();
+  for (int i = 0; i < 100; ++i) samples.push_back(0.0);
+  const std::uint64_t sample_allocations = allocations_so_far() - before;
+  before = allocations_so_far();
+  std::size_t detected = 0;
+  for (int i = 0; i < 100; ++i) detected += wfg->scan(0).deadlock_detected;
+  const std::uint64_t scan_allocations = allocations_so_far() - before;
+  EXPECT_EQ(detected, 100u);
+  EXPECT_EQ(scan_allocations, sample_allocations);
+  EXPECT_EQ(wfg->invocations(), 101u);
 }
 
 }  // namespace
