@@ -24,45 +24,42 @@ std::size_t rank(const std::uint64_t* bits, std::size_t i) {
          static_cast<std::size_t>(std::popcount(bits[i / 64] & below));
 }
 
-/// Set bits [0, count) of the `words` words at `bits`, clear the rest.
-void fill_ones(std::uint64_t* bits, std::size_t words, std::size_t count) {
-  std::fill(bits, bits + words, ~std::uint64_t{0});
-  if (count % 64 != 0) bits[words - 1] = (std::uint64_t{1} << (count % 64)) - 1;
-}
-
 }  // namespace
 
 ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
-  const std::size_t rw = words_for(state.resources());
-  const std::size_t w = state.words_per_row();
-  all_.resize(rw + w);
-  fill_ones(all_.data(), rw, state.resources());
-  fill_ones(all_.data() + rw, w, state.processes());
-  return run(state, all_.data(), all_.data() + rw);
+  const std::size_t words =
+      std::max(words_for(state.resources()), state.words_per_row());
+  if (all_.size() < words) all_.assign(words, ~std::uint64_t{0});
+  return run(state, all_.data(), all_.data());
 }
 
 ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
                                         const std::uint64_t* rows,
                                         const std::uint64_t* cols) {
+  // Locals throughout: the loops store 64-bit words, which could alias
+  // the state's and the scratch vectors' size fields.
+  const std::size_t m = state.resources();
   const std::size_t w = state.words_per_row();
+  const std::uint64_t* const req0 = state.row_request_bits(0);
+  const std::uint64_t* const gnt0 = state.row_grant_bits(0);
   col_.resize(3 * w);
   std::uint64_t* const mask = col_.data();  // columns not yet reduced
   std::uint64_t* const or_req = mask + w;
   std::uint64_t* const or_gnt = mask + 2 * w;
   std::copy(cols, cols + w, mask);
+  if (live_.size() < m) live_.resize(m);
+  std::uint32_t* const live = live_.data();
   // Only selected rows that hold an edge in the selected columns take
   // part: an empty row is never terminal and adds nothing to the column
   // ORs. The list stays in ascending order.
-  live_.clear();
-  live_.reserve(state.resources());
-  for (std::size_t j = 0; j < words_for(state.resources()); ++j)
+  std::size_t n_live = 0;
+  for (std::size_t j = 0; j < words_for(m); ++j)
     for (std::uint64_t b = rows[j]; b != 0; b &= b - 1) {
       const std::size_t s = j * 64 + std::countr_zero(b);
-      const std::uint64_t* req = state.row_request_bits(s);
-      const std::uint64_t* gnt = state.row_grant_bits(s);
+      if (s >= m) break;
       for (std::size_t k = 0; k < w; ++k)
-        if (((req[k] | gnt[k]) & mask[k]) != 0) {
-          live_.push_back(s);
+        if (((req0[s * w + k] | gnt0[s * w + k]) & mask[k]) != 0) {
+          live[n_live++] = static_cast<std::uint32_t>(s);
           break;
         }
     }
@@ -77,21 +74,21 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
     // round's terminal columns emptied.
     std::fill(or_req, or_req + 2 * w, 0);
     std::size_t term_rows = 0, kept = 0;
-    for (const std::size_t s : live_) {
-      const std::uint64_t* req = state.row_request_bits(s);
-      const std::uint64_t* gnt = state.row_grant_bits(s);
+    for (std::size_t i = 0; i < n_live; ++i) {
+      const std::size_t s = live[i];
       std::uint64_t any_r = 0, any_g = 0;
       for (std::size_t k = 0; k < w; ++k) {
-        const std::uint64_t r = req[k] & mask[k], g = gnt[k] & mask[k];
+        const std::uint64_t r = req0[s * w + k] & mask[k];
+        const std::uint64_t g = gnt0[s * w + k] & mask[k];
         any_r |= r;
         any_g |= g;
         or_req[k] |= r;
         or_gnt[k] |= g;
       }
       if ((any_r != 0) != (any_g != 0)) ++term_rows;
-      else if (any_r != 0) live_[kept++] = s;
+      else if (any_r != 0) live[kept++] = live[i];
     }
-    live_.resize(kept);
+    n_live = kept;
     std::size_t term_cols = 0;
     for (std::size_t k = 0; k < w; ++k) {
       or_req[k] ^= or_gnt[k];  // now the terminal-column word
@@ -109,14 +106,12 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
   // Algorithm 2: deadlock iff edges remain; note the first one (the
   // live rows are exactly the non-empty ones, in ascending order) by
   // its rank in the selection.
-  if (!live_.empty()) {
-    const std::size_t s = live_.front();
-    const std::uint64_t* req = state.row_request_bits(s);
-    const std::uint64_t* gnt = state.row_grant_bits(s);
+  if (n_live != 0) {
+    const std::size_t s = live[0];
     out.edges_remain = true;
     out.first_row = rank(rows, s);
     for (std::size_t k = 0; k < w; ++k) {
-      const std::uint64_t word = (req[k] | gnt[k]) & mask[k];
+      const std::uint64_t word = (req0[s * w + k] | gnt0[s * w + k]) & mask[k];
       if (word == 0) continue;
       out.first_col =
           rank(cols, k * 64 + static_cast<std::size_t>(std::countr_zero(word)));

@@ -33,9 +33,10 @@ struct ReductionSummary {
 /// Algorithm 1 evaluated word-parallel, in place, on a selection of a
 /// state's request/grant bit-planes. A selection is a row bitset (one
 /// bit per resource, (m + 63) / 64 words) and a column bitset (the
-/// state's words_per_row() words); it stands for the matrix of the
-/// selected rows and columns in ascending order, so ReductionSummary's
-/// first cell is its rank among them. Per round, one pass over the rows
+/// state's words_per_row() words); bits past the last row or column are
+/// ignored. It stands for the matrix of the selected rows and columns
+/// in ascending order, so ReductionSummary's first cell is its rank
+/// among them. Per round, one pass over the rows
 /// that still hold an edge computes each row's terminal test and ORs
 /// the row into the column aggregates (Eqs. 3-4); terminal rows leave
 /// the row list and terminal columns leave the column mask, so the
@@ -54,9 +55,9 @@ class TerminalReduction {
                        const std::uint64_t* rows, const std::uint64_t* cols);
 
  private:
-  std::vector<std::uint64_t> all_;     // run(state): all-ones selection
-  std::vector<std::uint64_t> col_;     // live column mask, then ORs
-  std::vector<std::size_t> live_;      // rows that still hold an edge
+  std::vector<std::uint64_t> all_;   // run(state): all ones
+  std::vector<std::uint64_t> col_;   // live column mask, then ORs
+  std::vector<std::uint32_t> live_;  // rows that still hold an edge
 };
 
 /// Serial, instrumented PDDA.
@@ -69,7 +70,8 @@ class SoftwarePdda {
 
   /// Run Algorithm 2 on the selection `rows` x `cols` of `state` (see
   /// TerminalReduction), metered as the popcount(rows) x popcount(cols)
-  /// matrix it stands for.
+  /// matrix it stands for, so bits past the last row or column must be
+  /// clear.
   bool detect(const rag::StateMatrix& state, const std::uint64_t* rows,
               const std::uint64_t* cols);
 
