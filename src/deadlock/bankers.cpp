@@ -88,11 +88,17 @@ void BankersEngine::ungrant(ResId q, ProcId p) {
 // and free set grant() and ungrant() keep, and tests only the processes
 // that have not finished.
 bool BankersEngine::is_safe() {
+  // Locals throughout: the loop stores 64-bit words, which could alias
+  // the sizes and meter fields it reads.
   const std::size_t m = state_.resources();
   const std::size_t n = state_.processes();
-  std::copy(free_.begin(), free_.end(), freed_.begin());
-  meter_.loads += m;
-  meter_.stores += m;
+  const std::size_t words = words_;
+  const std::uint64_t* const claims = claims_.data();
+  const std::uint64_t* const holdings = held_.data();
+  std::uint64_t* const freed = freed_.data();
+  std::uint64_t* const running = running_.data();
+  std::copy(free_.begin(), free_.end(), freed);
+  std::uint64_t loads = m, stores = m, branches = 0;
   // A process can finish if every *claimed but not yet held* resource is
   // currently free; finishing releases its holdings. Safe iff all finish.
   fill_ones(running_, n);
@@ -100,36 +106,39 @@ bool BankersEngine::is_safe() {
   while (progress) {
     progress = false;
     // The reference sweep loads and tests every process's done flag.
-    meter_.loads += n;
-    meter_.branches += n;
+    loads += n;
+    branches += n;
     for (std::size_t j = 0; j < proc_words_; ++j)
-      for (std::uint64_t b = running_[j]; b != 0; b &= b - 1) {
+      for (std::uint64_t b = running[j]; b != 0; b &= b - 1) {
         const ProcId t = j * 64 + std::countr_zero(b);
-        const std::uint64_t* claim = &claims_[t * words_];
-        const std::uint64_t* held = &held_[t * words_];
+        const std::uint64_t* claim = claims + t * words;
+        const std::uint64_t* held = holdings + t * words;
         bool blocked = false;
         std::size_t visited = m;
-        for (std::size_t k = 0; k < words_ && !blocked; ++k) {
-          const std::uint64_t need = claim[k] & ~held[k] & ~freed_[k];
+        for (std::size_t k = 0; k < words && !blocked; ++k) {
+          const std::uint64_t need = claim[k] & ~held[k] & ~freed[k];
           if (need == 0) continue;
           blocked = true;
           visited = k * 64 + std::countr_zero(need) + 1;
         }
-        meter_.loads += 3 * visited;
-        meter_.branches += 2 * visited + 1;
+        loads += 3 * visited;
+        branches += 2 * visited + 1;
         if (blocked) continue;
-        running_[j] &= ~bit(t);
+        running[j] &= ~bit(t);
         progress = true;
         std::size_t released = 0;
-        for (std::size_t k = 0; k < words_; ++k) {
-          freed_[k] |= held[k];
+        for (std::size_t k = 0; k < words; ++k) {
+          freed[k] |= held[k];
           released += static_cast<std::size_t>(std::popcount(held[k]));
         }
-        meter_.loads += m;
-        meter_.branches += m;
-        meter_.stores += 1 + released;
+        loads += m;
+        branches += m;
+        stores += 1 + released;
       }
   }
+  meter_.loads += loads;
+  meter_.stores += stores;
+  meter_.branches += branches;
   return std::all_of(running_.begin(), running_.end(),
                      [](std::uint64_t w) { return w == 0; });
 }

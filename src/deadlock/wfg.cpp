@@ -16,25 +16,26 @@ const WfgScan& WfgScanner::scan(const rag::StateMatrix& state) {
   // Build the wait-for edge list: p -> owner(q) for every request edge
   // (p, q) whose resource is held, from the held row's request bits.
   // AND-wait semantics: p can proceed only once *every* edge is gone.
+  // The reference loop tests each resource's owner and, for a held one,
+  // each waiter in turn.
   edges_.clear();
+  std::size_t waits = 0;
   for (ResId s = 0; s < m; ++s) {
     const ProcId own = state.owner(s);
-    meter.loads += 1;
-    meter.branches += 1;
     if (own == rag::kNoProc) continue;
     const std::uint64_t* req = state.row_request_bits(s);
     for (std::size_t k = 0; k < state.words_per_row(); ++k)
       for (std::uint64_t b = req[k]; b != 0; b &= b - 1) {
         const ProcId w = k * 64 + static_cast<std::size_t>(std::countr_zero(b));
-        meter.loads += 1;
-        meter.branches += 1;
-        if (w == own) continue;
-        edges_.emplace_back(w, own);
-        meter.stores += 1;
+        ++waits;
+        if (w != own) edges_.emplace_back(w, own);
       }
   }
-
   const std::size_t total = edges_.size();
+  meter.loads += m + waits;
+  meter.branches += m + waits;
+  meter.stores += total;
+
   outdeg_.assign(n, 0);
   indeg_.assign(n, 0);
   for (const auto& [w, h] : edges_) {
@@ -62,9 +63,9 @@ const WfgScan& WfgScanner::scan(const rag::StateMatrix& state) {
       }
       --outdeg_[w];
       --indeg_[h];
-      meter.stores += 3;
       progress = true;
     }
+    meter.stores += 3 * (edges_.size() - kept);
     edges_.resize(kept);
   }
 
