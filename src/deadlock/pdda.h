@@ -36,15 +36,15 @@ struct ReductionSummary {
 /// state's words_per_row() words); bits past the last row or column are
 /// ignored. It stands for the matrix of the selected rows and columns
 /// in ascending order, so ReductionSummary's first cell is its rank
-/// among them. Per round, one pass over the rows
-/// that still hold an edge computes each row's terminal test and ORs
-/// the row into the column aggregates (Eqs. 3-4); terminal rows leave
-/// the row list and terminal columns leave the column mask, so the
-/// state itself is never written or copied. This is the one reduction
-/// loop behind the software PDDA, the DDU model, the DAU's embedded DDU
-/// and the hierarchical detector's cluster units and residues. The row
-/// list and masks are members reused across calls, so a warm reducer
-/// never allocates.
+/// among them. Per round, one pass over the rows that still hold an
+/// edge computes each row's terminal test and ORs the row into the
+/// column aggregates (Eqs. 3-4); terminal rows leave the row list and
+/// terminal columns leave the column mask, so the state itself is never
+/// written or copied. This is the one reduction loop behind the
+/// software PDDA, the DDU model, the DAU's embedded DDU and the
+/// hierarchical detector's cluster units and residues. The row list and
+/// masks are members reused across calls, so a warm reducer never
+/// allocates.
 class TerminalReduction {
  public:
   /// Reduce every row and column of `state`.
