@@ -13,6 +13,7 @@ StateMatrix::StateMatrix(std::size_t resources, std::size_t processes)
     throw std::invalid_argument("StateMatrix: dimensions must be positive");
   req_.assign(m_ * words_, 0);
   gnt_.assign(m_ * words_, 0);
+  edge_rows_.assign((m_ + 63) / 64, 0);
 }
 
 std::size_t StateMatrix::edge_count() const {
@@ -45,15 +46,21 @@ void StateMatrix::clear_row(ResId s) {
     req_[s * words_ + w] = 0;
     gnt_[s * words_ + w] = 0;
   }
+  edge_rows_[s / 64] &= ~bit_mask(s);
 }
 
 void StateMatrix::clear_col(ProcId t) {
+  assert(t < n_);
   const std::uint64_t mask = ~bit_mask(t);
   const std::size_t w = t / 64;
-  for (ResId s = 0; s < m_; ++s) {
-    req_[s * words_ + w] &= mask;
-    gnt_[s * words_ + w] &= mask;
-  }
+  // Only rows that hold an edge can hold one in column t.
+  for (std::size_t j = 0; j < edge_rows_.size(); ++j)
+    for (std::uint64_t b = edge_rows_[j]; b != 0; b &= b - 1) {
+      const ResId s = j * 64 + static_cast<std::size_t>(std::countr_zero(b));
+      req_[s * words_ + w] &= mask;
+      gnt_[s * words_ + w] &= mask;
+      if ((req_[s * words_ + w] | gnt_[s * words_ + w]) == 0) retest_row(s);
+    }
 }
 
 std::vector<ResId> StateMatrix::held_by(ProcId t) const {

@@ -6,6 +6,12 @@
 // 00 = no edge. The bit-plane layout lets both the software PDDA and the
 // DDU hardware model compute the row/column Bit-Wise-Or aggregates (Eq. 3)
 // with word-parallel operations.
+//
+// The matrix also keeps the set of rows that hold at least one edge
+// (edge_rows()). Every write keeps it exact: one that adds an edge sets
+// its row's bit, one that clears an edge re-tests only that row. The
+// deadlock probes walk this set instead of all m rows, because a large
+// state is sparse: most rows of a 64x64 fuzz state hold no edge.
 #pragma once
 
 #include <bit>
@@ -46,6 +52,8 @@ class StateMatrix {
     gnt_[w] &= ~mask;
     if (e == Edge::kRequest) req_[w] |= mask;
     if (e == Edge::kGrant) gnt_[w] |= mask;
+    if (e != Edge::kNone) edge_rows_[s / 64] |= bit_mask(s);
+    else if ((req_[w] | gnt_[w]) == 0) retest_row(s);
   }
   void clear(ResId s, ProcId t) { set(s, t, Edge::kNone); }
 
@@ -57,7 +65,11 @@ class StateMatrix {
   [[nodiscard]] std::size_t edge_count() const;
 
   /// True when the matrix has no edges at all (complete reduction result).
-  [[nodiscard]] bool empty() const { return edge_count() == 0; }
+  [[nodiscard]] bool empty() const {
+    for (const std::uint64_t w : edge_rows_)
+      if (w != 0) return false;
+    return true;
+  }
 
   /// Row aggregates over resource s: (any request bit, any grant bit).
   [[nodiscard]] bool row_has_request(ResId s) const {
@@ -112,10 +124,17 @@ class StateMatrix {
   }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
 
+  /// The rows that hold at least one request or grant: a bitset of
+  /// (m + 63) / 64 words, bit s for row s. Bits >= m are zero.
+  [[nodiscard]] const std::uint64_t* edge_rows() const {
+    return edge_rows_.data();
+  }
+
  private:
   std::size_t m_ = 0, n_ = 0, words_ = 0;
   std::vector<std::uint64_t> req_;  // m_ * words_ bits, row-major
   std::vector<std::uint64_t> gnt_;
+  std::vector<std::uint64_t> edge_rows_;
 
   [[nodiscard]] std::size_t word_index(ResId s, ProcId t) const {
     assert(s < m_ && t < n_);
@@ -128,6 +147,12 @@ class StateMatrix {
     for (std::size_t w = 0; w < words_; ++w)
       if (row[w] != 0) return true;
     return false;
+  }
+  /// After a write cleared an edge of row s: drop s from edge_rows() if
+  /// the row holds no edge any more.
+  void retest_row(ResId s) {
+    if (!row_has_request(s) && !row_has_grant(s))
+      edge_rows_[s / 64] &= ~bit_mask(s);
   }
 };
 

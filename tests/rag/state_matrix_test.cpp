@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/random.h"
+
 namespace delta::rag {
 namespace {
 
@@ -107,6 +109,66 @@ TEST(StateMatrix, Equality) {
   EXPECT_NE(a, b);
   b.add_request(0, 0);
   EXPECT_EQ(a, b);
+}
+
+// The deadlock probes walk edge_rows() instead of all m rows, so it
+// must match the planes after every write: bit s is set iff row s holds
+// a request or a grant, and no bit at or past m is set.
+void expect_edge_rows_exact(const StateMatrix& m, int step) {
+  for (std::size_t j = 0; j < (m.resources() + 63) / 64; ++j)
+    for (std::size_t b = 0; b < 64; ++b) {
+      const std::size_t s = j * 64 + b;
+      const bool bit = ((m.edge_rows()[j] >> b) & 1) != 0;
+      const bool want = s < m.resources() &&
+                        (m.row_has_request(s) || m.row_has_grant(s));
+      ASSERT_EQ(bit, want) << "row " << s << " after write " << step;
+    }
+}
+
+TEST(StateMatrix, EdgeRowsFollowEveryWrite) {
+  constexpr Edge kEdges[] = {Edge::kNone, Edge::kRequest, Edge::kGrant};
+  struct Shape {
+    std::size_t m, n;
+  };
+  // 80x130: two row words, three column words.
+  for (const Shape shape : {Shape{5, 5}, Shape{64, 64}, Shape{80, 130}}) {
+    SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n);
+    sim::Rng rng(0xed6e + shape.m);
+    StateMatrix m(shape.m, shape.n);
+    StateMatrix saved(shape.m, shape.n);
+    expect_edge_rows_exact(m, -1);
+    for (int step = 0; step < 6000; ++step) {
+      const ResId s = rng.below(shape.m);
+      const ProcId t = rng.below(shape.n);
+      switch (rng.below(9)) {
+        case 0: m.set(s, t, kEdges[rng.below(3)]); break;
+        case 1: m.add_request(t, s); break;
+        case 2: m.add_grant(s, t); break;
+        case 3: m.clear(s, t); break;
+        case 4:
+        case 5: {
+          // Clear one of the row's edges, so rows also empty one edge at
+          // a time on the large shapes.
+          ProcId u = 0;
+          while (u + 1 < shape.n && m.at(s, u) == Edge::kNone) ++u;
+          m.clear(s, u);
+          break;
+        }
+        case 6: m.clear_row(s); break;
+        case 7: m.clear_col(t); break;
+        default:
+          if (rng.chance(0.5)) {
+            saved = m;
+            expect_edge_rows_exact(saved, step);
+          } else {
+            m = saved;
+          }
+      }
+      expect_edge_rows_exact(m, step);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(m.empty(), m.edge_count() == 0);
+  }
 }
 
 TEST(StateMatrix, ToStringShowsEdges) {
