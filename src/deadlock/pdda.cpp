@@ -24,54 +24,32 @@ std::size_t rank(const std::uint64_t* bits, std::size_t i) {
          static_cast<std::size_t>(std::popcount(bits[i / 64] & below));
 }
 
-}  // namespace
-
-ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
-  const std::size_t words =
-      std::max(words_for(state.resources()), state.words_per_row());
-  if (all_.size() < words) all_.assign(words, ~std::uint64_t{0});
-  return run(state, all_.data(), all_.data());
-}
-
-ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
-                                        const std::uint64_t* rows,
-                                        const std::uint64_t* cols) {
+/// Algorithm 1's rounds over the live rows `live[0, n_live)` and the
+/// column mask `mask`, then Algorithm 2's first surviving cell. `ors`
+/// is scratch for the two column ORs. W is the number of column words
+/// when the compiler knows it (W = 1: one word, so the masks are
+/// locals), or 0 when `words` gives it at run time.
+template <std::size_t W>
+ReductionSummary reduce_live(const rag::StateMatrix& state,
+                             std::size_t words, const std::uint64_t* rows,
+                             const std::uint64_t* cols, std::uint64_t* mask,
+                             std::uint64_t* ors, std::uint32_t* live,
+                             std::size_t n_live) {
   // Locals throughout: the loops store 64-bit words, which could alias
-  // the state's and the scratch vectors' size fields.
-  const std::size_t m = state.resources();
-  const std::size_t w = state.words_per_row();
+  // the state's size fields.
+  const std::size_t w = W != 0 ? W : words;
   const std::uint64_t* const req0 = state.row_request_bits(0);
   const std::uint64_t* const gnt0 = state.row_grant_bits(0);
-  col_.resize(3 * w);
-  std::uint64_t* const mask = col_.data();  // columns not yet reduced
-  std::uint64_t* const or_req = mask + w;
-  std::uint64_t* const or_gnt = mask + 2 * w;
-  std::copy(cols, cols + w, mask);
-  if (live_.size() < m) live_.resize(m);
-  std::uint32_t* const live = live_.data();
-  // Only selected rows that hold an edge in the selected columns take
-  // part: an empty row is never terminal and adds nothing to the column
-  // ORs. The list stays in ascending order.
-  std::size_t n_live = 0;
-  for (std::size_t j = 0; j < words_for(m); ++j)
-    for (std::uint64_t b = rows[j]; b != 0; b &= b - 1) {
-      const std::size_t s = j * 64 + std::countr_zero(b);
-      if (s >= m) break;
-      for (std::size_t k = 0; k < w; ++k)
-        if (((req0[s * w + k] | gnt0[s * w + k]) & mask[k]) != 0) {
-          live[n_live++] = static_cast<std::uint32_t>(s);
-          break;
-        }
-    }
-
+  std::uint64_t* const or_req = ors;
+  std::uint64_t* const or_gnt = ors + w;
   ReductionSummary out;
   while (true) {
     // Eqs. 3-4 on rows and columns of the same matrix: a row is terminal
     // iff it has requests or grants but not both; column t likewise,
     // from bit t of the OR of all request rows and of all grant rows.
     // Every cell of a terminal row clears (lines 8-9 of Algorithm 1), so
-    // the row simply leaves the live list, as does a row the last
-    // round's terminal columns emptied.
+    // the row simply leaves the live list, as does a row that holds no
+    // edge in the live columns.
     std::fill(or_req, or_req + 2 * w, 0);
     std::size_t term_rows = 0, kept = 0;
     for (std::size_t i = 0; i < n_live; ++i) {
@@ -103,9 +81,9 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
     for (std::size_t k = 0; k < w; ++k) mask[k] &= ~or_req[k];
   }
 
-  // Algorithm 2: deadlock iff edges remain; note the first one (the
-  // live rows are exactly the non-empty ones, in ascending order) by
-  // its rank in the selection.
+  // Algorithm 2: deadlock iff edges remain; note the first one (after a
+  // round the live rows are exactly the non-empty ones, in ascending
+  // order) by its rank in the selection.
   if (n_live != 0) {
     const std::size_t s = live[0];
     out.edges_remain = true;
@@ -119,6 +97,44 @@ ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
     }
   }
   return out;
+}
+
+}  // namespace
+
+ReductionSummary TerminalReduction::run(const rag::StateMatrix& state) {
+  const std::size_t words =
+      std::max(words_for(state.resources()), state.words_per_row());
+  if (all_.size() < words) all_.assign(words, ~std::uint64_t{0});
+  return run(state, all_.data(), all_.data());
+}
+
+ReductionSummary TerminalReduction::run(const rag::StateMatrix& state,
+                                        const std::uint64_t* rows,
+                                        const std::uint64_t* cols) {
+  const std::size_t m = state.resources();
+  const std::size_t w = state.words_per_row();
+  if (live_.size() < m) live_.resize(m);
+  std::uint32_t* const live = live_.data();
+  // Only selected rows that hold an edge take part: an empty row is
+  // never terminal and adds nothing to the column ORs. A row whose
+  // edges all lie outside the selected columns leaves in round 1. The
+  // list stays in ascending order.
+  const std::uint64_t* const edges = state.edge_rows();
+  std::size_t n_live = 0;
+  for (std::size_t j = 0; j < words_for(m); ++j)
+    for (std::uint64_t b = rows[j] & edges[j]; b != 0; b &= b - 1)
+      live[n_live++] = static_cast<std::uint32_t>(
+          j * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+
+  if (w == 1) {
+    std::uint64_t mask[1] = {cols[0]};
+    std::uint64_t ors[2] = {};
+    return reduce_live<1>(state, 1, rows, cols, mask, ors, live, n_live);
+  }
+  col_.resize(3 * w);
+  std::uint64_t* const mask = col_.data();  // columns not yet reduced
+  std::copy(cols, cols + w, mask);
+  return reduce_live<0>(state, w, rows, cols, mask, mask + w, live, n_live);
 }
 
 namespace {

@@ -28,6 +28,8 @@ struct ReductionSummary {
   bool edges_remain = false;      ///< irreducible residue non-empty
   rag::ResId first_row = 0;       ///< first surviving cell in row-major
   rag::ProcId first_col = 0;      ///< order (valid when edges_remain)
+
+  bool operator==(const ReductionSummary&) const = default;
 };
 
 /// Algorithm 1 evaluated word-parallel, in place, on a selection of a
@@ -36,15 +38,18 @@ struct ReductionSummary {
 /// state's words_per_row() words); bits past the last row or column are
 /// ignored. It stands for the matrix of the selected rows and columns
 /// in ascending order, so ReductionSummary's first cell is its rank
-/// among them. Per round, one pass over the rows that still hold an
-/// edge computes each row's terminal test and ORs the row into the
-/// column aggregates (Eqs. 3-4); terminal rows leave the row list and
-/// terminal columns leave the column mask, so the state itself is never
-/// written or copied. This is the one reduction loop behind the
-/// software PDDA, the DDU model, the DAU's embedded DDU and the
-/// hierarchical detector's cluster units and residues. The row list and
-/// masks are members reused across calls, so a warm reducer never
-/// allocates.
+/// among them. The row list starts as the selected rows in the state's
+/// edge_rows(), so rows without an edge cost nothing. Per round, one
+/// pass over the rows that still hold an edge computes each row's
+/// terminal test and ORs the row into the column aggregates (Eqs.
+/// 3-4); terminal rows leave the row list and terminal columns leave
+/// the column mask, so the state itself is never written or copied.
+/// When a row is one word (n <= 64) the column mask and ORs are locals
+/// of the same loop instantiated for one word; wider states run it on
+/// member scratch. This is the one reduction loop behind the software
+/// PDDA, the DDU model, the DAU's embedded DDU and the hierarchical
+/// detector's cluster units and residues. The row list and masks are
+/// members reused across calls, so a warm reducer never allocates.
 class TerminalReduction {
  public:
   /// Reduce every row and column of `state`.
@@ -56,7 +61,7 @@ class TerminalReduction {
 
  private:
   std::vector<std::uint64_t> all_;   // run(state): all ones
-  std::vector<std::uint64_t> col_;   // live column mask, then ORs
+  std::vector<std::uint64_t> col_;   // n > 64: live column mask, ORs
   std::vector<std::uint32_t> live_;  // rows that still hold an edge
 };
 

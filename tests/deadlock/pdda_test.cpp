@@ -8,6 +8,15 @@
 #include "sim/random.h"
 
 namespace delta::deadlock {
+
+// Printed by gtest, which finds it by argument-dependent lookup.
+std::ostream& operator<<(std::ostream& os, const ReductionSummary& r) {
+  return os << "{iterations " << r.iterations << ", rows "
+            << r.terminal_rows << ", cols " << r.terminal_cols
+            << ", remain " << r.edges_remain << " at (" << r.first_row
+            << ", " << r.first_col << ")}";
+}
+
 namespace {
 
 using rag::StateMatrix;
@@ -132,6 +141,45 @@ TEST(SoftwarePdda, MeterIsPinnedOnRandomStates) {
     EXPECT_EQ(got.meter.branches, pin.meter.branches);
     EXPECT_EQ(got.iterations, pin.iterations);
     EXPECT_EQ(got.deadlocks, pin.deadlocks);
+  }
+}
+
+// TerminalReduction runs one loop body on one column word when n <= 64
+// and on a run-time number of words otherwise. Run both on the same
+// edges: the m x n state takes the one-word path, and the same edges
+// in an m x (n + 64) state, reduced on a selection of its first n
+// columns, take the word loop. Half the wide states also hold edges in
+// the unselected columns, which the selection must ignore.
+TEST(TerminalReduction, OneWordPathMatchesWordLoop) {
+  sim::Rng rng(0x1f0d);
+  TerminalReduction narrow, wide;
+  for (const std::size_t n : {std::size_t{5}, std::size_t{40}, std::size_t{64}}) {
+    const std::uint64_t first_n =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    for (int i = 0; i < 300; ++i) {
+      const std::size_t m = 1 + rng.below(96);
+      const StateMatrix s = rag::random_state(
+          m, n, rng, 0.5, rng.chance(0.5) ? 0.15 : 1.5 / double(n));
+      StateMatrix w(m, n + 64);
+      for (rag::ResId q = 0; q < m; ++q)
+        for (rag::ProcId p = 0; p < n; ++p) w.set(q, p, s.at(q, p));
+      if (i % 2 == 1)
+        for (rag::ResId q = 0; q < m; ++q)
+          if (rng.chance(0.3)) w.set(q, n + rng.below(64), rag::Edge::kRequest);
+      SCOPED_TRACE(testing::Message() << m << "x" << n << " state " << i);
+
+      const std::uint64_t all_rows[2] = {~std::uint64_t{0}, ~std::uint64_t{0}};
+      const std::uint64_t wide_cols[2] = {first_n, 0};
+      const ReductionSummary whole = narrow.run(s);
+      EXPECT_EQ(whole, wide.run(w, all_rows, wide_cols));
+      EXPECT_EQ(whole.edges_remain, rag::oracle_has_cycle(s));
+
+      // A random selection; row bits past m must be ignored too.
+      const std::uint64_t rows[2] = {rng.next(), rng.next()};
+      const std::uint64_t cols[1] = {rng.next()};
+      const std::uint64_t sel_cols[2] = {cols[0] & first_n, 0};
+      EXPECT_EQ(narrow.run(s, rows, cols), wide.run(w, rows, sel_cols));
+    }
   }
 }
 
