@@ -222,11 +222,14 @@ void BankersEngine::drain(Result& res) {
     // The reference sweep tests every resource's owner and scans the
     // column of each free one for waiters. A commit makes only its own
     // resource busy, so the resources free at the sweep's start are the
-    // ones it visits.
-    std::copy(free_.begin(), free_.end(), open_.begin());
+    // ones it visits, and a free one holds an edge exactly when it has
+    // waiters, so only those need a visit on the host.
+    const std::uint64_t* const edges = state_.edge_rows();
     std::size_t free_count = 0;
-    for (const std::uint64_t w : open_)
-      free_count += static_cast<std::size_t>(std::popcount(w));
+    for (std::size_t j = 0; j < words_; ++j) {
+      free_count += static_cast<std::size_t>(std::popcount(free_[j]));
+      open_[j] = free_[j] & edges[j];
+    }
     meter_.loads += m + free_count * n;
     meter_.branches += m + free_count * n;
     for (std::size_t j = 0; j < words_; ++j)

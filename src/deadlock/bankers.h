@@ -102,7 +102,7 @@ class BankersEngine {
   // Scratch reused across calls, so a warm probe never allocates.
   std::vector<std::uint64_t> freed_;   // is_safe(): free in the check
   std::vector<std::uint64_t> running_; // is_safe(): processes not finished
-  std::vector<std::uint64_t> open_;    // drain(): free at the sweep start
+  std::vector<std::uint64_t> open_;    // drain(): free with waiters
   std::vector<rag::ProcId> waiters_;   // drain(): one resource's waiters
 
   [[nodiscard]] bool claimed(rag::ProcId p, rag::ResId q) const;
@@ -110,6 +110,9 @@ class BankersEngine {
   void grant(rag::ResId q, rag::ProcId p);
   void ungrant(rag::ResId q, rag::ProcId p);
   /// Grant every safe (resource, waiter) pair until no more commit.
+  /// Each sweep visits the free resources in the state's edge_rows(),
+  /// which are the free ones with waiters; its meter counts the
+  /// reference sweep over all m resources.
   void drain(Result& res);
 };
 

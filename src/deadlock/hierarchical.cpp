@@ -85,25 +85,29 @@ bool HierarchicalDetector::scan_remote(const rag::StateMatrix& full) {
   for (std::size_t i = 0; i < uf_.size(); ++i) uf_[i] = i;
   std::fill(incident_.begin(), incident_.end(), 0);
 
+  // Only rows that hold an edge can hold a remote one.
+  const std::uint64_t* const edges = full.edge_rows();
   bool any = false;
-  for (ResId s = 0; s < full.resources(); ++s) {
-    const std::size_t k = map_.resource_cluster(s);
-    const std::uint64_t* req = full.row_request_bits(s);
-    const std::uint64_t* gnt = full.row_grant_bits(s);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t remote = (req[w] | gnt[w]) & ~proc_mask_[k * words + w];
-      while (remote != 0) {
-        const std::size_t t =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(remote));
-        remote &= remote - 1;
-        const std::size_t kt = map_.process_cluster(t);
-        unite(k, kt);
-        incident_[k] = 1;
-        incident_[kt] = 1;
-        any = true;
+  for (std::size_t j = 0; j < comp_rows_.size(); ++j)
+    for (std::uint64_t b = edges[j]; b != 0; b &= b - 1) {
+      const ResId s = j * 64 + static_cast<std::size_t>(std::countr_zero(b));
+      const std::size_t k = map_.resource_cluster(s);
+      const std::uint64_t* req = full.row_request_bits(s);
+      const std::uint64_t* gnt = full.row_grant_bits(s);
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t remote = (req[w] | gnt[w]) & ~proc_mask_[k * words + w];
+        while (remote != 0) {
+          const std::size_t t =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(remote));
+          remote &= remote - 1;
+          const std::size_t kt = map_.process_cluster(t);
+          unite(k, kt);
+          incident_[k] = 1;
+          incident_[kt] = 1;
+          any = true;
+        }
       }
     }
-  }
   return any;
 }
 

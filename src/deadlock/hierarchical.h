@@ -129,7 +129,8 @@ class HierarchicalDetector {
   // Per-cluster selections of the full matrix: cluster c's rows are
   // bits [c * row_words, +row_words) of res_mask_, its columns bits
   // [c * col_words, +col_words) of proc_mask_. A cluster unit reduces
-  // its selection of the caller's matrix in place.
+  // its selection of the caller's matrix in place, starting from the
+  // selected rows that hold an edge (TerminalReduction).
   std::vector<std::uint64_t> res_mask_;
   std::vector<std::uint64_t> proc_mask_;
   // Scratch reused across calls (detection runs on every event), so a
@@ -143,7 +144,8 @@ class HierarchicalDetector {
 
   std::size_t find(std::size_t c);
   void unite(std::size_t a, std::size_t b);
-  /// Scan remote edges: fills uf_/incident_. Returns true if any exist.
+  /// Scan remote edges, visiting only the rows in full.edge_rows():
+  /// fills uf_/incident_. Returns true if any exist.
   bool scan_remote(const rag::StateMatrix& full);
   /// Local unit evaluation for one cluster; merges into `out`.
   void run_local(const rag::StateMatrix& full, std::size_t c,

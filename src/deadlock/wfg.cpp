@@ -17,20 +17,25 @@ const WfgScan& WfgScanner::scan(const rag::StateMatrix& state) {
   // (p, q) whose resource is held, from the held row's request bits.
   // AND-wait semantics: p can proceed only once *every* edge is gone.
   // The reference loop tests each resource's owner and, for a held one,
-  // each waiter in turn.
+  // each waiter in turn; a held resource holds an edge, so the host
+  // visits only the rows that do.
   edges_.clear();
   std::size_t waits = 0;
-  for (ResId s = 0; s < m; ++s) {
-    const ProcId own = state.owner(s);
-    if (own == rag::kNoProc) continue;
-    const std::uint64_t* req = state.row_request_bits(s);
-    for (std::size_t k = 0; k < state.words_per_row(); ++k)
-      for (std::uint64_t b = req[k]; b != 0; b &= b - 1) {
-        const ProcId w = k * 64 + static_cast<std::size_t>(std::countr_zero(b));
-        ++waits;
-        if (w != own) edges_.emplace_back(w, own);
-      }
-  }
+  const std::uint64_t* const rows = state.edge_rows();
+  for (std::size_t j = 0; j < (m + 63) / 64; ++j)
+    for (std::uint64_t r = rows[j]; r != 0; r &= r - 1) {
+      const ResId s = j * 64 + static_cast<std::size_t>(std::countr_zero(r));
+      const ProcId own = state.owner(s);
+      if (own == rag::kNoProc) continue;
+      const std::uint64_t* req = state.row_request_bits(s);
+      for (std::size_t k = 0; k < state.words_per_row(); ++k)
+        for (std::uint64_t b = req[k]; b != 0; b &= b - 1) {
+          const ProcId w =
+              k * 64 + static_cast<std::size_t>(std::countr_zero(b));
+          ++waits;
+          if (w != own) edges_.emplace_back(w, own);
+        }
+    }
   const std::size_t total = edges_.size();
   meter.loads += m + waits;
   meter.branches += m + waits;

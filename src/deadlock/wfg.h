@@ -30,7 +30,9 @@ struct WfgScan {
 
 /// The scan with its working set kept across calls: the wait-for edge
 /// list, the degree vectors and the returned WfgScan. A warm scanner
-/// allocates nothing.
+/// allocates nothing. It builds the edges from the rows in the state's
+/// edge_rows() (a held resource holds an edge), and its meter counts
+/// the reference loop's owner test of all m resources.
 class WfgScanner {
  public:
   /// Scan `state`. The result is a pure function of the matrix and stays
