@@ -16,8 +16,8 @@
 // bookkeeping: registering an Mpsoc's metrics and snapshotting them
 // make no allocation per name, and report_to_json grows its document
 // once, whatever the number of runs. So are the deadlock probes: once
-// warm, the hierarchical detector and the WFG scan read the matrix in
-// place and allocate nothing.
+// warm, the hierarchical detector, the full-matrix software PDDA and
+// DDU and the WFG scan read the matrix in place and allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,10 +30,13 @@
 #include <vector>
 
 #include "deadlock/hierarchical.h"
+#include "deadlock/pdda.h"
 #include "exp/json.h"
 #include "exp/sweep.h"
 #include "exp/workloads.h"
 #include "fuzz/scenario.h"
+#include "hw/ddu.h"
+#include "rag/generators.h"
 #include "rag/state_matrix.h"
 #include "rtos/resource_manager.h"
 #include "sim/random.h"
@@ -350,6 +353,37 @@ TEST(AllocGuardProbes, WarmDeadlockProbesAllocateNothing) {
   EXPECT_EQ(detected, 100u);
   EXPECT_EQ(scan_allocations, sample_allocations);
   EXPECT_EQ(wfg->invocations(), 101u);
+
+  // Full-matrix reductions: one-word rows (5x5, 64x64) and three-word
+  // rows (80x130), the DDU loading each state into its own cells.
+  struct Shape {
+    std::size_t m, n;
+  };
+  for (const Shape shape : {Shape{5, 5}, Shape{64, 64}, Shape{80, 130}}) {
+    SCOPED_TRACE(testing::Message() << shape.m << "x" << shape.n);
+    std::vector<rag::StateMatrix> states;
+    for (int i = 0; i < 16; ++i)
+      states.push_back(rag::random_state(shape.m, shape.n, rng, 0.5,
+                                         i % 2 == 0 ? 0.15 : 1.5 / shape.n));
+    deadlock::SoftwarePdda pdda;
+    hw::Ddu ddu(shape.m, shape.n);
+    (void)pdda.detect(states[0]);
+    ddu.load(states[0]);
+    (void)ddu.run();
+    std::size_t pdda_deadlocks = 0, ddu_deadlocks = 0;
+    before = allocations_so_far();
+    for (int i = 0; i < 1000; ++i) pdda_deadlocks += pdda.detect(states[i % 16]);
+    const std::uint64_t pdda_allocations = allocations_so_far() - before;
+    before = allocations_so_far();
+    for (int i = 0; i < 1000; ++i) {
+      ddu.load(states[i % 16]);
+      ddu_deadlocks += ddu.run().deadlock;
+    }
+    const std::uint64_t ddu_allocations = allocations_so_far() - before;
+    EXPECT_EQ(pdda_allocations, 0u);
+    EXPECT_EQ(ddu_allocations, 0u);
+    EXPECT_EQ(pdda_deadlocks, ddu_deadlocks);
+  }
 }
 
 }  // namespace
