@@ -10,8 +10,9 @@
 // The matrix also keeps the set of rows that hold at least one edge
 // (edge_rows()). Every write keeps it exact: one that adds an edge sets
 // its row's bit, one that clears an edge re-tests only that row. The
-// deadlock probes walk this set instead of all m rows, because a large
-// state is sparse: most rows of a 64x64 fuzz state hold no edge.
+// deadlock probes walk this set instead of all m rows, because large
+// states are sparse: on the 64x64 fuzz workload about 3 in 10 of the
+// rows a reduction selects hold an edge.
 #pragma once
 
 #include <bit>

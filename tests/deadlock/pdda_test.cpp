@@ -153,7 +153,8 @@ TEST(SoftwarePdda, MeterIsPinnedOnRandomStates) {
 TEST(TerminalReduction, OneWordPathMatchesWordLoop) {
   sim::Rng rng(0x1f0d);
   TerminalReduction narrow, wide;
-  for (const std::size_t n : {std::size_t{5}, std::size_t{40}, std::size_t{64}}) {
+  for (const std::size_t n :
+       {std::size_t{5}, std::size_t{40}, std::size_t{64}}) {
     const std::uint64_t first_n =
         n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
     for (int i = 0; i < 300; ++i) {

@@ -372,7 +372,8 @@ TEST(AllocGuardProbes, WarmDeadlockProbesAllocateNothing) {
     (void)ddu.run();
     std::size_t pdda_deadlocks = 0, ddu_deadlocks = 0;
     before = allocations_so_far();
-    for (int i = 0; i < 1000; ++i) pdda_deadlocks += pdda.detect(states[i % 16]);
+    for (int i = 0; i < 1000; ++i)
+      pdda_deadlocks += pdda.detect(states[i % 16]);
     const std::uint64_t pdda_allocations = allocations_so_far() - before;
     before = allocations_so_far();
     for (int i = 0; i < 1000; ++i) {
