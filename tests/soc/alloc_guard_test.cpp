@@ -15,9 +15,11 @@
 // allocation per task is the program's op vector. So is a run's
 // bookkeeping: registering an Mpsoc's metrics and snapshotting them
 // make no allocation per name, and report_to_json grows its document
-// once, whatever the number of runs. So are the deadlock probes: once
-// warm, the hierarchical detector, the full-matrix software PDDA and
-// DDU and the WFG scan read the matrix in place and allocate nothing.
+// once, whatever the number of runs. So is a whole short sweep run: the
+// mixed build sizes each op vector once, and a warm exp::execute_run
+// stays within a fixed budget. So are the deadlock probes: once warm,
+// the hierarchical detector, the full-matrix software PDDA and DDU and
+// the WFG scan read the matrix in place and allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -287,6 +289,48 @@ TEST(AllocGuardSetUp, ReportToJsonAllocatesAlikeFor100And800Runs) {
     return allocations;
   };
   EXPECT_EQ(report_allocations(100), report_allocations(800));
+}
+
+// A sweep of short runs pays each run's allocations once per ~150
+// events, so a run allocates for what it keeps, not for how its
+// containers grow from empty. The perfbench sweep-mixed cells (RTOS1-7
+// x mixed x 144 seeds, base seed 7), after one warm-up pass: the mixed
+// build sizes each task's op vector once, and a whole execute_run stays
+// within 70 allocations on average.
+TEST(AllocGuardSetUp, SweepRunAllocationsStayLow) {
+  exp::SweepSpec spec;
+  spec.configs = exp::all_preset_points();
+  spec.workloads = {exp::mixed_workload()};
+  spec.seeds.clear();
+  for (std::uint64_t s = 0; s < 144; ++s) spec.seeds.push_back(s);
+  spec.base_seed = 7;
+  const std::vector<exp::RunSpec> cells = exp::expand(spec);
+  for (const exp::RunSpec& rs : cells) (void)exp::execute_run(rs, spec);
+
+  std::uint64_t build_allocations = 0;
+  std::size_t tasks = 0;
+  for (const exp::RunSpec& rs : cells) {
+    MpsocConfig mc = rs.config->config.to_mpsoc_config();
+    Mpsoc soc(mc);
+    sim::Rng rng(rs.run_seed);
+    const std::uint64_t before = allocations_so_far();
+    rs.workload->build(soc, rng);
+    build_allocations += allocations_so_far() - before;
+    tasks += soc.kernel().task_count();
+  }
+
+  std::size_t ok = 0;
+  const std::uint64_t before = allocations_so_far();
+  for (const exp::RunSpec& rs : cells) ok += exp::execute_run(rs, spec).ok;
+  const std::uint64_t run_allocations = allocations_so_far() - before;
+
+  ASSERT_EQ(ok, cells.size());
+  EXPECT_LE(build_allocations, tasks)
+      << build_allocations << " allocations building " << tasks << " tasks";
+  EXPECT_LE(run_allocations, 70 * cells.size())
+      << static_cast<double>(run_allocations) /
+             static_cast<double>(cells.size())
+      << " allocations per execute_run";
 }
 
 // The probes run on every deadlock-strategy event, so once warm they
