@@ -19,6 +19,10 @@
 # large-geometry pairs (sharded DDU/DAU, Banker's, WFG recovery at up to
 # 64x64) in fuzz_large_engine.json.
 #
+# The profile is pinned twice, with the sampler on and off: a run
+# keeps its phase log only when something reads it, and without
+# sampling the profile is that log's only reader.
+#
 # The plain-text --metrics tables are pinned too: delta_sweep's counters
 # summed over the protocol zoo, and delta_gen's smoke run of RTOS4
 # (counters, then histogram summaries). Only the table is compared; the
@@ -46,6 +50,8 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
 "$bin_dir/delta_sweep" "${zoo[@]}" --quiet --out "$tmp/sweep_zoo.json" >/dev/null
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
     --sample-period 10000 --out "$tmp/profile_presets.json" >/dev/null
+"$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
+    --sample-period 0 --out "$tmp/profile_presets_unsampled.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 \
     --out "$tmp/fuzz_campaign.json" >/dev/null
 
@@ -56,6 +62,9 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
 "$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
     --sample-period 10000 --engine-stats \
     --out "$tmp/es_profile_presets.json" >/dev/null
+"$bin_dir/delta_profile" --preset 1,2,3,4,5,6,7 --workload mixed --seed 1 \
+    --sample-period 0 --engine-stats \
+    --out "$tmp/es_profile_presets_unsampled.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 40 --seed 7 --engine-stats \
     --out "$tmp/es_fuzz_campaign.json" >/dev/null
 "$bin_dir/delta_fuzz" --runs 64 --seed 1 --generator large \
@@ -68,7 +77,8 @@ zoo=(--presets 1,2,3,4,5,6,7,bankers,wfg-recovery
     | sed -n '/^metrics (/,$p' > "$tmp/gen_preset4_metrics.txt"
 
 status=0
-for f in sweep_mixed sweep_zoo profile_presets fuzz_campaign; do
+for f in sweep_mixed sweep_zoo profile_presets profile_presets_unsampled \
+         fuzz_campaign; do
   if cmp -s "$golden/$f.json" "$tmp/$f.json"; then
     echo "ok: $f.json byte-identical"
   else
