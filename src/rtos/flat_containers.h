@@ -1,20 +1,25 @@
-// Sorted-vector set/map and an inline small vector for hot-path
-// collections.
+// An inline small vector, and the sorted set and map built on it, for
+// hot-path collections.
 //
-// Task bookkeeping (held/waited resources, held locks, allocation slots)
-// holds a handful of entries but is touched on every kernel service, and
+// SmallVec keeps its first N elements inside the object. Past N every
+// element moves to a heap vector (the spill), which keeps its capacity
+// across erase() and clear(). So building, moving and dropping a short
+// list touch no heap, and neither does a fresh object's first growth.
+// It is the list built fresh per event and handed along by value
+// (ResourceEvent::grants), or built once per op when a program is set
+// up (op::Request/op::Release).
+//
+// FlatSet and FlatMap keep task bookkeeping (held/waited resources,
+// held locks, allocation slots) sorted in a SmallVec of four. Each holds
+// a handful of entries but is touched on every kernel service, and
 // std::set/std::map pay a node allocation plus pointer-chasing per
-// operation. A sorted vector keeps the same ordered iteration (so every
-// report and trace that walks these stays byte-identical) while insert/
-// erase are a memmove over a few cache-resident elements, and — key for
-// the periodic workloads — capacity is retained across clear()/erase()
-// cycles, so steady state runs allocation-free.
-//
-// SmallVec covers the other hot-path shape: a short list built fresh per
-// event and handed along by value (ResourceEvent::grants), or built once
-// per op when a program is set up (op::Request/op::Release). Its first N
-// elements live inside the object, so building, moving and dropping it
-// touch no heap unless the list outgrows N.
+// operation. The sorted vector iterates in key order like std::set and
+// std::map, so every report and trace that walks these stays
+// byte-identical; insert/erase are a move over a few cache-resident
+// entries. The four inline entries mean a fresh run's tasks set
+// themselves up with no allocation (a short sweep run builds every one
+// of them from empty), and a spilled set keeps its capacity, so steady
+// state runs allocation-free either way.
 #pragma once
 
 #include <algorithm>
@@ -28,12 +33,137 @@
 
 namespace delta::rtos {
 
-/// Ordered unique-element set over a contiguous vector. Drop-in for the
+/// Sequence whose first N elements are stored inline. Once it outgrows N
+/// every element lives in a heap vector (the spill) until clear(), even
+/// if erase() shrinks it back under N: `spilled_`, not the size, says
+/// which storage holds the elements. The spill keeps its capacity, so a
+/// list that grows past N again reuses it. Drop-in for the
+/// std::vector<T> subset the kernel uses: construction from a range,
+/// emplace_back, insert and erase at a position, clear, size, empty,
+/// operator[] and iteration in order.
+template <typename T, std::size_t N>
+class SmallVec {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "clear() and erase() drop elements without destroying them");
+
+ public:
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
+
+  SmallVec() = default;
+  /// The elements of [first, last), in order: inline when they fit,
+  /// otherwise all in one spill allocation.
+  template <std::forward_iterator It>
+  SmallVec(It first, It last) {
+    assign(first, last);
+  }
+  /// A copy holds its elements inline whenever they fit, whichever
+  /// storage the source uses.
+  SmallVec(const SmallVec& o) { assign(o.begin(), o.end()); }
+  SmallVec& operator=(const SmallVec& o) {
+    if (this != &o) assign(o.begin(), o.end());
+    return *this;
+  }
+  SmallVec(SmallVec&& o) noexcept
+      : inline_(o.inline_),
+        size_(std::exchange(o.size_, 0)),
+        spilled_(std::exchange(o.spilled_, false)),
+        spill_(std::move(o.spill_)) {}
+  SmallVec& operator=(SmallVec&& o) noexcept {
+    inline_ = o.inline_;
+    size_ = std::exchange(o.size_, 0);
+    spilled_ = std::exchange(o.spilled_, false);
+    spill_ = std::move(o.spill_);
+    return *this;
+  }
+
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    if (!spilled_ && size_ < N)
+      return inline_[size_++] = T(std::forward<Args>(args)...);
+    spill();
+    ++size_;
+    return spill_.emplace_back(std::forward<Args>(args)...);
+  }
+
+  /// Insert `v` before `pos`; returns an iterator to it.
+  iterator insert(const_iterator pos, T v) {
+    const auto i = static_cast<std::size_t>(pos - begin());
+    if (!spilled_ && size_ < N) {
+      std::copy_backward(inline_.begin() + i, inline_.begin() + size_,
+                         inline_.begin() + size_ + 1);
+      inline_[i] = v;
+    } else {
+      spill();
+      spill_.insert(spill_.begin() + static_cast<std::ptrdiff_t>(i), v);
+    }
+    ++size_;
+    return data() + i;
+  }
+
+  /// Erase the element at `pos`; returns an iterator to the one after.
+  iterator erase(const_iterator pos) {
+    const auto i = static_cast<std::size_t>(pos - begin());
+    if (spilled_)
+      spill_.erase(spill_.begin() + static_cast<std::ptrdiff_t>(i));
+    else
+      std::copy(inline_.begin() + i + 1, inline_.begin() + size_,
+                inline_.begin() + i);
+    --size_;
+    return data() + i;
+  }
+
+  void clear() {
+    size_ = 0;
+    spilled_ = false;
+  }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
+  [[nodiscard]] iterator begin() { return data(); }
+  [[nodiscard]] iterator end() { return data() + size_; }
+  [[nodiscard]] const_iterator begin() const { return data(); }
+  [[nodiscard]] const_iterator end() const { return data() + size_; }
+
+ private:
+  [[nodiscard]] T* data() { return spilled_ ? spill_.data() : inline_.data(); }
+  [[nodiscard]] const T* data() const {
+    return spilled_ ? spill_.data() : inline_.data();
+  }
+
+  /// Move the inline elements to the spill (no allocation once it has
+  /// the room). A no-op once spilled.
+  void spill() {
+    if (spilled_) return;
+    spill_.assign(inline_.begin(), inline_.begin() + size_);
+    spilled_ = true;
+  }
+
+  template <std::forward_iterator It>
+  void assign(It first, It last) {
+    size_ = static_cast<std::size_t>(std::distance(first, last));
+    spilled_ = size_ > N;
+    if (spilled_)
+      spill_.assign(first, last);
+    else
+      std::copy(first, last, inline_.begin());
+  }
+
+  std::array<T, N> inline_{};
+  std::size_t size_ = 0;
+  bool spilled_ = false;  ///< the elements are spill_'s, not inline_'s
+  std::vector<T> spill_;  ///< every element while spilled_
+};
+
+/// Ordered unique-element set over a SmallVec. Drop-in for the
 /// std::set<T> subset the kernel uses (insert/erase/count/iterate).
-template <typename T>
+template <typename T, std::size_t N = 4>
 class FlatSet {
  public:
-  using const_iterator = typename std::vector<T>::const_iterator;
+  using const_iterator = typename SmallVec<T, N>::const_iterator;
 
   bool insert(const T& v) {
     const auto it = std::lower_bound(v_.begin(), v_.end(), v);
@@ -64,19 +194,19 @@ class FlatSet {
   [[nodiscard]] const_iterator end() const { return v_.end(); }
 
  private:
-  std::vector<T> v_;  ///< sorted, unique
+  SmallVec<T, N> v_;  ///< sorted, unique
 };
 
-/// Ordered key/value map over a contiguous vector of pairs. Drop-in for
-/// the std::map<K, V> subset the kernel uses. Iteration order is key
-/// order, exactly like std::map, so any consumer that walks entries
-/// observes the same sequence.
-template <typename K, typename V>
+/// Ordered key/value map over a SmallVec of pairs. Drop-in for the
+/// std::map<K, V> subset the kernel uses. Iteration order is key order,
+/// exactly like std::map, so any consumer that walks entries observes
+/// the same sequence.
+template <typename K, typename V, std::size_t N = 4>
 class FlatMap {
  public:
   using value_type = std::pair<K, V>;
-  using iterator = typename std::vector<value_type>::iterator;
-  using const_iterator = typename std::vector<value_type>::const_iterator;
+  using iterator = typename SmallVec<value_type, N>::iterator;
+  using const_iterator = typename SmallVec<value_type, N>::const_iterator;
 
   V& operator[](const K& k) {
     auto it = lower(k);
@@ -131,76 +261,7 @@ class FlatMap {
         [](const value_type& a, const K& b) { return a.first < b; });
   }
 
-  std::vector<value_type> v_;  ///< sorted by key, unique keys
-};
-
-/// Sequence whose first N elements are stored inline. Past N every
-/// element moves to a heap vector (the spill), which keeps its capacity
-/// across clear(). Drop-in for the std::vector<T> subset
-/// ResourceEvent::grants and the op resource lists use: construction
-/// from a range, emplace_back, clear, size, empty, operator[] and
-/// iteration in insertion order.
-template <typename T, std::size_t N>
-class SmallVec {
-  static_assert(std::is_trivially_destructible_v<T>,
-                "clear() drops inline elements without destroying them");
-
- public:
-  using value_type = T;
-  using const_iterator = const T*;
-
-  SmallVec() = default;
-  /// The elements of [first, last), in order: inline when they fit,
-  /// otherwise all in one spill allocation.
-  template <std::forward_iterator It>
-  SmallVec(It first, It last)
-      : size_(static_cast<std::size_t>(std::distance(first, last))) {
-    if (size_ > N)
-      spill_.assign(first, last);
-    else
-      std::copy(first, last, inline_.begin());
-  }
-  SmallVec(const SmallVec&) = default;
-  SmallVec& operator=(const SmallVec&) = default;
-  SmallVec(SmallVec&& o) noexcept
-      : inline_(o.inline_),
-        size_(std::exchange(o.size_, 0)),
-        spill_(std::move(o.spill_)) {}
-  SmallVec& operator=(SmallVec&& o) noexcept {
-    inline_ = o.inline_;
-    size_ = std::exchange(o.size_, 0);
-    spill_ = std::move(o.spill_);
-    return *this;
-  }
-
-  template <typename... Args>
-  T& emplace_back(Args&&... args) {
-    if (size_ < N) return inline_[size_++] = T(std::forward<Args>(args)...);
-    if (size_ == N) spill_.assign(inline_.begin(), inline_.end());
-    ++size_;
-    return spill_.emplace_back(std::forward<Args>(args)...);
-  }
-
-  void clear() {
-    size_ = 0;
-    spill_.clear();
-  }
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
-  [[nodiscard]] const_iterator begin() const { return data(); }
-  [[nodiscard]] const_iterator end() const { return data() + size_; }
-
- private:
-  [[nodiscard]] const T* data() const {
-    return size_ > N ? spill_.data() : inline_.data();
-  }
-
-  std::array<T, N> inline_{};
-  std::size_t size_ = 0;
-  std::vector<T> spill_;  ///< every element once size_ > N
+  SmallVec<value_type, N> v_;  ///< sorted by key, unique keys
 };
 
 }  // namespace delta::rtos

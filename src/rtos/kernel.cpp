@@ -1268,7 +1268,8 @@ void Kernel::op_alloc(Task& t, const op::Alloc& a) {
   // Capture only the result fields the continuation reads: the whole
   // MemResult would push the service closure past SmallFn's inline
   // buffer and onto the heap. The slot name is captured by pointer — op
-  // storage is owned by the task's Program and outlives the event.
+  // storage is owned by the task's Program and outlives the event — and
+  // the allocation table keys a view of it.
   service(t.pe, cfg_.costs.kernel_entry + res.pe_cycles,
           [this, id, slot = &a.slot, ok = res.ok, addr = res.addr] {
             Task& tk = task(id);

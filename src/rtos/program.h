@@ -3,9 +3,12 @@
 // Application tasks are small interpreted programs over the kernel's
 // service vocabulary: compute for N cycles, request/release resources,
 // take/give locks, allocate/free memory, IPC, plus a Call escape hatch
-// for dynamic behaviour (a Call may append further ops). This keeps the
-// simulation deterministic and lets the paper's event tables (Tables
-// 4/6/8) be written down literally in the workload definitions.
+// for dynamic behaviour (a Call may inspect the kernel and its task).
+// This keeps the simulation deterministic and lets the paper's event
+// tables (Tables 4/6/8) be written down literally in the workload
+// definitions. A program is fixed once Kernel::create_task takes it:
+// the kernel keeps pointers into its ops (a service continuation's
+// slot name, the task's allocation table keys) for the kernel's life.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +124,8 @@ struct EventWait {
 };
 
 /// Arbitrary hook running in kernel context (zero simulated time). May
-/// inspect the kernel and append ops to the running task.
+/// inspect the kernel and the running task; it must not add ops to the
+/// task's program, which the kernel holds pointers into.
 struct Call {
   std::function<void(Kernel&, Task&)> fn;
 };
@@ -183,7 +187,6 @@ class Program {
   }
 
   [[nodiscard]] const std::vector<op::Op>& ops() const { return ops_; }
-  [[nodiscard]] std::vector<op::Op>& ops() { return ops_; }
   [[nodiscard]] std::size_t size() const { return ops_.size(); }
   /// Room for `n` ops, so a builder that knows its length grows the op
   /// vector once.

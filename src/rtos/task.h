@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "rtos/flat_containers.h"
 #include "rtos/program.h"
@@ -60,8 +61,11 @@ struct Task {
   /// must release (and then re-request, since it still needs them).
   FlatSet<ResourceId> must_give_up;
 
-  /// Named allocation slots (op::Alloc/op::Free).
-  FlatMap<std::string, std::uint64_t> allocations;
+  /// Named allocation slots (op::Alloc/op::Free), keyed by views of the
+  /// slot strings of this task's op::Alloc/op::AllocShared ops. The
+  /// task's Program owns those strings for the kernel's life, so the
+  /// first four slots cost no allocation.
+  FlatMap<std::string_view, std::uint64_t> allocations;
 
   /// Last message received from a mailbox/queue (op::Recv/op::QueueRecv).
   std::uint64_t last_message = 0;
