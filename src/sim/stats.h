@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -53,14 +54,20 @@ class Accumulator {
 /// Accumulator that also retains samples for percentile queries.
 ///
 /// add() only appends: the hot paths that sample every lock, allocation
-/// and algorithm run pay no Welford update. The summary is folded over
-/// the samples on the first read after an add, in insertion order, so it
-/// is the same floating-point result bit for bit as an Accumulator fed
-/// one add at a time. Reads fold and sort under const, so a SampleSet
-/// must not be read from two threads at once.
+/// and algorithm run pay no Welford update. The first add() reserves
+/// kFirstBlock samples in one allocation, which holds all of a short
+/// run's samples; growing from empty would take up to seven. The
+/// summary is folded over the samples on the first read after an add,
+/// in insertion order, so it is the same floating-point result bit for
+/// bit as an Accumulator fed one add at a time. Reads fold and sort
+/// under const, so a SampleSet must not be read from two threads at
+/// once.
 class SampleSet {
  public:
+  static constexpr std::size_t kFirstBlock = 64;
+
   void add(double v) {
+    if (samples_.capacity() == 0) samples_.reserve(kFirstBlock);
     samples_.push_back(v);
     sorted_ = false;
   }

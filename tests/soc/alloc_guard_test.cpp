@@ -42,6 +42,7 @@
 #include "rag/state_matrix.h"
 #include "rtos/resource_manager.h"
 #include "sim/random.h"
+#include "sim/stats.h"
 #include "soc/delta_framework.h"
 #include "soc/mpsoc.h"
 
@@ -338,8 +339,9 @@ TEST(AllocGuardSetUp, SweepRunAllocationsStayLow) {
 // along a fixed-seed walk and 100 detect_all calls on a 64x64 C=8
 // detector, and 100 periodic scans of the WFG strategy on a state that
 // holds a cycle. Each scan adds one sample to the strategy's algorithm
-// times, so the scans may allocate exactly what a vector of doubles
-// allocates growing by the same 100 samples.
+// times, which hold the warm-up scan's sample, so the scans may
+// allocate exactly what a SampleSet holding one sample allocates
+// growing by the same 100 samples.
 TEST(AllocGuardProbes, WarmDeadlockProbesAllocateNothing) {
   constexpr std::size_t kSize = 64;
   deadlock::HierarchicalDetector det(deadlock::ClusterMap(kSize, kSize, 8));
@@ -386,9 +388,10 @@ TEST(AllocGuardProbes, WarmDeadlockProbesAllocateNothing) {
   for (rtos::TaskId t = 0; t < 4; ++t) (void)wfg->request(t, t, 0);
   for (rtos::TaskId t = 0; t < 4; ++t) (void)wfg->request(t, (t + 1) % 4, 0);
   ASSERT_TRUE(wfg->scan(0).deadlock_detected);
-  std::vector<double> samples(1);
+  sim::SampleSet samples;
+  samples.add(0.0);
   before = allocations_so_far();
-  for (int i = 0; i < 100; ++i) samples.push_back(0.0);
+  for (int i = 0; i < 100; ++i) samples.add(0.0);
   const std::uint64_t sample_allocations = allocations_so_far() - before;
   before = allocations_so_far();
   std::size_t detected = 0;
