@@ -65,6 +65,7 @@ sim::Cycles SplashTrace::compute_cycles() const {
 
 rtos::Program SplashTrace::to_program() const {
   rtos::Program prog;
+  prog.reserve(phases.size());  // one op per phase
   for (const SplashPhase& p : phases) {
     switch (p.kind) {
       case SplashPhase::Kind::kAlloc: prog.alloc(p.bytes, p.slot); break;

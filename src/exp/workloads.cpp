@@ -1,5 +1,6 @@
 #include "exp/workloads.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -19,6 +20,7 @@ Workload mixed_workload() {
     const rtos::ResourceId dsp = soc.resource("DSP");
     for (int t = 0; t < 4; ++t) {
       rtos::Program p;
+      p.reserve(4 * 8);  // four rounds of eight ops
       for (int i = 0; i < 4; ++i) {
         p.alloc(4096, "work")
             .request({t % 2 ? dsp : idct})
@@ -49,6 +51,7 @@ Workload random_workload(int rounds) {
           "random workload needs >= 2 resources in the config");
     for (rtos::TaskId t = 0; t < kc.max_tasks; ++t) {
       rtos::Program p;
+      p.reserve(6 * static_cast<std::size_t>(std::max(rounds, 0)));
       for (int round = 0; round < rounds; ++round) {
         const rtos::ResourceId a = rng.below(resources);
         rtos::ResourceId b = rng.below(resources);
