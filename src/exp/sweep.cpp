@@ -104,6 +104,9 @@ RunResult execute_run(const RunSpec& rs, const SweepSpec& spec) {
     mc.trace_capacity = spec.trace_capacity;
     mc.sample_period = spec.sample_period;
     mc.engine_stats = spec.engine_stats;
+    // A run reads its phase log only through the profile and the
+    // sampler's per-PE busy windows; a plain sweep run skips its growth.
+    mc.record_transitions = spec.profile || spec.sample_period > 0;
 
     soc::Mpsoc soc(mc);
     sim::Rng rng(rs.run_seed);
