@@ -227,7 +227,7 @@ ReleaseResult DaaEngine::arbitrate(ResId q) {
   for (ProcId cand : involved) {
     meter_.loads += 2;
     meter_.branches += 2;
-    if (state_.held_by(cand).empty()) continue;
+    if (!state_.col_has_grant(cand)) continue;
     if (victim == rag::kNoProc || priority_[cand] > priority_[victim])
       victim = cand;
   }
