@@ -236,6 +236,7 @@ RunOutcome run_scenario(const Scenario& s, const SystemUnderTest& sut,
     // wants anonymous single-unit resources with no device processing
     // time of their own (compute phases model the work instead).
     mc.resources.clear();
+    mc.resources.reserve(s.resource_count);
     for (std::size_t r = 0; r < s.resource_count; ++r)
       mc.resources.push_back({"q" + std::to_string(r + 1), 0});
     mc.trace = false;
@@ -255,6 +256,8 @@ RunOutcome run_scenario(const Scenario& s, const SystemUnderTest& sut,
     o.halted = k.halted();
     o.hit_limit = !mpsoc->simulator().idle() && !k.halted();
     o.recoveries = k.recoveries();
+    o.finished.reserve(k.task_count());
+    o.live_allocs.reserve(k.task_count());
     for (rtos::TaskId t = 0; t < k.task_count(); ++t) {
       o.finished.push_back(k.task(t).done());
       o.live_allocs.push_back(k.task(t).allocations.size());

@@ -77,6 +77,7 @@ Mpsoc::Mpsoc(MpsocConfig cfg) : cfg_(std::move(cfg)) {
   kc.spin_short_locks = cfg_.spin_short_locks;
   kc.trace = cfg_.trace;
   kc.record_transitions = cfg_.record_transitions;
+  kc.resource_names.reserve(cfg_.resources.size());
   for (const ResourceSpec& r : cfg_.resources)
     kc.resource_names.push_back(r.name);
 
