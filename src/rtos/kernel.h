@@ -78,8 +78,11 @@ struct KernelConfig {
   /// fold it through obs::fold_phases(): the utilization report, the
   /// Gantt timeline (rtos/timeline.h), the critical-path profiler and
   /// the windowed sampler's per-PE busy tracks. It grows without bound
-  /// — one entry per task state change — so callers that run billions
-  /// of cycles and never read it (the differential fuzzer) turn it off.
+  /// — one entry per task state change — so callers that never read it
+  /// turn it off: the differential fuzzer, whose runs last billions of
+  /// cycles, and exp::execute_run unless the run is profiled or
+  /// sampled, since growing it costs a short sweep run about seven
+  /// allocations.
   bool record_transitions = true;
 };
 

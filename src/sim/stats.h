@@ -64,8 +64,6 @@ class Accumulator {
 /// once.
 class SampleSet {
  public:
-  static constexpr std::size_t kFirstBlock = 64;
-
   void add(double v) {
     if (samples_.capacity() == 0) samples_.reserve(kFirstBlock);
     samples_.push_back(v);
@@ -88,6 +86,8 @@ class SampleSet {
   [[nodiscard]] double percentile(double p) const;
 
  private:
+  static constexpr std::size_t kFirstBlock = 64;
+
   /// Feed acc_ the samples added since the last fold. They sit unsorted
   /// past folded_ in insertion order: percentile() folds before sorting.
   void fold() const {

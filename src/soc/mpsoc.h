@@ -89,8 +89,9 @@ struct MpsocConfig {
   bool trace = true;
   /// Forwarded to KernelConfig::record_transitions (the unbounded phase
   /// log behind utilization_report(), profiling, the Gantt timeline and
-  /// the sampler's per-PE busy tracks). Leave on unless the run is long
-  /// and nothing reads it.
+  /// the sampler's per-PE busy tracks). Leave on unless nothing reads
+  /// it: the fuzzer turns it off, and exp::execute_run keeps it only for
+  /// a profiled or sampled run.
   bool record_transitions = true;
   /// Structured-trace ring capacity (obs::TraceRecorder). 0 keeps the
   /// recorder disabled — the zero-cost default for sweeps and benches.
