@@ -158,12 +158,15 @@ class SmallVec {
   std::vector<T> spill_;  ///< every element while spilled_
 };
 
+/// Entries a FlatSet or FlatMap keeps inline before it spills.
+inline constexpr std::size_t kFlatInline = 4;
+
 /// Ordered unique-element set over a SmallVec. Drop-in for the
 /// std::set<T> subset the kernel uses (insert/erase/count/iterate).
-template <typename T, std::size_t N = 4>
+template <typename T>
 class FlatSet {
  public:
-  using const_iterator = typename SmallVec<T, N>::const_iterator;
+  using const_iterator = typename SmallVec<T, kFlatInline>::const_iterator;
 
   bool insert(const T& v) {
     const auto it = std::lower_bound(v_.begin(), v_.end(), v);
@@ -194,19 +197,20 @@ class FlatSet {
   [[nodiscard]] const_iterator end() const { return v_.end(); }
 
  private:
-  SmallVec<T, N> v_;  ///< sorted, unique
+  SmallVec<T, kFlatInline> v_;  ///< sorted, unique
 };
 
 /// Ordered key/value map over a SmallVec of pairs. Drop-in for the
 /// std::map<K, V> subset the kernel uses. Iteration order is key order,
 /// exactly like std::map, so any consumer that walks entries observes
 /// the same sequence.
-template <typename K, typename V, std::size_t N = 4>
+template <typename K, typename V>
 class FlatMap {
  public:
   using value_type = std::pair<K, V>;
-  using iterator = typename SmallVec<value_type, N>::iterator;
-  using const_iterator = typename SmallVec<value_type, N>::const_iterator;
+  using iterator = typename SmallVec<value_type, kFlatInline>::iterator;
+  using const_iterator =
+      typename SmallVec<value_type, kFlatInline>::const_iterator;
 
   V& operator[](const K& k) {
     auto it = lower(k);
@@ -261,7 +265,7 @@ class FlatMap {
         [](const value_type& a, const K& b) { return a.first < b; });
   }
 
-  SmallVec<value_type, N> v_;  ///< sorted by key, unique keys
+  SmallVec<value_type, kFlatInline> v_;  ///< sorted by key, unique keys
 };
 
 }  // namespace delta::rtos
