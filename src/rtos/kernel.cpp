@@ -124,7 +124,7 @@ TaskId Kernel::create_task(std::string name, PeId pe, Priority priority,
   t.pe = pe;
   t.base_priority = priority;
   t.priority = priority;
-  t.program = std::move(program);
+  t.program_ = std::move(program);
   t.release_time = release_time;
   t.order_key = id;
   // Grow the TaskId-indexed bookkeeping arrays in lockstep.
@@ -414,11 +414,11 @@ void Kernel::step_task(TaskId id) {
   if (halted_) return;
   Task& t = task(id);
   if (t.state != TaskState::kRunning) return;
-  if (t.pc >= t.program.size()) {
+  if (t.pc >= t.program_.size()) {
     finish_task(id);
     return;
   }
-  const op::Op& o = t.program.ops()[t.pc];
+  const op::Op& o = t.program_.ops()[t.pc];
   std::visit(
       [&](const auto& concrete) {
         using T = std::decay_t<decltype(concrete)>;

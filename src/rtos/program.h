@@ -8,7 +8,8 @@
 // tables (Tables 4/6/8) be written down literally in the workload
 // definitions. A program is fixed once Kernel::create_task takes it:
 // the kernel keeps pointers into its ops (a service continuation's
-// slot name, the task's allocation table keys) for the kernel's life.
+// slot name, the task's allocation table keys) for the kernel's life,
+// and Task::program() hands it out read-only.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +125,8 @@ struct EventWait {
 };
 
 /// Arbitrary hook running in kernel context (zero simulated time). May
-/// inspect the kernel and the running task; it must not add ops to the
-/// task's program, which the kernel holds pointers into.
+/// inspect the kernel and the running task, whose program it can read
+/// but not change.
 struct Call {
   std::function<void(Kernel&, Task&)> fn;
 };

@@ -23,7 +23,10 @@ struct Task {
   TaskState state = TaskState::kNotStarted;
   WaitKind wait_kind = WaitKind::kNone;
 
-  Program program;
+  /// The task's ops, set once by Kernel::create_task. The kernel keeps
+  /// pointers into them (a service continuation's slot name, the keys
+  /// of `allocations`) for its whole life, so only it may write them.
+  [[nodiscard]] const Program& program() const { return program_; }
   std::size_t pc = 0;             ///< next op index
   sim::Cycles compute_left = 0;   ///< remaining cycles of a preempted Compute
 
@@ -88,6 +91,10 @@ struct Task {
     return deadline != 0 && finished_at != sim::kNeverCycles &&
            turnaround() > deadline;
   }
+
+ private:
+  friend class Kernel;
+  Program program_;
 };
 
 }  // namespace delta::rtos
