@@ -20,8 +20,8 @@
 # 64x64) in fuzz_large_engine.json.
 #
 # The profile is pinned twice, with the sampler on and off: a run
-# keeps its phase log only when something reads it, and without
-# sampling the profile is that log's only reader.
+# keeps its phase log only when profiled, and with the sampler off the
+# profile is all that reads it.
 #
 # The plain-text --metrics tables are pinned too: delta_sweep's counters
 # summed over the protocol zoo, and delta_gen's smoke run of RTOS4

@@ -104,9 +104,10 @@ RunResult execute_run(const RunSpec& rs, const SweepSpec& spec) {
     mc.trace_capacity = spec.trace_capacity;
     mc.sample_period = spec.sample_period;
     mc.engine_stats = spec.engine_stats;
-    // A run reads its phase log only through the profile and the
-    // sampler's per-PE busy windows; a plain sweep run skips its growth.
-    mc.record_transitions = spec.profile || spec.sample_period > 0;
+    // Only the profile reads the phase log: the sampler's per-PE busy
+    // windows fold it too, but a run keeps its time series only when
+    // profiled. Any other run skips the log's growth.
+    mc.record_transitions = spec.profile;
 
     soc::Mpsoc soc(mc);
     sim::Rng rng(rs.run_seed);

@@ -80,7 +80,9 @@ struct SweepSpec {
   /// without it only the phase-level buckets are populated.
   bool profile = false;
   /// Windowed-sampler period forwarded to MpsocConfig::sample_period;
-  /// 0 disables sampling. Samples land in RunResult::timeseries.
+  /// 0 disables sampling. A profiled run's samples land in
+  /// RunResult::timeseries, and with engine_stats the engine gauges in
+  /// RunResult::engine_timeseries.
   sim::Cycles sample_period = 0;
   /// Collect engine introspection (MpsocConfig::engine_stats) into
   /// RunResult::engine; serialized as each run's "engine" block and a
@@ -163,7 +165,8 @@ struct RunResult {
   /// Cycle-attribution profile (only when SweepSpec::profile).
   bool has_profile = false;
   obs::ProfileReport profile;
-  /// Windowed samples (non-empty when SweepSpec::sample_period > 0).
+  /// Windowed samples (non-empty when SweepSpec::profile and
+  /// SweepSpec::sample_period > 0).
   obs::TimeSeries timeseries;
 
   /// Engine introspection (enabled only when SweepSpec::engine_stats).

@@ -80,9 +80,8 @@ struct KernelConfig {
   /// the windowed sampler's per-PE busy tracks. It grows without bound
   /// — one entry per task state change — so callers that never read it
   /// turn it off: the differential fuzzer, whose runs last billions of
-  /// cycles, and exp::execute_run unless the run is profiled or
-  /// sampled, since growing it costs a short sweep run about seven
-  /// allocations.
+  /// cycles, and exp::execute_run unless the run is profiled, since
+  /// growing it costs a short sweep run about seven allocations.
   bool record_transitions = true;
 };
 

@@ -91,7 +91,7 @@ struct MpsocConfig {
   /// log behind utilization_report(), profiling, the Gantt timeline and
   /// the sampler's per-PE busy tracks). Leave on unless nothing reads
   /// it: the fuzzer turns it off, and exp::execute_run keeps it only for
-  /// a profiled or sampled run.
+  /// a profiled run.
   bool record_transitions = true;
   /// Structured-trace ring capacity (obs::TraceRecorder). 0 keeps the
   /// recorder disabled — the zero-cost default for sweeps and benches.
