@@ -16,10 +16,11 @@
 // bookkeeping: registering an Mpsoc's metrics and snapshotting them
 // make no allocation per name, and report_to_json grows its document
 // once, whatever the number of runs. So is a whole short sweep run: the
-// mixed build sizes each op vector once, and a warm exp::execute_run
-// stays within a fixed budget. So are the deadlock probes: once warm,
-// the hierarchical detector, the full-matrix software PDDA and DDU and
-// the WFG scan read the matrix in place and allocate nothing.
+// Mpsoc's construction and a warm exp::execute_run stay within fixed
+// budgets, and the mixed build sizes each op vector once. So are the
+// deadlock probes: once warm, the hierarchical detector, the
+// full-matrix software PDDA and DDU and the WFG scan read the matrix in
+// place and allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -295,9 +296,10 @@ TEST(AllocGuardSetUp, ReportToJsonAllocatesAlikeFor100And800Runs) {
 // A sweep of short runs pays each run's allocations once per ~150
 // events, so a run allocates for what it keeps, not for how its
 // containers grow from empty. The perfbench sweep-mixed cells (RTOS1-7
-// x mixed x 144 seeds, base seed 7), after one warm-up pass: the mixed
-// build sizes each task's op vector once, and a whole execute_run stays
-// within 70 allocations on average.
+// x mixed x 144 seeds, base seed 7), after one warm-up pass: an Mpsoc
+// configured as execute_run configures it is built within 24
+// allocations on average, the mixed build sizes each task's op vector
+// once, and a whole execute_run stays within 56 allocations on average.
 TEST(AllocGuardSetUp, SweepRunAllocationsStayLow) {
   exp::SweepSpec spec;
   spec.configs = exp::all_preset_points();
@@ -308,13 +310,23 @@ TEST(AllocGuardSetUp, SweepRunAllocationsStayLow) {
   const std::vector<exp::RunSpec> cells = exp::expand(spec);
   for (const exp::RunSpec& rs : cells) (void)exp::execute_run(rs, spec);
 
+  std::uint64_t construction_allocations = 0;
   std::uint64_t build_allocations = 0;
   std::size_t tasks = 0;
   for (const exp::RunSpec& rs : cells) {
     MpsocConfig mc = rs.config->config.to_mpsoc_config();
+    if (rs.workload->tune) rs.workload->tune(mc);
+    if (rs.config->tune) rs.config->tune(mc);
+    mc.trace = spec.trace;
+    mc.trace_capacity = spec.trace_capacity;
+    mc.sample_period = spec.sample_period;
+    mc.engine_stats = spec.engine_stats;
+    mc.record_transitions = spec.profile;
+    std::uint64_t before = allocations_so_far();
     Mpsoc soc(mc);
+    construction_allocations += allocations_so_far() - before;
     sim::Rng rng(rs.run_seed);
-    const std::uint64_t before = allocations_so_far();
+    before = allocations_so_far();
     rs.workload->build(soc, rng);
     build_allocations += allocations_so_far() - before;
     tasks += soc.kernel().task_count();
@@ -325,13 +337,17 @@ TEST(AllocGuardSetUp, SweepRunAllocationsStayLow) {
   for (const exp::RunSpec& rs : cells) ok += exp::execute_run(rs, spec).ok;
   const std::uint64_t run_allocations = allocations_so_far() - before;
 
+  const auto per_run = [&](std::uint64_t allocations) {
+    return static_cast<double>(allocations) /
+           static_cast<double>(cells.size());
+  };
   ASSERT_EQ(ok, cells.size());
+  EXPECT_LE(construction_allocations, 24 * cells.size())
+      << per_run(construction_allocations) << " allocations per Mpsoc";
   EXPECT_LE(build_allocations, tasks)
       << build_allocations << " allocations building " << tasks << " tasks";
-  EXPECT_LE(run_allocations, 70 * cells.size())
-      << static_cast<double>(run_allocations) /
-             static_cast<double>(cells.size())
-      << " allocations per execute_run";
+  EXPECT_LE(run_allocations, 56 * cells.size())
+      << per_run(run_allocations) << " allocations per execute_run";
 }
 
 // The probes run on every deadlock-strategy event, so once warm they
