@@ -48,16 +48,8 @@ Kernel::Kernel(sim::Simulator& sim, bus::SharedBus& bus, KernelConfig cfg,
   if (cfg_.pe_count == 0) throw std::invalid_argument("Kernel: zero PEs");
   if (!strategy_ || !locks_ || !memory_)
     throw std::invalid_argument("Kernel: missing backend");
-  running_.assign(cfg_.pe_count, kNoTask);
-  in_service_.assign(cfg_.pe_count, 0);
-  ready_count_.assign(cfg_.pe_count, 0);
+  pes_.resize(cfg_.pe_count);
   tasks_.reserve(cfg_.max_tasks);
-  waiting_lock_.reserve(cfg_.max_tasks);
-  pending_lock_grant_.reserve(cfg_.max_tasks);
-  lock_requested_at_.reserve(cfg_.max_tasks);
-  ceiling_stack_.reserve(cfg_.max_tasks);
-  held_locks_.reserve(cfg_.max_tasks);
-  queue_send_payload_.reserve(cfg_.max_tasks);
   if (cfg_.resource_names.size() < cfg_.resource_count) {
     for (std::size_t i = cfg_.resource_names.size();
          i < cfg_.resource_count; ++i)
@@ -93,8 +85,8 @@ void Kernel::set_state(TaskId id, TaskState to) {
   Task& t = task(id);
   // Every state change funnels through here, which is what keeps the
   // per-PE ready counts exact for the scheduler fast-outs.
-  if (t.state == TaskState::kReady) --ready_count_[t.pe];
-  if (to == TaskState::kReady) ++ready_count_[t.pe];
+  if (t.state == TaskState::kReady) --pes_[t.pe].ready;
+  if (to == TaskState::kReady) ++pes_[t.pe].ready;
   t.state = to;
   if (cfg_.record_transitions)
     transitions_.push_back(
@@ -127,13 +119,6 @@ TaskId Kernel::create_task(std::string name, PeId pe, Priority priority,
   t.program_ = std::move(program);
   t.release_time = release_time;
   t.order_key = id;
-  // Grow the TaskId-indexed bookkeeping arrays in lockstep.
-  waiting_lock_.push_back(kNoLock);
-  pending_lock_grant_.push_back(kNoLock);
-  lock_requested_at_.push_back(sim::kNeverCycles);
-  ceiling_stack_.emplace_back();
-  held_locks_.emplace_back();
-  queue_send_payload_.push_back(0);
   return id;
 }
 
@@ -161,7 +146,7 @@ void Kernel::change_priority(TaskId id, Priority priority) {
   if (locks_->provides_ceiling()) {
     // Inside a ceiling section the ceiling-derived effective priority
     // stays dominant; otherwise the new base applies directly.
-    t.priority = ceiling_stack_[id].empty()
+    t.priority = t.ceiling_stack.empty()
                      ? priority
                      : std::min(priority, t.priority);
   } else {
@@ -183,7 +168,7 @@ void Kernel::suspend(TaskId id) {
       t.compute_armed = false;
       t.compute_left = t.compute_done_at - sim_.now();
     }
-    running_[t.pe] = kNoTask;
+    pes_[t.pe].running = kNoTask;
   }
   set_state(id, TaskState::kSuspended);
   trace("RTOS", [&] { return t.name + " suspended"; });
@@ -287,17 +272,18 @@ sim::Cycles Kernel::last_finish_time() const {
 
 void Kernel::reschedule(PeId pe) {
   if (halted_) return;
+  Pe& p = pes_[pe];
   if (engine_ != nullptr) {
     ++engine_->resched_calls;
-    if (in_service_[pe]) ++engine_->resched_fastout_in_service;
-    else if (ready_count_[pe] == 0) ++engine_->resched_fastout_idle;
+    if (p.in_service) ++engine_->resched_fastout_in_service;
+    else if (p.ready == 0) ++engine_->resched_fastout_idle;
     else ++engine_->resched_scans;
   }
-  if (in_service_[pe]) return;  // service completion re-enters here
+  if (p.in_service) return;  // service completion re-enters here
   // Nothing ready on this PE: no arbitration can change anything. This
   // is the dominant case (most reschedules fire on busy PEs whose peers
   // are blocked), so it skips the task-table scan entirely.
-  std::uint32_t remaining = ready_count_[pe];
+  std::uint32_t remaining = p.ready;
   if (remaining == 0) return;
 
   // Highest-priority ready task pinned to this PE; stop once every ready
@@ -316,7 +302,7 @@ void Kernel::reschedule(PeId pe) {
     if (--remaining == 0) break;
   }
 
-  const TaskId cur = running_[pe];
+  const TaskId cur = p.running;
   if (cur != kNoTask) {
     Task& c = task(cur);
     if (best == kNoTask || task(best).priority >= c.priority) return;
@@ -328,7 +314,7 @@ void Kernel::reschedule(PeId pe) {
     set_state(cur, TaskState::kReady);
     ++c.preemptions;
     ctr_preemptions_->add();
-    running_[pe] = kNoTask;
+    p.running = kNoTask;
     trace("RTOS", [&] {
       return c.name + " preempted by " + task(best).name;
     });
@@ -340,7 +326,7 @@ void Kernel::reschedule(PeId pe) {
 void Kernel::dispatch(PeId pe, TaskId id) {
   Task& t = task(id);
   assert(t.state == TaskState::kReady);
-  running_[pe] = id;
+  pes_[pe].running = id;
   set_state(id, TaskState::kRunning);
   ctr_ctx_switches_->add();
   obs_->trace.record(obs::EventKind::kContextSwitch,
@@ -349,17 +335,18 @@ void Kernel::dispatch(PeId pe, TaskId id) {
   const std::uint64_t gen = ++t.gen;
   auto switch_done = [this, pe, id, gen] {
     if (halted_) return;
-    if (running_[pe] != id || task(id).gen != gen) return;  // stale
+    Pe& p = pes_[pe];
+    if (p.running != id || task(id).gen != gen) return;  // stale
     Task& t = task(id);
     if (t.state != TaskState::kRunning) return;
     // A higher-priority task may have arrived during the switch window;
     // yield to it before executing anything.
-    if (ready_count_[pe] > 0) {
+    if (p.ready > 0) {
       for (const Task& tp : tasks_) {
         if (tp.pe == pe && tp.state == TaskState::kReady &&
             tp.priority < t.priority) {
           set_state(id, TaskState::kReady);
-          running_[pe] = kNoTask;
+          p.running = kNoTask;
           reschedule(pe);
           return;
         }
@@ -375,17 +362,18 @@ void Kernel::dispatch(PeId pe, TaskId id) {
 
 void Kernel::arm_time_slice(PeId pe) {
   if (cfg_.time_slice == 0) return;
-  const TaskId id = running_[pe];
+  const TaskId id = pes_[pe].running;
   if (id == kNoTask) return;
   const std::uint64_t gen = task(id).gen;
   sim_.schedule_in(cfg_.time_slice, [this, pe, id, gen] {
     if (halted_) return;
-    if (running_[pe] != id || task(id).gen != gen) return;
+    Pe& p = pes_[pe];
+    if (p.running != id || task(id).gen != gen) return;
     Task& c = task(id);
     if (c.state != TaskState::kRunning) return;
     // Rotate only when an equal-priority peer is ready.
     bool peer = false;
-    if (ready_count_[pe] > 0)
+    if (p.ready > 0)
       for (const Task& tp : tasks_)
         peer |= (tp.pe == pe && tp.state == TaskState::kReady &&
                  tp.priority == c.priority);
@@ -404,7 +392,7 @@ void Kernel::arm_time_slice(PeId pe) {
     c.order_key = cfg_.max_tasks + (++sched_seq_);  // to the back
     ++c.preemptions;
     ctr_preemptions_->add();
-    running_[pe] = kNoTask;
+    p.running = kNoTask;
     trace("RTOS", [&] { return c.name + " time-sliced out"; });
     reschedule(pe);
   });
@@ -450,7 +438,7 @@ void Kernel::step_task(TaskId id) {
 
 void Kernel::finish_task(TaskId id) {
   Task& t = task(id);
-  running_[t.pe] = kNoTask;
+  pes_[t.pe].running = kNoTask;
 
   if (t.period > 0) {
     // One periodic activation completed.
@@ -519,7 +507,7 @@ void Kernel::block_task(TaskId id, WaitKind why, std::uint64_t object) {
   record_wait_for(t, why, object);
   set_state(id, TaskState::kBlocked);
   t.wait_kind = why;
-  if (running_[t.pe] == id) running_[t.pe] = kNoTask;
+  if (pes_[t.pe].running == id) pes_[t.pe].running = kNoTask;
   reschedule(t.pe);
 }
 
@@ -556,8 +544,8 @@ void Kernel::record_wait_for(const Task& t, WaitKind why,
       }
       return;
     case WaitKind::kLock: {
-      const LockId lk = waiting_lock_[t.id] != kNoLock
-                            ? waiting_lock_[t.id]
+      const LockId lk = t.waiting_lock != kNoLock
+                            ? t.waiting_lock
                             : static_cast<LockId>(object);
       emit(obs::WaitObject::kLock, lk, locks_->owner(lk));
       return;
@@ -596,18 +584,19 @@ void Kernel::service(PeId pe, sim::Cycles cycles, F done) {
   // Every kernel service window funnels through here; the event is what
   // lets obs/critpath charge these cycles to the overhead bucket of the
   // task being serviced.
+  Pe& p = pes_[pe];
+  assert(!p.in_service && "a PE runs one service window at a time");
   if (engine_ != nullptr) {
     ++engine_->service_windows;
     engine_->service_window_cycles.add(cycles);
   }
   obs_->trace.record(obs::EventKind::kKernelService,
                      static_cast<std::uint16_t>(pe), sim_.now(), cycles,
-                     running_[pe] == kNoTask ? ~std::uint64_t{0}
-                                             : running_[pe]);
-  in_service_[pe] = 1;
+                     p.running == kNoTask ? ~std::uint64_t{0} : p.running);
+  p.in_service = true;
   devices_.set_masked(pe, true);  // kernel services run interrupts-off
   auto completion = [this, pe, done = std::move(done)]() mutable {
-    in_service_[pe] = 0;
+    pes_[pe].in_service = false;
     if (halted_) return;
     done();
     devices_.set_masked(pe, false);  // pending interrupts deliver now
@@ -671,7 +660,8 @@ void Kernel::op_request(Task& t, const op::Request& r) {
                r.resources, [&](ResourceId x) { return resource_name(x); });
   });
 
-  ResourceEvents events = take_event_buffer();
+  ResourceEvents& events = pes_[t.pe].events;
+  assert(events.empty() && "the PE's last window was not cleared");
   events.reserve(r.resources.size());
   for (ResourceId res : r.resources) {
     ResourceEvent ev = strategy_->request(t.id, res, cursor);
@@ -685,8 +675,9 @@ void Kernel::op_request(Task& t, const op::Request& r) {
   resmgr_lock_until_ = cursor;
 
   const TaskId id = t.id;
-  service(t.pe, cursor - now, [this, id, events = std::move(events)]() mutable {
+  service(t.pe, cursor - now, [this, id] {
     Task& tk = task(id);
+    ResourceEvents& events = pes_[tk.pe].events;
     for (const auto& [res, ev] : events) {
       if (ev.granted) {
         tk.held.insert(res);
@@ -708,9 +699,8 @@ void Kernel::op_request(Task& t, const op::Request& r) {
       }
       apply_resource_event(ev, res, sim_.now());
     }
-    // Not before the loop ends: the grants it applies can start another
-    // window that takes a buffer.
-    return_event_buffer(std::move(events));
+    // Before the task steps on: its next op may open the next window.
+    events.clear();
     // A recovery triggered by one of these events may have aborted this
     // very task; it is already detached from the PE then.
     if (tk.state != TaskState::kRunning) return;
@@ -734,7 +724,8 @@ void Kernel::op_release(Task& t, const op::Release& r) {
                r.resources, [&](ResourceId x) { return resource_name(x); });
   });
 
-  ResourceEvents events = take_event_buffer();
+  ResourceEvents& events = pes_[t.pe].events;
+  assert(events.empty() && "the PE's last window was not cleared");
   events.reserve(r.resources.size());
   for (ResourceId res : r.resources) {
     if (t.held.erase(res) == 0) continue;  // not held (e.g. given up)
@@ -749,11 +740,12 @@ void Kernel::op_release(Task& t, const op::Release& r) {
   resmgr_lock_until_ = cursor;
 
   const TaskId id = t.id;
-  service(t.pe, cursor - now, [this, id, events = std::move(events)]() mutable {
+  service(t.pe, cursor - now, [this, id] {
+    Task& tk = task(id);
+    ResourceEvents& events = pes_[tk.pe].events;
     for (const auto& [res, ev] : events)
       apply_resource_event(ev, res, sim_.now());
-    return_event_buffer(std::move(events));
-    Task& tk = task(id);
+    events.clear();
     if (tk.state != TaskState::kRunning) return;  // aborted by recovery
     ++tk.pc;
     step_task(id);
@@ -795,18 +787,6 @@ void Kernel::op_use_device(Task& t, const op::UseDevice& u) {
     });
     block_task(id, WaitKind::kDevice, dev);
   });
-}
-
-Kernel::ResourceEvents Kernel::take_event_buffer() {
-  if (event_buffers_.empty()) return {};
-  ResourceEvents events = std::move(event_buffers_.back());
-  event_buffers_.pop_back();
-  return events;
-}
-
-void Kernel::return_event_buffer(ResourceEvents&& events) {
-  events.clear();
-  event_buffers_.push_back(std::move(events));
 }
 
 void Kernel::apply_resource_event(const ResourceEvent& ev, ResourceId res,
@@ -976,8 +956,8 @@ TaskId Kernel::pick_recovery_victim() const {
         // would otherwise be re-picked at every detection while the task
         // whose release actually breaks the knot is never chosen
         // (classical victim-selection starvation).
-        const std::uint64_t cr = restarts(p);
-        const std::uint64_t br = restarts(victim);
+        const std::uint64_t cr = cand.restarts;
+        const std::uint64_t br = best.restarts;
         worse = cr < br ||
                 (cr == br &&
                  (cand.pc < best.pc ||
@@ -996,7 +976,7 @@ void Kernel::recover_from_deadlock() {
   if (victim == kNoTask) return;
   Task& v = task(victim);
   ++recoveries_;
-  ++restarts_[victim];
+  ++v.restarts;
   trace("RM", [&] {
     return "recovery: aborting " + v.name + " and restarting it";
   });
@@ -1009,7 +989,7 @@ void Kernel::recover_from_deadlock() {
     sim_.cancel(v.compute_event);
     v.compute_armed = false;
   }
-  if (running_[v.pe] == victim) running_[v.pe] = kNoTask;
+  if (pes_[v.pe].running == victim) pes_[v.pe].running = kNoTask;
   ++v.gen;
 
   // Withdraw pending requests, then force-release everything held. The
@@ -1030,13 +1010,13 @@ void Kernel::recover_from_deadlock() {
   // Surrender every lock the victim holds (hand_off_lock, as in
   // op_unlock) and abandon any lock wait, so lock state cannot leak
   // across the restart.
-  if (waiting_lock_[victim] != kNoLock) {
-    locks_->cancel_wait(waiting_lock_[victim], victim);
-    waiting_lock_[victim] = kNoLock;
+  if (v.waiting_lock != kNoLock) {
+    locks_->cancel_wait(v.waiting_lock, victim);
+    v.waiting_lock = kNoLock;
   }
-  const FlatSet<LockId> held_locks = held_locks_[victim];
+  const FlatSet<LockId> held_locks = v.held_locks;
   for (LockId lk : held_locks) force_unlock(victim, lk);
-  ceiling_stack_[victim].clear();
+  v.ceiling_stack.clear();
   v.priority = v.base_priority;
 
   // Restart the victim from the top of its program after a back-off of
@@ -1059,16 +1039,16 @@ void Kernel::recover_from_deadlock() {
 void Kernel::op_lock(Task& t, const op::Lock& l) {
   const TaskId id = t.id;
   const LockId lk = l.lock;
-  lock_requested_at_[id] = sim_.now();
+  t.lock_requested_at = sim_.now();
   ctr_lock_acquires_->add();
   const LockAcquire res = locks_->acquire(lk, id, t.priority);
   const sim::Cycles total = cfg_.costs.kernel_entry + res.cycles;
   service(t.pe, total, [this, id, lk, res, total] {
     Task& tk = task(id);
     if (res.granted) {
-      held_locks_[id].insert(lk);
+      tk.held_locks.insert(lk);
       if (res.ceiling) {
-        ceiling_stack_[id].push_back({lk, tk.priority});
+        tk.ceiling_stack.push_back({lk, tk.priority});
         tk.priority = std::min(tk.priority, *res.ceiling);
       }
       lock_latency_->add(static_cast<double>(total));
@@ -1085,8 +1065,8 @@ void Kernel::op_lock(Task& t, const op::Lock& l) {
     ctr_lock_contended_->add();
     // The lock may have been handed to us while this service was still
     // in flight (a release on another PE); consume that grant.
-    if (pending_lock_grant_[id] == lk) {
-      pending_lock_grant_[id] = kNoLock;
+    if (tk.pending_lock_grant == lk) {
+      tk.pending_lock_grant = kNoLock;
       obs_->trace.record(obs::EventKind::kLockAcquire,
                          static_cast<std::uint16_t>(tk.pe),
                          sim_.now() - total, total, lk, 1);
@@ -1110,7 +1090,7 @@ void Kernel::op_lock(Task& t, const op::Lock& l) {
     });
     if (!locks_->provides_ceiling())
       boost_owner_chain(locks_->owner(lk), tk.priority);
-    waiting_lock_[id] = lk;
+    tk.waiting_lock = lk;
     block_task(id, WaitKind::kLock, lk);
   });
 }
@@ -1119,10 +1099,10 @@ void Kernel::op_unlock(Task& t, const op::Unlock& u) {
   const TaskId id = t.id;
   const LockId lk = u.lock;
   const LockRelease res = locks_->release(lk, id);
-  held_locks_[id].erase(lk);
+  t.held_locks.erase(lk);
   // Restore this task's priority.
   if (locks_->provides_ceiling()) {
-    auto& stack = ceiling_stack_[id];
+    auto& stack = t.ceiling_stack;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       if (it->first == lk) {
         t.priority = it->second;
@@ -1151,13 +1131,13 @@ void Kernel::op_unlock(Task& t, const op::Unlock& u) {
 void Kernel::hand_off_lock(LockId lk, const LockRelease& res) {
   if (res.next == kNoTask) return;
   Task& nx = task(res.next);
-  held_locks_[res.next].insert(lk);
-  waiting_lock_[res.next] = kNoLock;
+  nx.held_locks.insert(lk);
+  nx.waiting_lock = kNoLock;
   if (res.ceiling) {
-    ceiling_stack_[res.next].push_back({lk, nx.priority});
+    nx.ceiling_stack.push_back({lk, nx.priority});
     nx.priority = std::min(nx.priority, *res.ceiling);
   }
-  const sim::Cycles asked_at = lock_requested_at_[res.next];
+  const sim::Cycles asked_at = nx.lock_requested_at;
   if (asked_at != sim::kNeverCycles) {
     lock_delay_->add(static_cast<double>(sim_.now() - asked_at));
     obs_->trace.record(obs::EventKind::kLockAcquire,
@@ -1173,7 +1153,7 @@ void Kernel::hand_off_lock(LockId lk, const LockRelease& res) {
   } else {
     // Its acquire service is still in flight; let the completion
     // handler consume the grant.
-    pending_lock_grant_[res.next] = lk;
+    nx.pending_lock_grant = lk;
   }
 }
 
@@ -1187,17 +1167,16 @@ void Kernel::spin_on_lock(TaskId id, LockId lk) {
   const PeId pe = t.pe;
   // The spinner owns its PE for the duration (short CSes are bounded, and
   // the spin protocol runs with preemption off).
-  in_service_[pe] = 1;
+  pes_[pe].in_service = true;
   // One poll now; the hand-off is observed on a subsequent poll.
-  if (pending_lock_grant_[id] == lk) {
-    pending_lock_grant_[id] = kNoLock;
-    in_service_[pe] = 0;
-    Task& tk = task(id);
+  if (t.pending_lock_grant == lk) {
+    t.pending_lock_grant = kNoLock;
+    pes_[pe].in_service = false;
     // The delay sample was taken in hand_off_lock.
     trace("LOCK", [&] {
-      return tk.name + " acquired lock " + std::to_string(lk) + " (spin)";
+      return t.name + " acquired lock " + std::to_string(lk) + " (spin)";
     });
-    ++tk.pc;
+    ++t.pc;
     step_task(id);
     reschedule(pe);
     return;
@@ -1229,25 +1208,25 @@ void Kernel::boost_owner_chain(TaskId owner, Priority prio) {
       return o.name + " inherits priority " + std::to_string(prio);
     });
     if (o.state == TaskState::kReady) reschedule(o.pe);
-    if (waiting_lock_[owner] == kNoLock) return;
-    owner = locks_->owner(waiting_lock_[owner]);
+    if (o.waiting_lock == kNoLock) return;
+    owner = locks_->owner(o.waiting_lock);
   }
 }
 
 void Kernel::force_unlock(TaskId id, LockId lk) {
+  Task& t = task(id);
   const LockRelease res = locks_->release(lk, id);
-  held_locks_[id].erase(lk);
+  t.held_locks.erase(lk);
   ctr_lock_releases_->add();
   obs_->trace.record(obs::EventKind::kLockRelease,
-                     static_cast<std::uint16_t>(task(id).pe), sim_.now(),
-                     0, lk);
+                     static_cast<std::uint16_t>(t.pe), sim_.now(), 0, lk);
   hand_off_lock(lk, res);
 }
 
 void Kernel::recompute_inherited_priority(TaskId id) {
   Task& t = task(id);
   Priority eff = t.base_priority;
-  for (LockId lk : held_locks_[id]) {
+  for (LockId lk : t.held_locks) {
     const auto top = locks_->top_waiter(lk);
     if (top) eff = std::min(eff, *top);
   }
@@ -1437,7 +1416,7 @@ void Kernel::op_queue_send(Task& t, const op::QueueSend& s) {
               ++tk.pc;
               step_task(id);
             } else {
-              queue_send_payload_[id] = s.message;
+              tk.queue_send_payload = s.message;
               q.senders.add(id, tk.priority);
               block_task(id, WaitKind::kQueue, s.queue);
             }
@@ -1453,13 +1432,12 @@ void Kernel::op_queue_recv(Task& t, const op::QueueRecv& r) {
             if (!q.messages.empty()) {
               tk.last_message = q.messages.front();
               q.messages.pop_front();
-              // Admit one blocked sender into the freed slot (its payload
-              // stays parked in queue_send_payload_ until overwritten by
-              // its next blocking send).
+              // Admit one blocked sender into the freed slot with the
+              // payload it parked in its control block.
               const TaskId sx = q.senders.pop();
               if (sx != kNoTask) {
-                q.messages.push_back(queue_send_payload_[sx]);
                 Task& snd = task(sx);
+                q.messages.push_back(snd.queue_send_payload);
                 ++snd.pc;
                 wake_task(sx);
               }

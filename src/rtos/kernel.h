@@ -12,11 +12,13 @@
 // (rtos/service_costs.h) plus whatever the strategy/backends report, so
 // the seven RTOS/MPSoC configurations of Table 3 are just different
 // constructor arguments.
+//
+// Its state is one control block per task (rtos/task.h) and one record
+// per PE: what runs there, its ready count and its open service window.
 #pragma once
 
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -161,8 +163,7 @@ class Kernel {
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
   /// Times each task was aborted/restarted by recovery.
   [[nodiscard]] std::uint64_t restarts(TaskId id) const {
-    const auto it = restarts_.find(id);
-    return it == restarts_.end() ? 0 : it->second;
+    return task(id).restarts;
   }
 
   [[nodiscard]] DeadlockStrategy& strategy() { return *strategy_; }
@@ -201,7 +202,9 @@ class Kernel {
   /// folded in. Zeroed when collection is off.
   [[nodiscard]] EngineCounters engine_counters_snapshot() const;
 
-  [[nodiscard]] TaskId running_on(PeId pe) const { return running_.at(pe); }
+  [[nodiscard]] TaskId running_on(PeId pe) const {
+    return pes_.at(pe).running;
+  }
 
   /// Task phase log, one entry per state change (not-started, suspended
   /// and finished all map to TaskPhase::kAbsent). Empty unless
@@ -230,28 +233,33 @@ class Kernel {
   /// stays valid for the kernel's life, across later create_task calls
   /// too.
   std::vector<Task> tasks_;
-  std::vector<TaskId> running_;      ///< per PE
-  std::vector<std::uint8_t> in_service_;  ///< per PE: non-preemptible section
+
+  /// Strategy outcomes of one request/release service window, in op
+  /// order.
+  using ResourceEvents = std::vector<std::pair<ResourceId, ResourceEvent>>;
+
+  /// One PE's scheduler state. Sized to pe_count at construction.
+  struct Pe {
+    TaskId running = kNoTask;
+    /// In a non-preemptible section: a service window or a short-lock
+    /// spin. A PE runs one service window at a time.
+    bool in_service = false;
+    /// Tasks pinned here in TaskState::kReady, kept by set_state(). Lets
+    /// reschedule()/dispatch()/arm_time_slice() skip their O(tasks) scans
+    /// on the (dominant) idle-PE case and bound the scan otherwise.
+    std::uint32_t ready = 0;
+    /// The open op_request/op_release window's events; its completion
+    /// applies and clears them. The buffer keeps its capacity, so only a
+    /// PE's first such window allocates.
+    ResourceEvents events;
+  };
+  std::vector<Pe> pes_;
   sim::Cycles resmgr_lock_until_ = 0;  ///< kernel lock for resource services
 
   std::vector<Semaphore> semaphores_;
   std::vector<Mailbox> mailboxes_;
   std::vector<MessageQueue> queues_;
   std::vector<EventGroup> event_groups_;
-
-  // Lock bookkeeping. Indexed by TaskId (dense, grown in create_task
-  // within the max_tasks reserved at construction); kNoLock /
-  // kNeverCycles mark absent entries so the hot path is an array load
-  // instead of a map walk.
-  static constexpr LockId kNoLock = static_cast<LockId>(-1);
-  std::vector<LockId> waiting_lock_;
-  /// Locks handed to a task while its acquire service was still in
-  /// flight; the acquire completion consumes the entry as a grant.
-  std::vector<LockId> pending_lock_grant_;
-  std::vector<sim::Cycles> lock_requested_at_;  ///< kNeverCycles = none
-  std::vector<std::vector<std::pair<LockId, Priority>>> ceiling_stack_;
-  std::vector<FlatSet<LockId>> held_locks_;
-  std::vector<std::uint64_t> queue_send_payload_;
 
   // Observability. All pointers below index into obs_->metrics, cached
   // once at construction; own_obs_ is set only when no observer is given.
@@ -276,7 +284,6 @@ class Kernel {
   sim::Cycles deadlock_time_ = 0;
   bool halted_ = false;
   std::uint64_t recoveries_ = 0;
-  std::map<TaskId, std::uint64_t> restarts_;
   std::vector<obs::PhaseChange> transitions_;
 
   /// Host-side engine counters; null = collection off (the default).
@@ -286,19 +293,8 @@ class Kernel {
   TaskId giveup_episode_victim_ = kNoTask;
   std::uint64_t giveup_episode_len_ = 0;
 
-  /// Strategy outcomes of one request/release service window, in op
-  /// order. Finished windows hand their buffer back to event_buffers_,
-  /// so a warm op_request/op_release allocates nothing.
-  using ResourceEvents = std::vector<std::pair<ResourceId, ResourceEvent>>;
-  std::vector<ResourceEvents> event_buffers_;
-
   FlatSet<ResourceId> starved_;  ///< livelock-idled resources to retry
   std::uint64_t sched_seq_ = 0;  ///< round-robin rotation counter
-  /// Per-PE count of tasks in TaskState::kReady, maintained by
-  /// set_state(). Lets reschedule()/dispatch()/arm_time_slice() skip
-  /// their O(tasks) scans on the (dominant) idle-PE case and bound the
-  /// scan otherwise.
-  std::vector<std::uint32_t> ready_count_;
 
   // ------------------------------------------------------- internals --
   /// Lazy trace: `make_text` (returning something convertible to
@@ -322,10 +318,6 @@ class Kernel {
   /// instant a task blocks. No-op when tracing is disabled.
   void record_wait_for(const Task& t, WaitKind why, std::uint64_t object);
   void wake_task(TaskId id);
-  void advance(TaskId id) {
-    ++task(id).pc;
-    step_task(id);
-  }
 
   /// Begin a non-preemptible kernel service on `pe` lasting `cycles`;
   /// `done` runs at completion (service flag cleared first). Templated
@@ -353,10 +345,6 @@ class Kernel {
   void op_queue_recv(Task& t, const op::QueueRecv& r);
   void op_event_set(Task& t, const op::EventSet& e);
   void op_event_wait(Task& t, const op::EventWait& e);
-
-  /// An empty event buffer, recycled when one is free.
-  ResourceEvents take_event_buffer();
-  void return_event_buffer(ResourceEvents&& events);
 
   /// Apply a strategy event's side effects (grants, asks, detection).
   void apply_resource_event(const ResourceEvent& ev, ResourceId res,

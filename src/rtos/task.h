@@ -1,8 +1,11 @@
 // Task control block.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "rtos/flat_containers.h"
 #include "rtos/program.h"
@@ -13,7 +16,9 @@
 namespace delta::rtos {
 
 /// One task (the kernel owns these; applications configure them through
-/// Kernel::create_task and the Program builder).
+/// Kernel::create_task and the Program builder). It holds all of the
+/// kernel's state for the task (scheduling, resources, locks, IPC and
+/// recovery), so the kernel keeps no other table indexed by TaskId.
 struct Task {
   TaskId id = kNoTask;
   std::string name;
@@ -60,9 +65,23 @@ struct Task {
   FlatSet<ResourceId> held;
   FlatSet<ResourceId> waiting_for;
 
-  /// Give-up demand raised by the avoidance strategy: resources this task
-  /// must release (and then re-request, since it still needs them).
-  FlatSet<ResourceId> must_give_up;
+  /// Locks (op::Lock/op::Unlock) held, and the one this task is blocked
+  /// on (kNoLock when none; priority inheritance follows these links).
+  FlatSet<LockId> held_locks;
+  LockId waiting_lock = kNoLock;
+  /// A lock handed to this task while its acquire service was still in
+  /// flight; the acquire completion consumes it as a grant.
+  LockId pending_lock_grant = kNoLock;
+  /// When the last op::Lock was issued, for the lock-delay sample of a
+  /// hand-off (kNeverCycles before the first).
+  sim::Cycles lock_requested_at = sim::kNeverCycles;
+  /// IPCP ceilings entered (hardware lock backend): each lock with the
+  /// effective priority to restore when it is released.
+  std::vector<std::pair<LockId, Priority>> ceiling_stack;
+
+  /// Payload of a send blocked on a full message queue; the receive that
+  /// admits this task into the freed slot enqueues it.
+  std::uint64_t queue_send_payload = 0;
 
   /// Named allocation slots (op::Alloc/op::Free), keyed by views of the
   /// slot strings of this task's op::Alloc/op::AllocShared ops. The
@@ -79,6 +98,7 @@ struct Task {
 
   /// Statistics.
   std::uint64_t preemptions = 0;
+  std::uint64_t restarts = 0;  ///< aborts and restarts by deadlock recovery
 
   [[nodiscard]] bool runnable() const {
     return state == TaskState::kReady || state == TaskState::kRunning;

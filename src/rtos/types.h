@@ -25,6 +25,7 @@ using QueueId = std::size_t;
 using EventGroupId = std::size_t;
 
 inline constexpr TaskId kNoTask = static_cast<TaskId>(-1);
+inline constexpr LockId kNoLock = static_cast<LockId>(-1);
 
 /// Priorities: smaller value = higher priority (paper: p1 highest).
 using Priority = int;
