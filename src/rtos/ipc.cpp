@@ -20,4 +20,13 @@ TaskId WaitList::pop() {
   return t;
 }
 
+std::optional<Priority> WaitList::top_priority() const {
+  if (entries_.empty()) return std::nullopt;
+  return std::min_element(entries_.begin(), entries_.end(),
+                          [](const Entry& a, const Entry& b) {
+                            return a.prio < b.prio;
+                          })
+      ->prio;
+}
+
 }  // namespace delta::rtos

@@ -13,13 +13,17 @@
 
 namespace delta::rtos {
 
-/// Priority-ordered wait list (FIFO among equal priorities).
+/// Priority-ordered wait list (FIFO among equal priorities). Semaphores,
+/// mailboxes, message queues and the software lock backend keep their
+/// waiters in one.
 class WaitList {
  public:
   void add(TaskId t, Priority p) { entries_.push_back({t, p, seq_++}); }
   void remove(TaskId t);
   /// Pop the highest-priority waiter; kNoTask when empty.
   TaskId pop();
+  /// The highest waiting priority; std::nullopt when empty.
+  [[nodiscard]] std::optional<Priority> top_priority() const;
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 

@@ -1,6 +1,5 @@
 #include "rtos/locks.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace delta::rtos {
@@ -26,7 +25,7 @@ LockAcquire SoftwarePiLockBackend::acquire(LockId lock, TaskId who,
     out.granted = true;
     return out;
   }
-  lk.waiters.push_back(Waiter{who, prio, seq_++});
+  lk.waiters.add(who, prio);
   if (ctr_enqueues_ != nullptr) ctr_enqueues_->add();
   return out;
 }
@@ -37,24 +36,13 @@ LockRelease SoftwarePiLockBackend::release(LockId lock, TaskId who) {
     throw std::logic_error("software lock released by non-owner");
   LockRelease out;
   out.cycles = costs_.sw_lock_release;
-  if (lk.waiters.empty()) {
-    lk.owner = kNoTask;
-    return out;
-  }
-  auto best = std::min_element(lk.waiters.begin(), lk.waiters.end(),
-                               [](const Waiter& a, const Waiter& b) {
-                                 if (a.prio != b.prio) return a.prio < b.prio;
-                                 return a.seq < b.seq;
-                               });
-  out.next = best->who;
-  lk.owner = best->who;
-  lk.waiters.erase(best);
+  out.next = lk.waiters.pop();  // kNoTask frees the lock
+  lk.owner = out.next;
   return out;
 }
 
 void SoftwarePiLockBackend::cancel_wait(LockId lock, TaskId who) {
-  auto& waiters = locks_.at(lock).waiters;
-  std::erase_if(waiters, [who](const Waiter& w) { return w.who == who; });
+  locks_.at(lock).waiters.remove(who);
 }
 
 TaskId SoftwarePiLockBackend::owner(LockId lock) const {
@@ -73,12 +61,7 @@ void SoftwarePiLockBackend::attach_observer(obs::Observer* o) {
 
 std::optional<Priority> SoftwarePiLockBackend::top_waiter(
     LockId lock) const {
-  const auto& waiters = locks_.at(lock).waiters;
-  if (waiters.empty()) return std::nullopt;
-  const auto best = std::min_element(
-      waiters.begin(), waiters.end(),
-      [](const Waiter& a, const Waiter& b) { return a.prio < b.prio; });
-  return best->prio;
+  return locks_.at(lock).waiters.top_priority();
 }
 
 // ------------------------------------------------------ SoclcLockBackend --

@@ -14,6 +14,7 @@
 
 #include "hw/soclc.h"
 #include "obs/observer.h"
+#include "rtos/ipc.h"
 #include "rtos/service_costs.h"
 #include "rtos/types.h"
 #include "sim/sim_time.h"
@@ -96,19 +97,13 @@ class SoftwarePiLockBackend final : public LockBackend {
   [[nodiscard]] std::size_t waiter_count(LockId lock) const;
 
  private:
-  struct Waiter {
-    TaskId who;
-    Priority prio;
-    std::uint64_t seq;
-  };
   struct Lock {
     TaskId owner = kNoTask;
-    std::vector<Waiter> waiters;
+    WaitList waiters;
   };
   std::vector<Lock> locks_;
   ServiceCosts costs_;
   std::size_t short_locks_ = 0;
-  std::uint64_t seq_ = 0;
   obs::Counter* ctr_acquires_ = nullptr;
   obs::Counter* ctr_enqueues_ = nullptr;
 };
