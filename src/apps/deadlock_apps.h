@@ -25,7 +25,6 @@ struct DeadlockAppReport {
   double algorithm_avg_cycles = 0.0;  ///< "Algorithm Run Time" (averaged)
   std::size_t invocations = 0;        ///< times the algorithm ran
   bool all_finished = false;
-  bool avoided = false;               ///< G-dl/R-dl was detected and avoided
 };
 
 /// Build the Table 4 workload into `soc` (does not run it).

@@ -53,8 +53,7 @@ struct Mailbox {
 struct MessageQueue {
   std::size_t capacity = 8;
   std::deque<std::uint64_t> messages;
-  WaitList senders;
-  std::deque<std::uint64_t> pending_sends;  ///< payloads of blocked senders
+  WaitList senders;  ///< payloads parked in Task::queue_send_payload
   WaitList receivers;
 };
 

@@ -50,7 +50,6 @@ enum class WaitKind : std::uint8_t {
   kMailbox,
   kQueue,
   kEvents,
-  kGiveUp,     ///< processing a give-up demand from the avoidance unit
 };
 
 }  // namespace delta::rtos
