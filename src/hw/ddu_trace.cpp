@@ -1,7 +1,9 @@
 #include "hw/ddu_trace.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
+
+#include "rag/reduction.h"
 
 namespace delta::hw {
 
@@ -28,33 +30,22 @@ DduResult trace_ddu(const rag::StateMatrix& state, VcdWriter& vcd) {
   DduResult result;
   sim::Cycles t = 0;
 
+  // One sample per hardware iteration: the reference reduction's node
+  // classes on the current matrix, then its step (Algorithm 1).
   while (true) {
     std::uint64_t tau_row = 0, tau_col = 0, phi_row = 0, phi_col = 0;
-    bool t_iter = false, any_phi = false;
     for (rag::ResId s = 0; s < m; ++s) {
-      const bool r = work.row_has_request(s);
-      const bool g = work.row_has_grant(s);
-      if (r != g) {
-        tau_row |= 1ULL << s;
-        t_iter = true;
-      }
-      if (r && g) {
-        phi_row |= 1ULL << s;
-        any_phi = true;
-      }
+      const rag::NodeKind k = rag::classify_row(work, s);
+      if (k == rag::NodeKind::kTerminal) tau_row |= 1ULL << s;
+      if (k == rag::NodeKind::kConnect) phi_row |= 1ULL << s;
     }
     for (rag::ProcId c = 0; c < n; ++c) {
-      const bool r = work.col_has_request(c);
-      const bool g = work.col_has_grant(c);
-      if (r != g) {
-        tau_col |= 1ULL << c;
-        t_iter = true;
-      }
-      if (r && g) {
-        phi_col |= 1ULL << c;
-        any_phi = true;
-      }
+      const rag::NodeKind k = rag::classify_col(work, c);
+      if (k == rag::NodeKind::kTerminal) tau_col |= 1ULL << c;
+      if (k == rag::NodeKind::kConnect) phi_col |= 1ULL << c;
     }
+    const bool t_iter = (tau_row | tau_col) != 0;
+    const bool any_phi = (phi_row | phi_col) != 0;
 
     vcd.change(t, v_clk, t % 2 == 0);
     vcd.change(t, v_tau_row, tau_row);
@@ -64,15 +55,11 @@ DduResult trace_ddu(const rag::StateMatrix& state, VcdWriter& vcd) {
     vcd.change(t, v_titer, t_iter);
     vcd.change(t, v_edges, work.edge_count());
 
-    if (!t_iter) {
+    if (!rag::reduce_step(work)) {
       result.deadlock = any_phi;
       vcd.change(t, v_deadlock, any_phi);
       break;
     }
-    for (rag::ResId s = 0; s < m; ++s)
-      if (tau_row & (1ULL << s)) work.clear_row(s);
-    for (rag::ProcId c = 0; c < n; ++c)
-      if (tau_col & (1ULL << c)) work.clear_col(c);
     ++result.iterations;
     ++t;
   }
